@@ -2,6 +2,10 @@
 #
 #   make test       - tier 1: the fast default suite (chaos tests excluded
 #                     via the `-m 'not chaos'` addopts in pyproject.toml)
+#   make bench-test - the benchmark recorder's own tests (bench/): they
+#                     patch Engine.park/run/spawn from outside, so they
+#                     are the cheapest early warning that an engine
+#                     change broke host-time attribution
 #   make chaos      - tier 2: randomized fault-injection sweeps over fixed
 #                     seeds (slower; exercises FaultPlan.random + the
 #                     exhaustive kill-subset enumeration)
@@ -27,11 +31,14 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test chaos report bench-json perf-smoke service-smoke hier-smoke \
-	hier-service-smoke
+.PHONY: test bench-test chaos report bench-json perf-smoke service-smoke \
+	hier-smoke hier-service-smoke
 
 test:
 	$(PYTHON) -m pytest -x -q
+
+bench-test:
+	$(PYTHON) -m pytest bench -q
 
 chaos:
 	$(PYTHON) -m pytest -m chaos -q

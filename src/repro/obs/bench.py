@@ -74,7 +74,6 @@ from repro.experiments.fig3a import PROCESS_COUNTS
 from repro.obs.export import run_metrics
 from repro.obs.tracer import Tracer
 from repro.platforms import ORNL_ALTIX
-from repro.simmpi.engine import Engine
 from repro.workloads import (
     SynthSpec,
     synthesize_dna_records,
@@ -432,7 +431,6 @@ def bench_document(
             "hier_points": [list(p) for p in hier_points],
             "hier_mode": HIER_MODE,
             "query_bytes": wl.query_bytes,
-            "scheduler_fast_wakes": Engine.FAST_WAKES_DEFAULT,
             "service": {
                 "nprocs": service_np,
                 "rate": service_rate,

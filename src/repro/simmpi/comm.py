@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce as _functools_reduce
 from typing import Any, Callable
 
@@ -55,24 +55,22 @@ class Status:
     nbytes: int = 0
 
 
-@dataclass(order=True)
+@dataclass(slots=True, eq=False)
 class _Message:
-    arrival_seq: int
-    source: int = field(compare=False)
-    tag: int = field(compare=False)
-    payload: Any = field(compare=False)
-    nbytes: int = field(compare=False)
-    sender_parker: Parker | None = field(compare=False, default=None)
+    source: int
+    tag: int
+    payload: Any
+    nbytes: int
+    sender_parker: Parker | None = None
     # Tracing envelope: unique message id + injection time.  ``mid``
     # links the receiver's ``comm.recv`` event back to the sender's
     # ``comm.send`` — the edge the critical-path walk follows.
-    mid: int = field(compare=False, default=0)
-    sent_at: float = field(compare=False, default=0.0)
+    mid: int = 0
+    sent_at: float = 0.0
 
 
-@dataclass
+@dataclass(slots=True, eq=False)
 class _PendingRecv:
-    post_seq: int
     source: int
     tag: int
     parker: Parker
@@ -139,8 +137,6 @@ class Communicator:
         self.size = size
         self.network = network
         self._endpoints = [_Endpoint() for _ in range(size)]
-        self._arrival_seq = 0
-        self._post_seq = 0
         # MPI non-overtaking: per (source, dest) channel, messages are
         # matched in send order, so a later (smaller/faster) message must
         # never be delivered before an earlier one.
@@ -183,7 +179,7 @@ class Communicator:
         self._send_internal(obj, dest, tag, nbytes)
 
     def _fault_check(
-        self, dest: int, tag: int, size: int
+        self, rank: int, dest: int, tag: int, size: int
     ) -> tuple[bool, float]:
         """Consult the fault layer: ``(dropped, extra_arrival_delay)``.
 
@@ -193,7 +189,7 @@ class Communicator:
         if self.faults is None:
             return False, 0.0
         now = self.engine.now
-        dropped, extra = self.faults.on_send(self.rank, dest, tag, size, now)
+        dropped, extra = self.faults.on_send(rank, dest, tag, size, now)
         slowdown = self.faults.net_factor(now)
         if slowdown > 1.0:
             extra += self.network.delivery_time(size, slowdown) - (
@@ -202,14 +198,13 @@ class Communicator:
         return dropped, extra
 
     def _record_send(
-        self, dest: int, tag: int, size: int, dropped: bool
+        self, rank: int, dest: int, tag: int, size: int, dropped: bool
     ) -> tuple[int, float]:
         """Observability bookkeeping for one injection; returns the
         message id and injection time threaded into the envelope."""
         self._msg_uid += 1
         now = self.engine.now
         if self.metrics is not None:
-            rank = self.rank
             self.metrics.inc(rank, "msgs_sent")
             self.metrics.inc(rank, "bytes_sent", size)
             self.metrics.observe(rank, "msg_nbytes", size)
@@ -217,18 +212,18 @@ class Communicator:
                 self.metrics.inc(rank, "msgs_dropped")
         if self.tracer is not None:
             self.tracer.instant(
-                EV_SEND, self.rank, now, "send",
+                EV_SEND, rank, now, "send",
                 dest, tag, size, self._msg_uid, dropped,
             )
         return self._msg_uid, now
 
-    def _record_recv(self, msg: _Message) -> None:
+    def _record_recv(self, rank: int, msg: _Message) -> None:
         if self.metrics is not None:
-            self.metrics.inc(self.rank, "msgs_recv")
-            self.metrics.inc(self.rank, "bytes_recv", msg.nbytes)
+            self.metrics.inc(rank, "msgs_recv")
+            self.metrics.inc(rank, "bytes_recv", msg.nbytes)
         if self.tracer is not None:
             self.tracer.instant(
-                EV_RECV, self.rank, self.engine.now, "recv",
+                EV_RECV, rank, self.engine.now, "recv",
                 msg.source, msg.tag, msg.nbytes, msg.mid, msg.sent_at,
             )
 
@@ -236,33 +231,34 @@ class Communicator:
         self, obj: Any, dest: int, tag: int, nbytes: int | None = None
     ) -> None:
         size = payload_nbytes(obj) if nbytes is None else int(nbytes)
-        net = self.network
+        net, eng = self.network, self.engine
+        # The calling rank is resolved once per call and passed down.
+        rank = eng.current_rank()
         self.messages_sent += 1
         self.bytes_sent += size
         # Sender-side software overhead.
-        self.engine.sleep(net.overhead)
-        dropped, extra = self._fault_check(dest, tag, size)
-        mid, sent_at = self._record_send(dest, tag, size, dropped)
-        arrival = self.engine.now + net.delivery_time(size) + extra
+        eng.sleep(net.overhead)
+        dropped, extra = self._fault_check(rank, dest, tag, size)
+        mid, sent_at = self._record_send(rank, dest, tag, size, dropped)
+        arrival = eng.now + net.delivery_time(size) + extra
         if dropped:
             # The sender pays the usual injection cost but the payload
             # evaporates on the wire.  A rendezvous sender still blocks
             # for the drain time (the NIC does not know the packets are
             # being eaten downstream).
             if not net.is_eager(size):
-                self.engine.sleep_until(arrival)
+                eng.sleep_until(arrival)
             return
+        msg = _Message(rank, tag, obj, size, None, mid, sent_at)
         if net.is_eager(size):
-            self._deliver_at(arrival, self.rank, dest, tag, obj, size, None,
-                             mid, sent_at)
+            self._deliver_at(arrival, dest, msg)
         else:
             # Rendezvous: sender stays busy until the payload drains.
-            done = self.engine.make_parker(
-                label=f"send(dest={dest}, tag={tag}, rendezvous)"
+            msg.sender_parker = done = eng.make_parker(
+                ("send(dest=%s, tag=%s, rendezvous)", dest, tag)
             )
-            self._deliver_at(arrival, self.rank, dest, tag, obj, size, done,
-                             mid, sent_at)
-            self.engine.park(done)
+            self._deliver_at(arrival, dest, msg)
+            eng.park(done)
 
     def isend(self, obj: Any, dest: int, tag: int = 0, nbytes: int | None = None) -> Request:
         """Non-blocking send (always buffered/eager in this model)."""
@@ -270,55 +266,46 @@ class Communicator:
         if tag < 0:
             raise SimError("user tags must be non-negative")
         size = payload_nbytes(obj) if nbytes is None else int(nbytes)
+        rank = self.engine.current_rank()
         self.messages_sent += 1
         self.bytes_sent += size
         self.engine.sleep(self.network.overhead)
-        dropped, extra = self._fault_check(dest, tag, size)
-        mid, sent_at = self._record_send(dest, tag, size, dropped)
-        if dropped:
-            return Request(lambda: None)
-        arrival = self.engine.now + self.network.delivery_time(size) + extra
-        self._deliver_at(arrival, self.rank, dest, tag, obj, size, None,
-                         mid, sent_at)
+        dropped, extra = self._fault_check(rank, dest, tag, size)
+        mid, sent_at = self._record_send(rank, dest, tag, size, dropped)
+        if not dropped:
+            arrival = (
+                self.engine.now + self.network.delivery_time(size) + extra
+            )
+            self._deliver_at(
+                arrival, dest, _Message(rank, tag, obj, size, None, mid, sent_at)
+            )
         return Request(lambda: None)
 
-    def _deliver_at(
-        self,
-        t: float,
-        source: int,
-        dest: int,
-        tag: int,
-        payload: Any,
-        nbytes: int,
-        sender_parker: Parker | None,
-        mid: int = 0,
-        sent_at: float = 0.0,
-    ) -> None:
-        chan = (source, dest)
+    def _deliver_at(self, t: float, dest: int, msg: _Message) -> None:
+        chan = (msg.source, dest)
         t = max(t, self._last_arrival.get(chan, 0.0))
         self._last_arrival[chan] = t
+        # Inline-safe: _deliver touches only endpoint queues and the
+        # event queue (unpark_at), never blocks or resumes anybody
+        # itself, and reads no thread identity — the message is data on
+        # the event, so whichever thread holds the baton may run it.
+        self.engine.schedule_inline(t, self._deliver, dest, msg)
 
-        def deliver() -> None:
-            self._arrival_seq += 1
-            msg = _Message(self._arrival_seq, source, tag, payload, nbytes,
-                           sender_parker, mid, sent_at)
-            ep = self._endpoints[dest]
-            # Wake the earliest-posted matching pending receive, if any.
-            for i, pr in enumerate(ep.pending):
-                if _matches(msg, pr.source, pr.tag):
-                    if pr.consume:
-                        del ep.pending[i]
-                        self._complete_rendezvous(msg)
-                        self.engine.unpark_at(pr.parker, self.engine.now, msg)
-                    else:
-                        # probe: leave the message queued, wake the prober
-                        del ep.pending[i]
-                        ep.queued.append(msg)
-                        self.engine.unpark_at(pr.parker, self.engine.now, msg)
-                    return
-            ep.queued.append(msg)
-
-        self.engine.schedule(t, deliver)
+    def _deliver(self, dest: int, msg: _Message) -> None:
+        """(inline-safe event) ``msg`` arrives at ``dest``."""
+        ep = self._endpoints[dest]
+        # Wake the earliest-posted matching pending receive, if any.
+        for i, pr in enumerate(ep.pending):
+            if _matches(msg, pr.source, pr.tag):
+                del ep.pending[i]
+                if pr.consume:
+                    self._complete_rendezvous(msg)
+                else:
+                    # probe: leave the message queued, wake the prober
+                    ep.queued.append(msg)
+                self.engine.unpark_at(pr.parker, self.engine.now, msg)
+                return
+        ep.queued.append(msg)
 
     def _complete_rendezvous(self, msg: _Message) -> None:
         if msg.sender_parker is not None:
@@ -359,44 +346,46 @@ class Communicator:
             raise SimError(f"negative timeout: {timeout}")
         if source != ANY_SOURCE:
             self._check_rank(source, "source")
-        ep = self._endpoints[self.rank]
+        eng = self.engine
+        rank = eng.current_rank()
+        ep = self._endpoints[rank]
         msg = self._match_queued(ep, source, tag, consume=True)
         if msg is None:
-            self._post_seq += 1
-            parker = self.engine.make_parker(
-                label=f"recv_timeout(src={source}, tag={tag})"
+            parker = eng.make_parker(
+                ("recv_timeout(src=%s, tag=%s)", source, tag)
             )
-            pr = _PendingRecv(self._post_seq, source, tag, parker, consume=True)
+            pr = _PendingRecv(source, tag, parker, consume=True)
             ep.pending.append(pr)
-
-            def fire_timeout() -> None:
-                # A delivery scheduled for the same instant may have
-                # already matched (and removed) the pending entry; the
-                # message wins the race and the timeout is a no-op.
-                try:
-                    ep.pending.remove(pr)
-                except ValueError:
-                    return
-                self.engine.unpark_at(parker, self.engine.now, TIMEOUT)
-
-            ev = self.engine.schedule(
-                self.engine.now + timeout, fire_timeout
+            # Inline-safe for the same three reasons as _deliver.
+            ev = eng.schedule_inline(
+                eng.now + timeout, self._fire_timeout, ep, pr
             )
-            got = self.engine.park(parker)
+            got = eng.park(parker)
             if got is TIMEOUT:
                 return TIMEOUT
-            self.engine.cancel(ev)
+            eng.cancel(ev)
             msg = got
         else:
             self._complete_rendezvous(msg)
-        self._record_recv(msg)
+        self._record_recv(rank, msg)
         # Receiver-side software overhead (charged only on success).
-        self.engine.sleep(self.network.overhead)
+        eng.sleep(self.network.overhead)
         if status is not None:
             status.source, status.tag, status.nbytes = (
                 msg.source, msg.tag, msg.nbytes,
             )
         return msg.payload
+
+    def _fire_timeout(self, ep: _Endpoint, pr: _PendingRecv) -> None:
+        """(inline-safe event) The timed receive ``pr`` gives up."""
+        # A delivery scheduled for the same instant may have already
+        # matched (and removed) the pending entry; the message wins the
+        # race and the timeout is a no-op.
+        try:
+            ep.pending.remove(pr)
+        except ValueError:
+            return
+        self.engine.unpark_at(pr.parker, self.engine.now, TIMEOUT)
 
     def irecv(
         self, source: int = ANY_SOURCE, tag: int = ANY_TAG
@@ -404,23 +393,21 @@ class Communicator:
         """Non-blocking receive; ``wait()`` returns the payload."""
         if source != ANY_SOURCE:
             self._check_rank(source, "source")
-        ep = self._endpoints[self.rank]
+        rank = self.engine.current_rank()
+        ep = self._endpoints[rank]
         msg = self._match_queued(ep, source, tag, consume=True)
         if msg is not None:
             self._complete_rendezvous(msg)
-            self._record_recv(msg)
+            self._record_recv(rank, msg)
             return Request(lambda: msg.payload)
-        self._post_seq += 1
         parker = self.engine.make_parker(
-            label=f"irecv(src={source}, tag={tag})"
+            ("irecv(src=%s, tag=%s)", source, tag)
         )
-        ep.pending.append(
-            _PendingRecv(self._post_seq, source, tag, parker, consume=True)
-        )
+        ep.pending.append(_PendingRecv(source, tag, parker, consume=True))
 
         def waiter() -> Any:
             got: _Message = self.engine.park(parker)
-            self._record_recv(got)
+            self._record_recv(rank, got)
             self.engine.sleep(self.network.overhead)
             return got.payload
 
@@ -441,39 +428,32 @@ class Communicator:
     def _match_queued(
         self, ep: _Endpoint, source: int, tag: int, consume: bool
     ) -> _Message | None:
-        best_i = -1
         for i, msg in enumerate(ep.queued):
             if _matches(msg, source, tag):
-                best_i = i
-                break
-        if best_i < 0:
-            return None
-        msg = ep.queued[best_i]
-        if consume:
-            del ep.queued[best_i]
-        return msg
+                if consume:
+                    del ep.queued[i]
+                return msg
+        return None
 
     def _wait_message(self, source: int, tag: int, consume: bool) -> _Message:
         if source != ANY_SOURCE:
             self._check_rank(source, "source")
-        ep = self._endpoints[self.rank]
+        rank = self.engine.current_rank()
+        ep = self._endpoints[rank]
         msg = self._match_queued(ep, source, tag, consume)
         if msg is not None:
             if consume:
                 self._complete_rendezvous(msg)
-                self._record_recv(msg)
+                self._record_recv(rank, msg)
             return msg
-        self._post_seq += 1
-        what = "recv" if consume else "probe"
         parker = self.engine.make_parker(
-            label=f"{what}(src={source}, tag={tag})"
+            ("%s(src=%s, tag=%s)", "recv" if consume else "probe",
+             source, tag)
         )
-        ep.pending.append(
-            _PendingRecv(self._post_seq, source, tag, parker, consume)
-        )
+        ep.pending.append(_PendingRecv(source, tag, parker, consume))
         msg = self.engine.park(parker)
         if consume:
-            self._record_recv(msg)
+            self._record_recv(rank, msg)
         return msg
 
     # ------------------------------------------------------------------

@@ -1,13 +1,37 @@
 """Discrete-event engine with cooperative rank threads.
 
 The engine owns a virtual clock and an event queue.  Simulated processes
-(ranks) run on real Python threads, but the engine enforces that *exactly
-one* thread is runnable at any instant: a rank runs until it blocks on a
-simulated operation (a timed wait, a message receive, a bandwidth
-transfer, ...), at which point control returns to the scheduler, which
-pops the next event in ``(time, sequence)`` order and wakes the owning
-thread.  Because wake order is a deterministic function of the event
-queue, whole simulations are bit-reproducible.
+(ranks) run on real Python threads, but *exactly one* thread is runnable
+at any instant: whoever holds the execution **baton**.  A rank runs
+until it blocks on a simulated operation (a timed wait, a message
+receive, a bandwidth transfer, ...); whoever then holds the baton pops
+the next event in ``(time, sequence)`` order and interprets it.  Because
+that order is a deterministic function of the event queue, whole
+simulations are bit-reproducible.
+
+The baton is one raw lock per thread, created held: a thread gives the
+baton away by releasing the *target's* lock and then blocks acquiring
+its own.  Nothing else synchronises the engine — no shared lock, no
+condition variables — so the hand-over invariants are checked, not
+assumed (a rank resumed while not marked running, or the scheduler
+resumed while a rank is active, raises :class:`SimError`).
+
+Events come in three kinds:
+
+*wake*
+    set a parker's value and resume its owner if it is parked on it;
+*inline-safe action*
+    a callable that only mutates engine/communicator/resource state,
+    never blocks, never hands the baton, and does not depend on which
+    thread runs it (message delivery, receive timeouts, transfer
+    completion) — see :meth:`Engine.schedule_inline`;
+*scheduler-only action*
+    anything else (rank start, kills, fault windows, user actions).
+
+A parking rank *drains* the queue itself: it executes wakes and
+inline-safe actions in place and passes the baton straight to the next
+rank to resume.  The scheduler thread is needed only when the next event
+is scheduler-only or the queue is empty.
 
 The single blocking primitive is the *parker*:
 
@@ -30,8 +54,8 @@ from __future__ import annotations
 import heapq
 import threading
 import traceback
+from _thread import allocate_lock
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
 from repro.obs.events import EV_KILL, EV_WAIT, SCHEDULER_RANK
@@ -63,37 +87,48 @@ class RankKilled(SimError):
         self.rank = rank
 
 
-@dataclass(order=True)
-class _Event:
-    """A queue entry: either an action or a parker wake.
+def _held_lock() -> Any:
+    lock = allocate_lock()
+    lock.acquire()
+    return lock
 
-    Wake events store ``(parker, value)`` directly instead of a
-    closure — the common case by far, and the allocation that used to
-    dominate ``unpark_at`` on large runs.
+
+# event kinds / states (small ints: compared with ``is`` on the hot path)
+_WAKE, _INLINE, _SCHED = 0, 1, 2
+_PENDING, _FIRED, _CANCELLED = 0, 1, 2
+
+
+class _Event:
+    """What a queue entry ``(time, seq, event)`` carries.
+
+    ``seq`` is unique, so entries compare in C and never reach the
+    event.  A wake stores ``(parker, value)`` as ``target``/``payload``;
+    an action stores ``(callable, args)`` — data, not a closure, for the
+    per-message events.
     """
 
-    time: float
-    seq: int
-    action: Callable[[], None] | None = field(compare=False, default=None)
-    cancelled: bool = field(default=False, compare=False)
-    parker: "Parker | None" = field(default=None, compare=False)
-    value: Any = field(default=None, compare=False)
+    __slots__ = ("kind", "target", "payload", "state")
+
+    def __init__(self, kind: int, target: Any, payload: Any):
+        self.kind = kind
+        self.target = target
+        self.payload = payload
+        self.state = _PENDING
 
 
 class _RankThread:
     """Bookkeeping for one simulated process."""
 
-    __slots__ = ("rank", "thread", "cv", "state", "waiting_on", "exc",
-                 "killed")
+    __slots__ = ("rank", "thread", "baton", "state", "waiting_on", "killed")
 
-    def __init__(self, rank: int, cv: threading.Condition):
+    def __init__(self, rank: int):
         self.rank = rank
         self.thread: threading.Thread | None = None
-        self.cv = cv
+        #: released by whoever resumes this rank; see the module docstring
+        self.baton = _held_lock()
         # 'new' -> 'running' <-> 'blocked' -> 'done'
         self.state = "new"
         self.waiting_on: "Parker | None" = None
-        self.exc: ProcessFailure | None = None
         self.killed = False
 
 
@@ -103,60 +138,48 @@ class Parker:
     ``label`` is purely diagnostic: it names what the owner is waiting
     for (``recv(src=0, tag=12)``, ``sleep``, ``nfs:transfer`` ...) so
     that deadlock errors can say *what* every parked rank was blocked
-    on — essential once fault injection can strand collectives.
+    on — essential once fault injection can strand collectives.  It is
+    a constant string or a ``(format, *args)`` tuple, rendered by
+    :func:`render_label` only when somebody reads it.
     """
 
     __slots__ = ("owner", "woken", "value", "label")
 
-    def __init__(self, owner: _RankThread, label: str | None = None):
+    def __init__(self, owner: _RankThread, label: "str | tuple | None" = None):
         self.owner = owner
         self.woken = False
         self.value: Any = None
         self.label = label
 
 
+def render_label(label: "str | tuple | None") -> "str | None":
+    """The text of a parker label (``%``-formats the tuple form)."""
+    return label[0] % label[1:] if type(label) is tuple else label
+
+
 class Engine:
-    """Virtual-clock scheduler for cooperative rank threads.
-
-    ``fast_wakes`` enables the scheduler fast path: wake data stored on
-    the event (no closure per ``unpark_at``), a FIFO ready-queue for
-    events scheduled at the current timestamp (no heap traffic), and
-    *park-steal* — a parking rank that is about to block inspects the
-    globally next event, and if that event is a wake for one of its
-    own parkers it advances the clock and consumes it inline, skipping
-    both OS context switches of a scheduler handoff.  Stealing is
-    exact: the stolen event is what the scheduler would pop next,
-    nothing can run in between, and any non-wake event (kills,
-    timeouts, custom actions) or another rank's wake stops the steal.
-    ``fast_wakes=False`` keeps the original closure-per-wake scheduler
-    as a replay reference.
-    """
-
-    #: default for engines constructed without an explicit flag
-    FAST_WAKES_DEFAULT: bool = True
+    """Virtual-clock scheduler for cooperative rank threads."""
 
     #: compact the queue once at least this many cancelled events are
     #: pending *and* they outnumber live ones (see :meth:`cancel`)
     CANCEL_COMPACT_MIN: int = 64
 
-    def __init__(self, fast_wakes: bool | None = None) -> None:
-        self._lock = threading.RLock()
-        self._sched_cv = threading.Condition(self._lock)
+    def __init__(self) -> None:
         self.now: float = 0.0
-        self._queue: list[_Event] = []
-        self._ready: deque[_Event] = deque()
-        self._fast = (
-            Engine.FAST_WAKES_DEFAULT if fast_wakes is None else fast_wakes
-        )
+        #: heap of ``(time, seq, event)`` plus a FIFO of the entries that
+        #: were scheduled at the then-current time (no heap traffic)
+        self._queue: list[tuple[float, int, _Event]] = []
+        self._ready: deque[tuple[float, int, _Event]] = deque()
         self._cancelled_pending = 0
-        #: the rank thread currently holding the execution baton; the
-        #: scheduler loop only advances while this is ``None``
+        #: the rank thread holding the baton; ``None`` while the
+        #: scheduler thread (or nobody, outside ``run``) holds it
         self._active: _RankThread | None = None
+        self._sched_baton = _held_lock()
         self._seq = 0
         self._ranks: list[_RankThread] = []
         self._started = False
-        self._failures: list[ProcessFailure] = []
-        self._tls = threading.local()
+        #: what aborts the run: rank failures and engine-level errors
+        self._failures: list[BaseException] = []
         #: ranks removed by fault injection (see :meth:`kill_rank`)
         self.dead_ranks: set[int] = set()
         #: optional observer called as ``fn(rank, time)`` when a kill fires
@@ -174,10 +197,9 @@ class Engine:
         """Register ``fn`` as the program for ``rank`` (starts at t=0)."""
         if self._started:
             raise SimError("cannot spawn after run() started")
-        rt = _RankThread(rank, threading.Condition(self._lock))
+        rt = _RankThread(rank)
 
         def body() -> None:
-            self._tls.rank_thread = rt
             try:
                 fn()
             except RankKilled:
@@ -185,16 +207,15 @@ class Engine:
                 # failure of the run — survivors carry on.
                 pass
             except BaseException as exc:  # noqa: BLE001 - reported to caller
-                rt.exc = ProcessFailure(rank, exc, traceback.format_exc())
+                self._failures.append(
+                    ProcessFailure(rank, exc, traceback.format_exc())
+                )
             finally:
-                with self._lock:
-                    rt.state = "done"
-                    if rt.exc is not None:
-                        self._failures.append(rt.exc)
-                    # A finishing rank always holds the baton; return it
-                    # to the scheduler.
-                    self._active = None
-                    self._sched_cv.notify()
+                # A finishing rank always holds the baton; return it to
+                # the scheduler.
+                rt.state = "done"
+                self._active = None
+                self._sched_baton.release()
 
         rt.thread = threading.Thread(
             target=body, name=f"simrank-{rank}", daemon=True
@@ -204,38 +225,46 @@ class Engine:
     # ------------------------------------------------------------------
     # event queue
     # ------------------------------------------------------------------
-    def schedule(self, t: float, action: Callable[[], None]) -> _Event:
-        """Schedule ``action`` to run on the scheduler thread at time ``t``.
+    def schedule(
+        self, t: float, action: Callable[..., None], *args: Any
+    ) -> _Event:
+        """Schedule ``action(*args)`` to run on the scheduler thread at
+        time ``t``.  Actions must not block."""
+        return self._push_event(t, _SCHED, action, args)
 
-        Actions run with the engine lock held and must not block.
+    def schedule_inline(
+        self, t: float, action: Callable[..., None], *args: Any
+    ) -> _Event:
+        """Schedule an *inline-safe* ``action(*args)`` at time ``t``.
+
+        Whichever thread holds the baton when the event comes due runs
+        it — usually a rank draining the queue on its way to block.  The
+        caller vouches for three things: the action mutates only
+        engine/communicator/resource state, it never blocks or hands
+        the baton (no ``park``, no ``kill_rank``), and it does not
+        depend on which thread runs it (no ``current_rank``).
         """
-        with self._lock:
-            return self._push_event(t, action=action)
+        return self._push_event(t, _INLINE, action, args)
 
     def _push_event(
-        self,
-        t: float,
-        action: Callable[[], None] | None = None,
-        parker: "Parker | None" = None,
-        value: Any = None,
+        self, t: float, kind: int, target: Any, payload: Any
     ) -> _Event:
-        """(lock held) Enqueue an event at ``t``, routing same-timestamp
-        events to the FIFO ready-queue on the fast path."""
-        if t < self.now - 1e-12:
-            raise SimError(f"cannot schedule in the past ({t} < {self.now})")
-        t = max(t, self.now)
-        ev = _Event(t, self._seq, action, parker=parker, value=value)
-        self._seq += 1
-        if self._fast and t <= self.now:
-            # Fires at the current timestamp: seq order alone decides
-            # its place, so a FIFO append replaces the heap push.
-            self._ready.append(ev)
+        """Enqueue an event at ``t``; same-timestamp events go to the
+        FIFO ready-queue, where seq order alone decides their place."""
+        now = self.now
+        ev = _Event(kind, target, payload)
+        seq = self._seq
+        self._seq = seq + 1
+        if t > now:
+            heapq.heappush(self._queue, (t, seq, ev))
+        elif t < now - 1e-12:
+            raise SimError(f"cannot schedule in the past ({t} < {now})")
         else:
-            heapq.heappush(self._queue, ev)
+            self._ready.append((now, seq, ev))
         return ev
 
     def cancel(self, ev: _Event) -> None:
-        """Cancel a scheduled event.
+        """Cancel a scheduled event (a no-op once it fired).
 
         Cancelled events are skipped when popped; they are *also*
         counted, and once :attr:`CANCEL_COMPACT_MIN` of them are
@@ -244,91 +273,85 @@ class Engine:
         cancel timeouts at a high rate (the FT drivers' heartbeats)
         grow the heap without bound.
         """
-        with self._lock:
-            if ev.cancelled:
-                return
-            ev.cancelled = True
-            self._cancelled_pending += 1
-            if (
-                self._cancelled_pending > self.CANCEL_COMPACT_MIN
-                and self._cancelled_pending * 2
-                > len(self._queue) + len(self._ready)
-            ):
-                self._queue = [e for e in self._queue if not e.cancelled]
-                heapq.heapify(self._queue)
-                if self._ready:
-                    self._ready = deque(
-                        e for e in self._ready if not e.cancelled
-                    )
-                self._cancelled_pending = 0
+        if ev.state is not _PENDING:
+            return
+        ev.state = _CANCELLED
+        self._cancelled_pending += 1
+        if (
+            self._cancelled_pending > self.CANCEL_COMPACT_MIN
+            and self._cancelled_pending * 2
+            > len(self._queue) + len(self._ready)
+        ):
+            self._queue = [e for e in self._queue if e[2].state is _PENDING]
+            heapq.heapify(self._queue)
+            self._ready = deque(
+                e for e in self._ready if e[2].state is _PENDING
+            )
+            self._cancelled_pending = 0
 
-    # -- queue pop/peek ------------------------------------------------
-    def _next_event(self) -> tuple[Any, _Event] | None:
-        """(lock held) Purge cancelled heads; peek the next event.
+    def _pop_event(self, scheduler: bool) -> _Event | None:
+        """Pop the globally next live event and advance the clock to it.
 
-        Returns ``(source, event)`` where source is the ready deque or
-        the heap, or ``None`` when both are empty.  The next event is
-        the smaller of the two heads by ``(time, seq)`` — ready events
-        were scheduled at what was then the current time, so this merge
-        reproduces the pure-heap order exactly.
+        The next event is the smaller of the two queue heads by
+        ``(time, seq)`` — ready entries were scheduled at what was then
+        the current time, so the merge reproduces the pure-heap order.
+        Returns ``None`` when both queues are empty, or — for a draining
+        rank (``scheduler=False``) — when the head is scheduler-only,
+        which is left in place.
         """
         q, rdy = self._queue, self._ready
-        while True:
-            while q and q[0].cancelled:
-                heapq.heappop(q)
-                if self._cancelled_pending:
-                    self._cancelled_pending -= 1
-            while rdy and rdy[0].cancelled:
-                rdy.popleft()
-                if self._cancelled_pending:
-                    self._cancelled_pending -= 1
-            if rdy and q:
-                er, eh = rdy[0], q[0]
-                src = rdy if (er.time, er.seq) < (eh.time, eh.seq) else q
-            elif rdy:
-                src = rdy
-            elif q:
-                src = q
-            else:
+        while q or rdy:
+            from_ready = bool(rdy) and (not q or rdy[0] < q[0])
+            t, _seq, ev = rdy[0] if from_ready else q[0]
+            live = ev.state is _PENDING
+            if live and ev.kind is _SCHED and not scheduler:
                 return None
-            return src, rdy[0] if src is rdy else q[0]
+            if from_ready:
+                rdy.popleft()
+            else:
+                heapq.heappop(q)
+            if not live:
+                self._cancelled_pending -= 1
+                continue
+            # Marked so that cancelling it later is a no-op (see cancel).
+            ev.state = _FIRED
+            if t > self.now:
+                self.now = t
+            return ev
+        return None
 
-    def _pop_event(self, src: Any) -> _Event:
-        """(lock held) Pop the event just peeked from ``src``."""
-        if src is self._ready:
-            return self._ready.popleft()
-        return heapq.heappop(self._queue)
+    def _fire(self, ev: _Event) -> _RankThread | None:
+        """Interpret a popped event; returns the rank to resume, if any.
 
-    def _fire_wake(self, ev: _Event) -> None:
-        """(lock held) Deliver a fast-path wake event.
-
-        Semantics match the legacy per-``unpark_at`` closure exactly:
-        wakes addressed to killed ranks are dropped, double wakes are an
-        error, and the owner is only handed control if it is currently
-        parked on this parker (otherwise the value is pre-posted).
+        Wakes addressed to killed ranks are dropped, double wakes are an
+        error, and the owner is only resumed if it is currently parked
+        on this parker (otherwise the value is pre-posted and the owner
+        picks it up when it parks).
         """
-        parker = ev.parker
-        assert parker is not None
+        if ev.kind is not _WAKE:
+            ev.target(*ev.payload)
+            return None
+        parker = ev.target
         owner = parker.owner
         if owner.killed:
-            return
+            return None
         if parker.woken:
             raise SimError("parker woken twice")
         parker.woken = True
-        parker.value = ev.value
-        if owner.waiting_on is parker:
-            self._run_thread(owner)
+        parker.value = ev.payload
+        return owner if owner.waiting_on is parker else None
 
     # ------------------------------------------------------------------
     # blocking primitives (called from rank threads)
     # ------------------------------------------------------------------
     def _me(self) -> _RankThread:
-        rt = getattr(self._tls, "rank_thread", None)
+        # Exactly one thread runs, so the baton holder *is* the caller.
+        rt = self._active
         if rt is None:
             raise SimError("blocking primitive called outside a rank thread")
         return rt
 
-    def make_parker(self, label: str | None = None) -> Parker:
+    def make_parker(self, label: "str | tuple | None" = None) -> Parker:
         """Create a parking slot owned by the calling rank thread."""
         return Parker(self._me(), label)
 
@@ -339,113 +362,83 @@ class Engine:
             raise SimError("cannot park on another thread's parker")
         if rt.killed:
             raise RankKilled(rt.rank)
-        with self._lock:
-            # Wait spans start at park entry: a steal below may advance
-            # the clock, and the span must cover that virtual time just
-            # as it would had the rank been blocked while it passed.
-            t0 = self.now
-            target: _RankThread | None = None
-            if not parker.woken and self._fast:
-                target = self._drain_events(rt, parker, t0)
-            if not parker.woken:
-                rt.waiting_on = parker
-                rt.state = "blocked"
-                if target is not None:
-                    # Direct handoff: the drain below found the globally
-                    # next event to be another rank's wake — pass the
-                    # baton straight to it, skipping the scheduler
-                    # thread (one OS context switch instead of two).
-                    self._active = target
-                    target.state = "running"
-                    target.cv.notify()
-                else:
-                    self._active = None
-                    self._sched_cv.notify()
-                while rt.state != "running":
-                    rt.cv.wait()
-                rt.waiting_on = None
-                # Virtual time only passes while ranks are parked, so
-                # these spans tile a rank's lifetime — the totality the
-                # critical-path attribution in repro.obs relies on.
-                if self.metrics is not None and self.now > t0:
-                    self.metrics.inc(rt.rank, "wait_s", self.now - t0)
-                if self.tracer is not None:
-                    self.tracer.span(
-                        EV_WAIT, rt.rank, t0, self.now,
-                        parker.label or "unlabelled",
-                    )
-            if rt.killed:
-                raise RankKilled(rt.rank)
-            if not parker.woken:
-                raise SimError("spurious wakeup without unpark")
+        if parker.woken:
             return parker.value
+        # Wait spans start at park entry: the drain may advance the
+        # clock, and the span must cover that virtual time just as it
+        # would had the rank been blocked while it passed.
+        t0 = self.now
+        try:
+            target = self._drain_events(parker)
+        except BaseException as exc:  # noqa: BLE001 - re-raised by run()
+            # An event failed while this rank was interpreting it: that
+            # aborts the run, exactly as on the scheduler thread — it is
+            # not this rank's ProcessFailure.  Give the baton back and
+            # stay parked.
+            self._failures.append(exc)
+            target = None
+        if not parker.woken:
+            rt.waiting_on = parker
+            rt.state = "blocked"
+            # Everything this thread writes must precede the release:
+            # from there until acquire() returns, somebody else runs.
+            self._active = target
+            if target is not None:
+                target.state = "running"
+                target.baton.release()
+            else:
+                self._sched_baton.release()
+            rt.baton.acquire()
+            if rt.state != "running" or self._active is not rt:
+                raise SimError(f"rank {rt.rank} resumed without the baton")
+            rt.waiting_on = None
+        # Virtual time only passes while ranks are parked, so these
+        # spans tile a rank's lifetime — the totality the critical-path
+        # attribution in repro.obs relies on.
+        if self.metrics is not None and self.now > t0:
+            self.metrics.inc(rt.rank, "wait_s", self.now - t0)
+        if self.tracer is not None:
+            self.tracer.span(
+                EV_WAIT, rt.rank, t0, self.now,
+                render_label(parker.label) or "unlabelled",
+            )
+        if rt.killed:
+            raise RankKilled(rt.rank)
+        if not parker.woken:
+            raise SimError("spurious wakeup without unpark")
+        return parker.value
 
-    def _drain_events(
-        self, rt: _RankThread, parker: Parker, t0: float
-    ) -> "_RankThread | None":
-        """(lock held, fast path) Fire due wake events inline.
+    def _drain_events(self, parker: Parker) -> "_RankThread | None":
+        """Interpret due events inline, on the parking rank's thread.
 
         The caller is about to block on ``parker``, so it holds the
-        execution baton and the scheduler's next steps are fully
-        determined: pop the globally next event — the minimum over
-        ``(time, seq)`` — advance the clock to its time, and interpret
-        it.  While that event is a *wake*, this loop does exactly that,
-        here, on the caller's thread; nothing else can execute in
-        between, so the simulation is bit-identical to the scheduler
-        doing it.  Three cases:
+        baton and the next steps are fully determined: pop the globally
+        next event, advance the clock to it, interpret it.  This loop
+        does exactly that, here; nothing else can execute in between, so
+        the simulation is bit-identical to the scheduler thread doing
+        it.  It stops when
 
-        * the caller's own ``parker`` — record the wait span and return;
-          ``park`` sees ``woken`` and never blocks (a ``sleep`` whose
-          wake is globally next costs no OS context switch at all);
-        * a wake some other rank is currently parked on — return that
-          rank as the handoff target; ``park`` passes the baton to it
-          directly, skipping the scheduler thread (one context switch
-          instead of two);
-        * a pre-posted wake (owner not parked on it) or a wake for a
-          killed rank — mark/drop it, exactly as the scheduler would,
-          and keep draining.
+        * the caller's own ``parker`` has been woken — ``park`` returns
+          without blocking (a ``sleep`` whose wake is globally next
+          costs no OS context switch at all);
+        * a wake resumes some other rank — returned as the hand-over
+          target; ``park`` passes the baton to it directly (one context
+          switch, no scheduler thread);
+        * the head is scheduler-only or the queue is empty — ``None``:
+          the baton goes back to the scheduler thread.
 
-        Any non-wake event (kill, timeout, custom action) or an empty
-        queue stops the drain with ``None``: the baton goes back to the
-        scheduler thread, which alone runs actions.
-
-        ``t0`` is the virtual time at park entry; the wait span and
-        wait-time metric recorded when the caller's own wake is
-        consumed use it so they match the blocked path exactly.
+        Pre-posted wakes, wakes for killed ranks and inline-safe actions
+        (deliveries, timeouts — which typically enqueue the very wake
+        that ends the drain) are executed and the loop keeps going.
         """
+        pop, fire = self._pop_event, self._fire
         while True:
-            nxt = self._next_event()
-            if nxt is None:
+            ev = pop(False)
+            if ev is None:
                 return None
-            src, ev = nxt
-            if ev.parker is None:
-                return None
-            self._pop_event(src)
-            # The globally next event's time bounds every remaining
-            # event, so this is the same clock advance run() would do.
-            self.now = max(self.now, ev.time)
-            p = ev.parker
-            owner = p.owner
-            if owner.killed:
-                continue
-            if p.woken:
-                raise SimError("parker woken twice")
-            p.woken = True
-            p.value = ev.value
-            if p is parker:
-                # Exactly what the blocked path would have recorded.
-                if self.metrics is not None and self.now > t0:
-                    self.metrics.inc(rt.rank, "wait_s", self.now - t0)
-                if self.tracer is not None:
-                    self.tracer.span(
-                        EV_WAIT, rt.rank, t0, self.now,
-                        parker.label or "unlabelled",
-                    )
-                return None
-            if owner.waiting_on is p:
-                return owner
-            # pre-posted: the value is stored, the owner will pick it
-            # up when it parks on this parker; keep draining.
+            target = fire(ev)
+            if target is not None or parker.woken:
+                return target
 
     def sleep(self, dt: float) -> None:
         """Advance this rank's virtual time by ``dt`` seconds."""
@@ -454,43 +447,21 @@ class Engine:
         self.sleep_until(self.now + dt)
 
     def sleep_until(self, t: float) -> None:
-        p = self.make_parker(label="sleep")
+        p = self.make_parker("sleep")
         self.unpark_at(p, t)
         self.park(p)
 
     def unpark_at(self, parker: Parker, t: float, value: Any = None) -> None:
         """Schedule the wake of ``parker`` at virtual time ``t``."""
-        if self._fast:
-            # Fast path: the wake is data on the event, not a closure;
-            # the scheduler loop (or a park-steal) interprets it.
-            with self._lock:
-                self._push_event(t, parker=parker, value=value)
-            return
-
-        def wake() -> None:
-            owner = parker.owner
-            if owner.killed:
-                # The owner was crashed by fault injection; the wake is
-                # addressed to nobody.  Dropping it keeps in-flight
-                # deliveries/transfers from waking a corpse.
-                return
-            if parker.woken:
-                raise SimError("parker woken twice")
-            parker.woken = True
-            parker.value = value
-            if owner.waiting_on is parker:
-                self._run_thread(owner)
-            # else: the value is stored; the owner will pick it up when it
-            # parks on this parker (pre-posted receive semantics).
-
-        self.schedule(t, wake)
+        self._push_event(t, _WAKE, parker, value)
 
     # ------------------------------------------------------------------
     # fault injection
     # ------------------------------------------------------------------
     def kill_rank_at(self, rank: int, t: float) -> None:
         """Schedule an injected crash of ``rank`` at virtual time ``t``."""
-        self.schedule(t, lambda: self.kill_rank(rank))
+        # Scheduler-only: a kill resumes the victim (hands the baton).
+        self.schedule(t, self.kill_rank, rank)
 
     def kill_rank(self, rank: int) -> None:
         """(scheduler action) Crash ``rank`` now.
@@ -524,52 +495,45 @@ class Engine:
     # scheduler
     # ------------------------------------------------------------------
     def _run_thread(self, rt: _RankThread) -> None:
-        """(scheduler thread, lock held) hand control to ``rt`` and wait.
+        """(scheduler thread) Hand the baton to ``rt`` and wait for it.
 
-        On the fast path ranks may relay the baton among themselves
-        (see :meth:`park`); the scheduler therefore waits for the baton
-        to come back (``_active is None``), not for ``rt`` itself to
-        block — by then several other ranks may have run and blocked.
+        Ranks relay the baton among themselves (see :meth:`park`), so by
+        the time it comes back several other ranks may have run and
+        blocked; what must hold is that no rank still has it.
         """
-        if rt.state == "done":
-            raise SimError(f"waking finished rank {rt.rank}")
+        if self._active is not None or rt.state in ("running", "done"):
+            raise SimError(f"cannot resume rank {rt.rank} ({rt.state})")
+        first = rt.state == "new"
         self._active = rt
         rt.state = "running"
-        if not rt.thread.is_alive():  # first activation
+        if first:
             rt.thread.start()
         else:
-            rt.cv.notify()
-        while self._active is not None:
-            self._sched_cv.wait()
+            rt.baton.release()
+        self._sched_baton.acquire()
+        if self._active is not None:
+            raise SimError("scheduler resumed while a rank holds the baton")
 
     def run(self) -> float:
         """Run the simulation to completion; returns final virtual time."""
         if self._started:
             raise SimError("engine already ran")
         self._started = True
-        with self._lock:
-            for rt in self._ranks:
-                ev = _Event(0.0, self._seq, lambda rt=rt: self._run_thread(rt))
-                self._seq += 1
-                heapq.heappush(self._queue, ev)
-            while True:
-                nxt = self._next_event()
-                if nxt is None:
-                    break
-                src, ev = nxt
-                self._pop_event(src)
-                if ev.time < self.now - 1e-9:
-                    raise SimError("time went backwards")
-                self.now = max(self.now, ev.time)
-                if ev.parker is not None:
-                    self._fire_wake(ev)
-                else:
-                    ev.action()
-                if self._failures:
-                    raise self._failures[0]
-            blocked = [rt.rank for rt in self._ranks if rt.state == "blocked"]
-            if blocked:
-                raise SimError(self._deadlock_message(blocked))
+        for rt in self._ranks:
+            # Scheduler-only: starting a rank hands it the baton.
+            self.schedule(0.0, self._run_thread, rt)
+        while True:
+            ev = self._pop_event(True)
+            if ev is None:
+                break
+            target = self._fire(ev)
+            if target is not None:
+                self._run_thread(target)
+            if self._failures:
+                raise self._failures[0]
+        blocked = [rt.rank for rt in self._ranks if rt.state == "blocked"]
+        if blocked:
+            raise SimError(self._deadlock_message(blocked))
         return self.now
 
     def _deadlock_message(self, blocked: list[int]) -> str:
@@ -587,9 +551,10 @@ class Engine:
             if rt.state != "blocked":
                 continue
             p = rt.waiting_on
-            what = (p.label if p is not None and p.label else
-                    "<unlabelled parker>")
-            lines.append(f"  rank {rt.rank} parked on {what}")
+            what = (render_label(p.label) if p is not None else None)
+            lines.append(
+                f"  rank {rt.rank} parked on {what or '<unlabelled parker>'}"
+            )
         if self.dead_ranks:
             lines.append(
                 f"  dead ranks (killed by fault injection): "

@@ -88,7 +88,7 @@ class SharedBandwidth:
         self.total_bytes += nbytes
         if nbytes == 0:
             return
-        parker = self.engine.make_parker(label=f"{self.name}:transfer")
+        parker = self.engine.make_parker(("%s:transfer", self.name))
         tr = _Transfer(parker, float(nbytes))
         self._settle()
         self._active.append(tr)
@@ -155,10 +155,16 @@ class SharedBandwidth:
         self._grant_rates()
         soonest = min(tr.remaining / tr.rate for tr in self._active)
         t = self.engine.now + max(soonest, 0.0)
-        self._completion_event = self.engine.schedule(t, self._complete)
+        # Inline-safe: _complete mutates only this pipe's transfer list
+        # and the event queue (cancel/schedule/unpark_at), never blocks
+        # or resumes anybody itself, and reads no thread identity (its
+        # trace instant is stamped SCHEDULER_RANK whoever runs it).
+        self._completion_event = self.engine.schedule_inline(
+            t, self._complete
+        )
 
     def _complete(self) -> None:
-        """Scheduler action: finish every transfer that has drained."""
+        """(inline-safe event) Finish every transfer that has drained."""
         self._completion_event = None
         self._settle()
         done = [tr for tr in self._active if tr.remaining <= _EPS * self.capacity]
@@ -168,7 +174,7 @@ class SharedBandwidth:
             return
         self._active = [tr for tr in self._active if tr not in done]
         if self.tracer is not None:
-            # Runs on the scheduler thread: no owning rank.
+            # An engine event, not a rank's operation: no owning rank.
             self.tracer.instant(
                 EV_STREAMS, SCHEDULER_RANK, self.engine.now,
                 "streams", self.name, len(self._active),

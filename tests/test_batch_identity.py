@@ -6,13 +6,16 @@ output, not just equivalent output:
 * the batched search kernel (``SearchParams.batch``) must produce the
   same alignments, the same statistics counters, and byte-identical
   rendered reports as the scalar per-subject loop;
-* the simmpi scheduler fast path (``Engine.fast_wakes``) must replay
-  whole simulated runs — makespans, per-rank phase times, output files —
-  bit for bit against the legacy closure-per-wake scheduler.
+* the simmpi scheduler (events drained inline by the parking rank) must
+  replay whole simulated runs — makespans, per-rank phase times, output
+  files — bit for bit against digests captured from the closure-per-wake
+  scheduler it replaced.
 
 These tests are the contract that lets every other test in the suite
 run against the fast paths only.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -261,28 +264,24 @@ class TestUngappedBatchProperty:
 
 
 # ----------------------------------------------------------------------
-# simmpi scheduler fast path vs legacy scheduler
+# simmpi scheduler: replay against digests captured on the last commit
+# that still had the closure-per-wake reference scheduler
 # ----------------------------------------------------------------------
 
 
-def run_fingerprint(program, nprocs, *, fast, faults=None):
-    """Full-driver run under one scheduler mode; dense fingerprint."""
+def run_fingerprint(program, nprocs, *, faults=None):
+    """Full-driver run; dense fingerprint."""
     from repro.experiments.common import ExperimentWorkload, run_program_raw
 
-    old = Engine.FAST_WAKES_DEFAULT
-    Engine.FAST_WAKES_DEFAULT = fast
-    try:
-        wl = ExperimentWorkload(
-            db_spec=SynthSpec(num_sequences=90, mean_length=130,
-                              family_fraction=0.6, family_size=4,
-                              seed=2025),
-            query_bytes=2_500,
-        )
-        _b, result, store, _cfg = run_program_raw(
-            program, nprocs, wl, faults=faults
-        )
-    finally:
-        Engine.FAST_WAKES_DEFAULT = old
+    wl = ExperimentWorkload(
+        db_spec=SynthSpec(num_sequences=90, mean_length=130,
+                          family_fraction=0.6, family_size=4,
+                          seed=2025),
+        query_bytes=2_500,
+    )
+    _b, result, store, _cfg = run_program_raw(
+        program, nprocs, wl, faults=faults
+    )
     files = {p: store.read_all(p) for p in store.listdir()}
     return {
         "makespan": result.makespan,
@@ -296,12 +295,44 @@ def run_fingerprint(program, nprocs, *, fast, faults=None):
     }
 
 
+def _canon(x) -> str:
+    """Canonical text of a fingerprint: floats exact, files by digest."""
+    if isinstance(x, dict):
+        return "{" + ",".join(
+            f"{_canon(k)}:{_canon(v)}"
+            for k, v in sorted(x.items(), key=lambda kv: repr(kv[0]))
+        ) + "}"
+    if isinstance(x, (list, tuple)):
+        return "[" + ",".join(_canon(v) for v in x) + "]"
+    if isinstance(x, (bytes, bytearray)):
+        return "b:" + hashlib.sha256(bytes(x)).hexdigest()
+    if isinstance(x, float):
+        return x.hex()
+    return repr(x)
+
+
+def fingerprint_digest(fp) -> str:
+    return hashlib.sha256(_canon(fp).encode()).hexdigest()
+
+
+#: sha256 of ``run_fingerprint`` taken at commit 421f6c1, where the
+#: drain scheduler and the legacy one (``fast_wakes=False``, since
+#: deleted) both produced exactly these.
+GOLDEN_REPLAY = {
+    "mpiblast-np6":
+        "a0005422b5e3c1bdf8030ae06e61ee161443eb163da4c4a16ae8b9819f5af8a7",
+    "pioblast-np6":
+        "4436377e5196dfbf676737d4ce919ea0231436ae98c6bd279647cc577a1ca19c",
+    "pioblast-np8-chaos":
+        "069d669a151bfe9ab6c9723695e9bd6e53478bdc89e190e16861bc5ac09a42bb",
+}
+
+
 class TestSchedulerReplayIdentity:
     @pytest.mark.parametrize("program", ["mpiblast", "pioblast"])
     def test_driver_replays_bit_for_bit(self, program):
-        fast = run_fingerprint(program, 6, fast=True)
-        legacy = run_fingerprint(program, 6, fast=False)
-        assert fast == legacy
+        fp = run_fingerprint(program, 6)
+        assert fingerprint_digest(fp) == GOLDEN_REPLAY[f"{program}-np6"]
 
     def test_chaos_replay(self):
         from repro.simmpi.faults import CrashFault, FaultPlan, StragglerFault
@@ -311,14 +342,13 @@ class TestSchedulerReplayIdentity:
             events=(CrashFault(rank=2, time=0.05),
                     StragglerFault(rank=3, factor=2.5)),
         )
-        fast = run_fingerprint("pioblast", 8, fast=True, faults=plan)
-        legacy = run_fingerprint("pioblast", 8, fast=False, faults=plan)
-        assert fast == legacy
+        fp = run_fingerprint("pioblast", 8, faults=plan)
+        assert fingerprint_digest(fp) == GOLDEN_REPLAY["pioblast-np8-chaos"]
 
 
-class TestSchedulerFastPathUnits:
+class TestSchedulerDrainUnits:
     def test_park_steal_consumes_own_sleep(self):
-        eng = Engine(fast_wakes=True)
+        eng = Engine()
         seen = []
 
         def prog():
@@ -331,7 +361,7 @@ class TestSchedulerFastPathUnits:
         assert seen == [1.0, 2.0, 3.0, 4.0, 5.0]
 
     def test_preposted_value_delivered(self):
-        eng = Engine(fast_wakes=True)
+        eng = Engine()
         got = []
 
         def prog():
@@ -345,7 +375,7 @@ class TestSchedulerFastPathUnits:
         assert got == ["hello"]
 
     def test_double_unpark_is_error(self):
-        eng = Engine(fast_wakes=True)
+        eng = Engine()
 
         def prog():
             p = eng.make_parker("dup")
@@ -355,29 +385,29 @@ class TestSchedulerFastPathUnits:
             eng.sleep(5.0)
 
         eng.spawn(prog, 0)
-        with pytest.raises(SimError):
+        with pytest.raises(SimError, match="woken twice"):
             eng.run()
 
     def test_relay_hands_off_between_ranks(self):
-        # Two ranks alternating sleeps: the relay path passes the baton
-        # rank-to-rank; order and final clock must match legacy exactly.
-        def trace(fast):
-            eng = Engine(fast_wakes=fast)
-            order = []
+        # Three ranks alternating sleeps: the baton goes rank to rank;
+        # order and final clock are what the legacy scheduler produced.
+        eng = Engine()
+        order = []
 
-            def mk(rank):
-                def prog():
-                    for _ in range(20):
-                        eng.sleep(1.0 + rank * 0.001)
-                        order.append((rank, round(eng.now, 6)))
-                return prog
+        def mk(rank):
+            def prog():
+                for _ in range(20):
+                    eng.sleep(1.0 + rank * 0.001)
+                    order.append((rank, round(eng.now, 6)))
+            return prog
 
-            for r in range(3):
-                eng.spawn(mk(r), r)
-            makespan = eng.run()
-            return makespan, order
-
-        assert trace(True) == trace(False)
+        for r in range(3):
+            eng.spawn(mk(r), r)
+        assert round(eng.run(), 6) == 20.04
+        assert order == [
+            (r, round((i + 1) * (1.0 + r * 0.001), 6))
+            for i in range(20) for r in range(3)
+        ]
 
 
 class TestCancelCompaction:
@@ -385,7 +415,7 @@ class TestCancelCompaction:
         # The FT drivers' heartbeat pattern: schedule a timeout, cancel
         # it, repeat.  Without compaction the heap grows linearly with
         # the number of cancels; with it the pending queue stays small.
-        eng = Engine(fast_wakes=True)
+        eng = Engine()
         n = 5000
 
         def prog():
@@ -402,27 +432,15 @@ class TestCancelCompaction:
         eng.run()
 
     def test_cancel_then_fire_is_noop(self):
-        eng = Engine(fast_wakes=True)
+        eng = Engine()
         fired = []
 
         def prog():
             ev = eng.schedule(eng.now + 1.0, lambda: fired.append(1))
+            keep = eng.schedule(eng.now + 1.0, lambda: fired.append("keep"))
             eng.cancel(ev)
             eng.cancel(ev)  # double-cancel must not corrupt the counter
-            eng.sleep(2.0)
-
-        eng.spawn(prog, 0)
-        eng.run()
-        assert fired == []
-
-    def test_legacy_mode_cancel_still_works(self):
-        eng = Engine(fast_wakes=False)
-        fired = []
-
-        def prog():
-            keep = eng.schedule(eng.now + 1.0, lambda: fired.append("keep"))
-            drop = eng.schedule(eng.now + 1.0, lambda: fired.append("drop"))
-            eng.cancel(drop)
+            assert eng._cancelled_pending == 1
             del keep
             eng.sleep(2.0)
 

@@ -4,9 +4,10 @@ import operator
 
 import pytest
 
+from repro.obs import Tracer, chrome_trace
 from repro.simmpi import NetworkModel, PlatformSpec, run
-from repro.simmpi.comm import ANY_SOURCE, ANY_TAG, Status
-from repro.simmpi.engine import SimError
+from repro.simmpi.comm import ANY_SOURCE, ANY_TAG, TIMEOUT, Status
+from repro.simmpi.engine import _CANCELLED, Engine, SimError
 
 FAST = PlatformSpec(network=NetworkModel(latency=1e-6, bandwidth=1e9,
                                          overhead=1e-7))
@@ -247,3 +248,152 @@ class TestCollectives:
         r1 = launch(8, prog)
         r2 = launch(8, prog)
         assert r1.makespan == r2.makespan > 0
+
+
+# Zero software overhead, a 0.5 s wire and no per-byte time: a message
+# sent at virtual time t arrives at exactly t + 0.5, so a receive
+# deadline can be made to coincide with an arrival to the last bit.
+EXACT = PlatformSpec(network=NetworkModel(
+    latency=0.5, bandwidth=float("inf"), overhead=0.0))
+
+
+class TestDeliveryAndTimeoutEvents:
+    """Deliveries and receive timeouts are inline-safe engine events;
+    two due at the same instant resolve in seq (= scheduling) order."""
+
+    def test_same_instant_message_wins_when_scheduled_first(self):
+        def prog(ctx):
+            if ctx.rank == 1:
+                ctx.comm.send(None, dest=0, tag=5)  # t=0, arrives 0.5
+                return None
+            ctx.engine.sleep(0.25)
+            # deadline 0.5, scheduled after the delivery
+            got = ctx.comm.recv_with_timeout(tag=5, timeout=0.25)
+            return got, ctx.engine.now
+
+        assert run(2, prog, EXACT).rank_results[0] == (None, 0.5)
+
+    def test_same_instant_timeout_wins_when_scheduled_first(self):
+        def prog(ctx):
+            if ctx.rank == 1:
+                ctx.comm.send("late", dest=0, tag=5)  # scheduled second
+                return None
+            # rank 0 runs first: deadline 0.5 is scheduled before the
+            # delivery that is due at the same instant
+            first = ctx.comm.recv_with_timeout(tag=5, timeout=0.5)
+            t_first = ctx.engine.now
+            # the message was queued at that same instant
+            second = ctx.comm.recv_with_timeout(tag=5, timeout=1.0)
+            return first, t_first, second, ctx.engine.now
+
+        got = run(2, prog, EXACT).rank_results[0]
+        assert got == (TIMEOUT, 0.5, "late", 0.5)
+
+    def test_cancel_of_fired_timeout_does_not_drift(self):
+        """The message wins the same-instant race, the timeout pops as
+        a no-op, and only then does the receiver cancel it: that cancel
+        must not count an event that is in no queue."""
+        rounds = 300
+        worst = []
+
+        def queued_cancelled(eng):
+            return sum(1 for _t, _seq, ev in [*eng._queue, *eng._ready]
+                       if ev.state == _CANCELLED)
+
+        def prog(ctx):
+            eng = ctx.engine
+            for k in range(rounds):
+                if ctx.rank == 1:
+                    eng.sleep_until(float(k))
+                    ctx.comm.send(None, dest=0, tag=5)
+                else:
+                    eng.sleep_until(k + 0.25)
+                    got = ctx.comm.recv_with_timeout(tag=5, timeout=0.25)
+                    assert got is None and eng.now == k + 0.5
+                    worst.append(
+                        eng._cancelled_pending - queued_cancelled(eng)
+                    )
+
+        run(2, prog, EXACT)
+        assert len(worst) == rounds and max(worst) <= 0
+
+    def test_pingpong_needs_the_scheduler_thread_O_ranks_times(
+        self, monkeypatch
+    ):
+        resumed = []
+        original = Engine._run_thread
+
+        def counting(self, rt):
+            resumed.append(rt.rank)
+            return original(self, rt)
+
+        monkeypatch.setattr(Engine, "_run_thread", counting)
+        n = 1000
+
+        def prog(ctx):
+            peer = 1 - ctx.rank
+            for i in range(n):
+                if ctx.rank == 0:
+                    ctx.comm.send(i, dest=peer, tag=1)
+                    assert ctx.comm.recv(source=peer, tag=2) == i
+                else:
+                    assert ctx.comm.recv(source=peer, tag=1) == i
+                    ctx.comm.send(i, dest=peer, tag=2)
+
+        res = launch(2, prog)
+        assert res.messages_sent == 2 * n
+        # one start per rank plus the tail after the first rank exits;
+        # the parent commit resumed the scheduler once per message
+        assert len(resumed) <= 4, resumed
+
+
+class TestLabelsRenderLazily:
+    """Parker labels are (format, *args) tuples until somebody reads
+    them; what is read must be the text the f-strings used to build."""
+
+    def test_deadlock_message_text(self):
+        def prog(ctx):
+            if ctx.rank == 1:
+                ctx.comm.recv(source=0, tag=12)
+            elif ctx.rank == 2:
+                ctx.comm.probe(tag=3)
+
+        with pytest.raises(SimError) as ei:
+            launch(3, prog)
+        lines = str(ei.value).splitlines()
+        assert lines == [
+            "deadlock: ranks [1, 2] blocked with empty event queue",
+            "  rank 1 parked on recv(src=0, tag=12)",
+            "  rank 2 parked on probe(src=-1, tag=3)",
+        ]
+
+    def test_exported_trace_wait_names(self):
+        big = b"x" * (FAST.network.eager_threshold + 1)
+
+        def prog(ctx):
+            if ctx.rank == 0:
+                got = ctx.comm.recv_with_timeout(tag=41, timeout=0.001)
+                assert got is TIMEOUT
+                assert ctx.comm.irecv(source=1, tag=7).wait() == big
+                ctx.fs.write("f", 0, b"y" * 4096)
+            else:
+                ctx.engine.sleep(0.01)
+                ctx.comm.send(big, dest=0, tag=7)
+
+        plat = PlatformSpec(network=FAST.network, shared_fs_kind="nfs")
+        tracer = Tracer()
+        res = run(2, prog, plat, tracer=tracer)
+        waits = {e.name for e in res.events if e.kind == "wait"}
+        assert waits == {
+            "sleep",
+            "recv_timeout(src=-1, tag=41)",
+            "irecv(src=1, tag=7)",
+            "send(dest=0, tag=7, rendezvous)",
+            "nfs:transfer",
+        }
+        exported = {
+            ev["name"]
+            for ev in chrome_trace(res.events, res.nprocs)["traceEvents"]
+            if ev.get("cat") == "wait"
+        }
+        assert exported == waits

@@ -1,8 +1,32 @@
 """Discrete-event engine: clock, parkers, determinism, failure modes."""
 
+import sys
+import threading
+
 import pytest
 
-from repro.simmpi.engine import Engine, ProcessFailure, SimError
+from repro.simmpi.engine import Engine, ProcessFailure, RankKilled, SimError
+
+
+def run_bounded(eng, seconds=20.0):
+    """``eng.run()`` under a watchdog: a lost baton must fail the test,
+    not wedge the suite (pytest-timeout is not a dependency)."""
+    box = {}
+
+    def target():
+        try:
+            box["value"] = eng.run()
+        except BaseException as exc:  # noqa: BLE001 - re-raised below
+            box["exc"] = exc
+
+    t = threading.Thread(target=target, daemon=True)
+    t.start()
+    t.join(seconds)
+    if t.is_alive():
+        pytest.fail(f"Engine.run() still running after {seconds} s")
+    if "exc" in box:
+        raise box["exc"]
+    return box["value"]
 
 
 class TestClock:
@@ -222,3 +246,242 @@ class TestScheduledActions:
         eng.spawn(prog, 0)
         eng.run()
         assert errs["ok"]
+
+
+class TestEventKinds:
+    """Wakes and inline-safe actions run on whichever thread holds the
+    baton; scheduler-only actions run on the thread that called run()."""
+
+    def test_inline_action_runs_on_the_draining_rank(self):
+        eng = Engine()
+        ran_on = []
+
+        def prog():
+            eng.schedule_inline(
+                1.0, lambda: ran_on.append(threading.current_thread().name)
+            )
+            eng.sleep(2.0)
+
+        eng.spawn(prog, 0)
+        assert run_bounded(eng) == 2.0
+        assert ran_on == ["simrank-0"]
+
+    def test_scheduled_action_runs_on_the_scheduler_thread(self):
+        eng = Engine()
+        ran_on = []
+
+        def prog():
+            eng.schedule(1.0, lambda: ran_on.append(threading.current_thread()))
+            eng.sleep(2.0)
+
+        eng.spawn(prog, 0)
+        eng.run()
+        assert ran_on == [threading.current_thread()]
+
+    def test_kill_due_during_drain_runs_on_scheduler_thread(self):
+        eng = Engine()
+        killed_on = []
+        after = []
+        eng.on_rank_killed = lambda rank, t: killed_on.append(
+            (rank, t, threading.current_thread())
+        )
+
+        def survivor():
+            # Parks at t=0.5 with the kill (t=1.0) globally next: the
+            # drain must leave it to the scheduler thread.
+            eng.sleep(0.5)
+            eng.sleep(1.0)
+            after.append(eng.now)
+
+        def victim():
+            eng.sleep(5.0)
+            after.append("victim survived")
+
+        eng.spawn(survivor, 0)
+        eng.spawn(victim, 1)
+        eng.kill_rank_at(1, 1.0)
+        eng.run()  # on this thread: it is the scheduler thread
+        assert killed_on == [(1, 1.0, threading.current_thread())]
+        assert after == [1.5]
+        assert eng.dead_ranks == {1}
+
+    def test_inline_action_exception_aborts_run(self):
+        eng = Engine()
+        after = []
+
+        def boom():
+            raise ValueError("inline boom")
+
+        def prog():
+            eng.schedule_inline(1.0, boom)
+            eng.sleep(2.0)
+            after.append("resumed")
+
+        eng.spawn(prog, 0)
+        eng.spawn(lambda: eng.sleep(3.0), 1)
+        with pytest.raises(ValueError, match="inline boom") as ei:
+            run_bounded(eng)
+        # the action's own exception, not the draining rank's failure
+        assert not isinstance(ei.value, SimError)
+        assert after == []
+
+    def test_action_args_are_data_on_the_event(self):
+        eng = Engine()
+        got = []
+
+        def prog():
+            eng.schedule(1.0, got.append, "sched")
+            eng.schedule_inline(1.0, got.append, "inline")
+            eng.sleep(2.0)
+
+        eng.spawn(prog, 0)
+        eng.run()
+        assert got == ["sched", "inline"]
+
+    def test_cancel_after_fire_is_noop(self):
+        eng = Engine()
+
+        def prog():
+            ev = eng.schedule_inline(1.0, lambda: None)
+            eng.sleep(2.0)
+            eng.cancel(ev)
+            assert eng._cancelled_pending == 0
+
+        eng.spawn(prog, 0)
+        eng.run()
+
+
+class TestBatonInvariants:
+    def test_exactly_one_thread_runs_under_stress(self):
+        """More rank threads than cores, interpreter switches forced
+        every microsecond: if the lock baton ever let two ranks run at
+        once, the unguarded occupancy counter would read 2."""
+        eng = Engine()
+        inside = [0]
+        overlaps = []
+        turns = [0]
+
+        def prog(rank):
+            def body():
+                for i in range(150):
+                    inside[0] += 1
+                    if inside[0] != 1:
+                        overlaps.append((rank, i))
+                    turns[0] += sum(range(50))  # a few switch intervals
+                    inside[0] -= 1
+                    eng.sleep(0.001 * (1 + (rank + i) % 3))
+            return body
+
+        for r in range(24):
+            eng.spawn(prog(r), r)
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            run_bounded(eng, 60.0)
+        finally:
+            sys.setswitchinterval(old)
+        assert overlaps == []
+        assert turns[0] == 24 * 150 * sum(range(50))
+
+    def test_resuming_a_rank_not_marked_running(self):
+        eng = Engine()
+        ranks = {}
+
+        def prog():
+            ranks[0] = eng._active
+            eng.sleep(10.0)
+
+        def rogue_resume():
+            # Release a blocked rank's baton without making it the
+            # active, running rank; wait for it to give the baton back.
+            ranks[0].baton.release()
+            eng._sched_baton.acquire()
+
+        eng.spawn(prog, 0)
+        eng.schedule(1.0, rogue_resume)
+        with pytest.raises(SimError, match="resumed without the baton"):
+            run_bounded(eng)
+
+    def test_scheduler_resumed_while_a_rank_is_active(self):
+        eng = Engine()
+        gate = threading.Event()
+
+        def rogue():
+            # Wake the scheduler without parking: two baton holders.
+            eng._sched_baton.release()
+            gate.wait(10.0)
+
+        eng.spawn(rogue, 0)
+        try:
+            with pytest.raises(SimError, match="scheduler resumed while"):
+                run_bounded(eng)
+        finally:
+            gate.set()
+
+    def test_hand_over_from_an_inline_action_rejected(self):
+        eng = Engine()
+
+        def prog():
+            # kill_rank resumes its victim, so it is scheduler-only;
+            # smuggled in as inline-safe it trips the hand-over check.
+            eng.schedule_inline(1.0, eng.kill_rank, 0)
+            eng.sleep(2.0)
+
+        eng.spawn(lambda: eng.sleep(5.0), 0)
+        eng.spawn(prog, 1)
+        with pytest.raises(SimError, match="cannot resume rank 0"):
+            run_bounded(eng)
+
+    def test_double_unpark_rejected(self):
+        eng = Engine()
+
+        def prog():
+            p = eng.make_parker("twice")
+            eng.unpark_at(p, 1.0)
+            eng.unpark_at(p, 1.0)
+            eng.park(p)
+            eng.sleep(1.0)
+
+        eng.spawn(prog, 0)
+        with pytest.raises(SimError, match="parker woken twice"):
+            run_bounded(eng)
+
+    def test_blocking_in_scheduler_action_rejected(self):
+        eng = Engine()
+        eng.spawn(lambda: eng.sleep(2.0), 0)
+        eng.schedule(1.0, eng.sleep, 1.0)
+        with pytest.raises(SimError, match="outside a rank thread"):
+            run_bounded(eng)
+
+    def test_failing_rank_releases_the_baton(self):
+        eng = Engine()
+
+        def bad():
+            eng.sleep(1.0)
+            raise KeyError("lost")
+
+        eng.spawn(bad, 0)
+        eng.spawn(lambda: eng.sleep(5.0), 1)
+        with pytest.raises(ProcessFailure) as ei:
+            run_bounded(eng)
+        assert ei.value.rank == 0
+        assert isinstance(ei.value.original, KeyError)
+        assert "KeyError" in ei.value.tb and "in bad" in ei.value.tb
+
+    def test_killed_rank_unwinds_and_releases_the_baton(self):
+        eng = Engine()
+        unwound = []
+
+        def victim():
+            try:
+                eng.sleep(5.0)
+            except RankKilled:
+                unwound.append(eng.now)
+                raise
+
+        eng.spawn(victim, 0)
+        eng.spawn(lambda: eng.sleep(3.0), 1)
+        eng.kill_rank_at(0, 1.0)
+        run_bounded(eng)
+        assert unwound == [1.0]
+        assert eng.dead_ranks == {0}
