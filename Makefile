@@ -16,7 +16,9 @@
 #                     PERFORMANCE.md)
 #   make perf-smoke - CI-sized wall-clock gate: quick bench under a hard
 #                     host-time budget, then diff against the committed
-#                     quick baseline (BENCH_pr10_quick.json)
+#                     quick baseline (BENCH_pr10_quick.json): virtual
+#                     keys must match exactly (--threshold 0; they are
+#                     deterministic), host keys within 3x
 #   make service-smoke - online-service smoke: Poisson arrivals at
 #                     np=16 under a wall-clock budget, latency table +
 #                     byte-identity against the serial oracle
@@ -54,7 +56,7 @@ perf-smoke:
 	$(PYTHON) -m repro.obs.bench --quick --host-budget 120 \
 		--out /tmp/perf_smoke.json
 	$(PYTHON) -m repro.obs.compare BENCH_pr10_quick.json \
-		/tmp/perf_smoke.json --host-threshold 3.0
+		/tmp/perf_smoke.json --threshold 0 --host-threshold 3.0
 
 service-smoke:
 	$(PYTHON) -m repro service --nprocs 16 --rate 0.2 --max-wave 4 \

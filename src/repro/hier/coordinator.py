@@ -64,17 +64,15 @@ from repro.parallel.common import (
     writer_for,
 )
 from repro.parallel.config import ParallelConfig
+from repro.parallel.pullrpc import HIER, Heartbeat, PullServer
 from repro.parallel.results import select_metas
 from repro.parallel.warmdb import partition_database
-from repro.simmpi import ProcContext, Status
-from repro.simmpi.comm import ANY_SOURCE, ANY_TAG, TIMEOUT
+from repro.simmpi import ProcContext
 from repro.simmpi.faults import retry_io
 
 from repro.hier.topology import HierTopology
 
-TAG_HIER_REQ = 80
-TAG_HIER_REPLY = 81
-TAG_HIER_PING = 82
+TAG_HIER_REQ, TAG_HIER_REPLY, TAG_HIER_PING = HIER
 
 COORD_CKPT_SUBDIR = "coord"
 
@@ -121,40 +119,26 @@ def _group_budget(ft, topo: HierTopology) -> float:
     return ft.search_timeout + ft.failover_silence * (gsize + 1)
 
 
-def run_coordinator(
-    ctx: ProcContext,
-    cfg: ParallelConfig,
-    hcfg,
-    topo: HierTopology,
-    *,
-    promoted: bool = False,
-) -> str:
-    comm, cost, ft = ctx.comm, cfg.cost, cfg.ft
-    sim = ctx.engine
-    report = ctx.fault_report
-    metrics = ctx.cluster.metrics
-    me = ctx.rank
-    mode = topo.mode
-    out = cfg.output_path
-    succession = topo.coordinator_succession()
-    ckpt = CheckpointStore(
-        ctx, f"{cfg.checkpoint_dir}/{COORD_CKPT_SUBDIR}",
-        interval=cfg.checkpoint_interval, io_attempts=ft.io_attempts,
-    )
+def begin_coordinator(
+    ctx: ProcContext, cfg: ParallelConfig, topo: HierTopology, promoted: bool
+) -> dict[int, int] | None:
+    """Prologue of every coordinator incarnation, batch or elastic.
+
+    Returns the ``gid -> sub-master rank`` map the heartbeat starts
+    from, or None when a finished predecessor left its tombstone: the
+    output is complete and confirmed, and a cold restart would clear
+    and rewrite it — the caller must touch nothing and exit.
+    """
+    sim, report, me = ctx.engine, ctx.fault_report, ctx.rank
     marker = done_marker_path(cfg)
     if promoted:
         report.record(sim.now, "recover:promote-coordinator", me)
         if ctx.fs.exists(marker):
-            # A finished predecessor left its tombstone: the output is
-            # complete and confirmed.  Touch nothing — a cold restart
-            # would clear and rewrite it — and exit.
             report.record(sim.now, "recover:done-marker", me)
-            return "done"
+            return None
     else:
         # Stale tombstone from a previous run over the same store.
         ctx.fs.delete(marker)
-
-    # ---- heartbeat ----------------------------------------------------
     submaster_of = {g.gid: g.submaster for g in topo.groups}
     if promoted:
         # A sub-master promoting to coordinator hands its group to the
@@ -166,20 +150,43 @@ def run_coordinator(
                 if idx + 1 < len(g.members):
                     submaster_of[g.gid] = g.members[idx + 1]
                 break
-    last_ping = sim.now - ft.master_tick
+    return submaster_of
 
-    def ping_submasters(force: bool = False) -> None:
-        nonlocal last_ping
-        if not force and sim.now - last_ping < ft.master_tick:
-            return
-        last_ping = sim.now
+
+def run_coordinator(
+    ctx: ProcContext,
+    cfg: ParallelConfig,
+    hcfg,
+    topo: HierTopology,
+    *,
+    promoted: bool = False,
+) -> str:
+    cost, ft = cfg.cost, cfg.ft
+    sim = ctx.engine
+    report = ctx.fault_report
+    metrics = ctx.cluster.metrics
+    me = ctx.rank
+    mode = topo.mode
+    out = cfg.output_path
+    ckpt = CheckpointStore(
+        ctx, f"{cfg.checkpoint_dir}/{COORD_CKPT_SUBDIR}",
+        interval=cfg.checkpoint_interval, io_attempts=ft.io_attempts,
+    )
+    marker = done_marker_path(cfg)
+    submaster_of = begin_coordinator(ctx, cfg, topo, promoted)
+    if submaster_of is None:
+        return "done"
+
+    # ---- heartbeat ----------------------------------------------------
+    def current_submasters() -> list[int]:
         # Ping current sub-masters only: the live succession list spans
         # every member rank, so fanning pings over it would be O(nprocs)
         # per tick; polls teach us who actually leads each group.
-        for r in sorted(set(submaster_of.values())):
-            if r != me:
-                comm.isend(me, dest=r, tag=TAG_HIER_PING)
+        return sorted(set(submaster_of.values()))
 
+    ping_submasters = Heartbeat(
+        ctx, ft, TAG_HIER_PING, current_submasters
+    ).beat
     if promoted:
         # Announce before anything slow (setup, checkpoint restore):
         # the announcement stops further coordinator succession.
@@ -216,7 +223,6 @@ def run_coordinator(
     written: set[Any] = set()
     group_last = {g.gid: sim.now for g in topo.groups}
     dead_groups: set[int] = set()
-    reply_cache: dict[int, tuple[int, Any]] = {}
     layout: dict[Any, Any] | None = None  # key -> (jobs, writes) per group cmd
     write_producer: dict[Any, int] = {}
     merge_acc = 0.0
@@ -495,66 +501,47 @@ def run_coordinator(
 
     # ---- serve loop ---------------------------------------------------
     start = sim.now
-    wait_acc = 0.0
     done_since: float | None = None
-    status = "coordinator"
-    while True:
-        st = Status()
-        t0 = sim.now
-        msg = comm.recv_with_timeout(
-            source=ANY_SOURCE, tag=ANY_TAG, timeout=ft.master_tick, status=st
-        )
-        wait_acc += sim.now - t0
-        now = sim.now
+
+    def on_tick(request, now: float) -> None:
+        nonlocal done_since
         ping_submasters()
         check_group_deaths()
         ckpt.maybe_save(ckpt_state)
-        if msg is TIMEOUT:
-            # A degraded run must still converge with nobody polling.
-            # (Even with *no* results — every group dead before
-            # producing anything — the empty layout still terminates
-            # the run with a preamble-only degraded report.)
-            if search_complete() and layout is None:
-                compute_layout()
-            if write_complete() or (
-                layout is not None and not layout
-            ):
-                mark_done()
-                if done_since is None:
-                    done_since = now
-                elif now - done_since > ft.linger:
-                    break
-            continue
-        if st.tag == TAG_HIER_PING:
-            if (
-                msg in succession
-                and me in succession
-                and succession.index(msg) > succession.index(me)
-            ):
-                # A later candidate announced itself: the fleet decided
-                # we were dead.  Step down; the successor's layout and
-                # rewrites are byte-identical.
-                report.record(sim.now, "recover:abdicate", me, msg)
-                status = "abdicated"
-                break
-            continue
-        if st.tag != TAG_HIER_REQ:
-            continue  # stray group-level traffic after a promotion
+        if request is None:
+            return
         done_since = None
-        r, seqno, kind, data = msg
+        r, _seq, _kind, data = request
         gid = data[0]
         submaster_of[gid] = r
         group_last[gid] = now
         if gid in dead_groups and layout is None:
             dead_groups.discard(gid)
             report.record(sim.now, "recover:group-revive", gid)
-        cached = reply_cache.get(r)
-        if cached is not None and cached[0] == seqno:
-            comm.isend(cached, dest=r, tag=TAG_HIER_REPLY)
-            continue
-        body = handle(r, kind, data)
-        reply_cache[r] = (seqno, body)
-        comm.isend((seqno, body), dest=r, tag=TAG_HIER_REPLY)
+
+    def on_idle(now: float) -> bool:
+        nonlocal done_since
+        # A degraded run must still converge with nobody polling.
+        # (Even with *no* results — every group dead before
+        # producing anything — the empty layout still terminates
+        # the run with a preamble-only degraded report.)
+        if search_complete() and layout is None:
+            compute_layout()
+        if write_complete() or (layout is not None and not layout):
+            mark_done()
+            if done_since is None:
+                done_since = now
+            elif now - done_since > ft.linger:
+                return True
+        return False
+
+    server = PullServer(ctx, ft, HIER, topo.coordinator_succession())
+    # Stepping down is safe: the successor's layout and rewrites are
+    # byte-identical.
+    abdicated = server.serve(
+        on_tick=on_tick, on_idle=on_idle, on_request=handle
+    ) is not None
+    wait_acc = server.waited
 
     total = max(sim.now - start, 1e-12)
     metrics.set_gauge(None, "hier.ngroups", topo.ngroups)
@@ -563,4 +550,4 @@ def run_coordinator(
     metrics.set_gauge(None, "hier.coordinator.wait_share", wait_acc / total)
     metrics.set_gauge(None, "hier.coordinator.merge_s", merge_acc)
     mark_degraded()
-    return status
+    return "abdicated" if abdicated else "coordinator"

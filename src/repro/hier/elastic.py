@@ -74,27 +74,20 @@ from repro.parallel.common import (
     writer_for,
 )
 from repro.parallel.config import FTParams, ParallelConfig
+from repro.parallel.pullrpc import HIER, Heartbeat, PullServer
 from repro.parallel.results import dedupe_candidates, select_metas
 from repro.parallel.warmdb import partition_database
 from repro.service.arrivals import QueryJob
 from repro.service.scheduler import AdmissionScheduler, ServiceConfig
-from repro.simmpi import (
-    FileStore,
-    PlatformSpec,
-    ProcContext,
-    RunResult,
-    Status,
-)
-from repro.simmpi.comm import ANY_SOURCE, ANY_TAG, TIMEOUT
+from repro.simmpi import FileStore, PlatformSpec, ProcContext, RunResult
 from repro.simmpi.faults import FaultPlan, TransientIOError, retry_io
 from repro.simmpi.launcher import run
 
 from repro.hier.coordinator import (
     COORD_CKPT_SUBDIR,
     TAG_HIER_PING,
-    TAG_HIER_REPLY,
-    TAG_HIER_REQ,
     _group_budget,
+    begin_coordinator,
     done_marker_path,
 )
 from repro.hier.groupmaster import run_group_master, run_group_member
@@ -202,7 +195,7 @@ def _serve_coordinator(
     *,
     promoted: bool = False,
 ):
-    comm, cost, ft = ctx.comm, cfg.cost, cfg.ft
+    cost, ft = cfg.cost, cfg.ft
     sim = ctx.engine
     report = ctx.fault_report
     metrics = ctx.cluster.metrics
@@ -210,7 +203,6 @@ def _serve_coordinator(
     me = ctx.rank
     mode = topo.mode
     out = cfg.output_path
-    succession = topo.coordinator_succession()
     group_budget = _group_budget(ft, topo)
     steal_after = (
         ecfg.redispatch_timeout
@@ -241,41 +233,25 @@ def _serve_coordinator(
             "regroups": snap["regroups"],
         }
 
-    if promoted:
-        report.record(sim.now, "recover:promote-coordinator", me)
-        if ctx.fs.exists(marker):
-            # A finished predecessor left its tombstone: the output is
-            # complete and confirmed.  Touch nothing; surface whatever
-            # accounting its checkpoint carried.
-            report.record(sim.now, "recover:done-marker", me)
-            snap = ckpt.load_latest()
-            return snap_result(snap) if snap is not None else "done"
-    else:
-        ctx.fs.delete(marker)
+    submaster_of = begin_coordinator(ctx, cfg, topo, promoted)
+    if submaster_of is None:
+        # Surface whatever accounting the finished predecessor's
+        # checkpoint carried.
+        snap = ckpt.load_latest()
+        return snap_result(snap) if snap is not None else "done"
+    if not promoted:
         ctx.fs.delete(out)
 
     # ---- heartbeat ----------------------------------------------------
-    submaster_of = {g.gid: g.submaster for g in topo.groups}
-    if promoted:
-        for g in topo.groups:
-            if me in g.members:
-                idx = g.members.index(me)
-                if idx + 1 < len(g.members):
-                    submaster_of[g.gid] = g.members[idx + 1]
-                break
-    last_ping = sim.now - ft.master_tick
+    def current_submasters() -> list[int]:
+        return [
+            submaster_of[gid] for gid in sorted(submaster_of)
+            if states.get(gid) != "left"
+        ]
 
-    def ping_submasters(force: bool = False) -> None:
-        nonlocal last_ping
-        if not force and sim.now - last_ping < ft.master_tick:
-            return
-        last_ping = sim.now
-        for gid in sorted(submaster_of):
-            if states.get(gid) == "left":
-                continue
-            r = submaster_of[gid]
-            if r != me:
-                comm.isend(me, dest=r, tag=TAG_HIER_PING)
+    ping_submasters = Heartbeat(
+        ctx, ft, TAG_HIER_PING, current_submasters
+    ).beat
 
     # ---- group lifecycle state ----------------------------------------
     # latent -> (joining) -> active -> draining -> left, plus dead/revive.
@@ -323,7 +299,6 @@ def _serve_coordinator(
     shed_qids: set[int] = set()
     waves: dict[int, _Wave] = {}
     assigned: dict[tuple[int, int], tuple[int, float]] = {}
-    reply_cache: dict[int, tuple[int, Any]] = {}
     wave_count = 0
     wid_base = me * 1_000_000  # epoch-unique: succession is monotone
     degraded_count = 0
@@ -932,16 +907,9 @@ def _serve_coordinator(
 
     # ---- serve loop ---------------------------------------------------
     start = sim.now
-    wait_acc = 0.0
-    status = "coordinator"
-    while True:
-        st = Status()
-        t0 = sim.now
-        msg = comm.recv_with_timeout(
-            source=ANY_SOURCE, tag=ANY_TAG, timeout=ft.master_tick, status=st
-        )
-        wait_acc += sim.now - t0
-        now = sim.now
+
+    def on_tick(request, now: float) -> None:
+        nonlocal done_since
         ping_submasters()
         admit_arrivals()
         check_group_deaths()
@@ -951,24 +919,9 @@ def _serve_coordinator(
         finalize_ready()
         maybe_finish()
         ckpt.maybe_save(ckpt_state)
-        if msg is TIMEOUT:
-            if finished and done_since is not None:
-                if now - done_since > ft.linger:
-                    break
-            continue
-        if st.tag == TAG_HIER_PING:
-            if (
-                msg in succession
-                and me in succession
-                and succession.index(msg) > succession.index(me)
-            ):
-                report.record(sim.now, "recover:abdicate", me, msg)
-                status = "abdicated"
-                break
-            continue
-        if st.tag != TAG_HIER_REQ:
-            continue
-        r, seqno, kind, data = msg
+        if request is None:
+            return
+        r, _seq, _kind, data = request
         gid = data[0]
         submaster_of[gid] = r
         group_last[gid] = now
@@ -979,16 +932,20 @@ def _serve_coordinator(
             group_join(gid)
         elif state == "dead":
             revive(gid)
-        cached = reply_cache.get(r)
-        if cached is not None and cached[0] == seqno:
-            comm.isend(cached, dest=r, tag=TAG_HIER_REPLY)
-            continue
-        body = handle(r, kind, data)
-        reply_cache[r] = (seqno, body)
-        comm.isend((seqno, body), dest=r, tag=TAG_HIER_REPLY)
 
-    if status != "coordinator":
-        return status
+    def on_idle(now: float) -> bool:
+        return (
+            finished
+            and done_since is not None
+            and now - done_since > ft.linger
+        )
+
+    server = PullServer(ctx, ft, HIER, topo.coordinator_succession())
+    if server.serve(
+        on_tick=on_tick, on_idle=on_idle, on_request=handle
+    ) is not None:
+        return "abdicated"
+    wait_acc = server.waited
 
     total_t = max(sim.now - start, 1e-12)
     metrics.set_gauge(None, "hier.ngroups", topo.ngroups)

@@ -60,11 +60,7 @@ from typing import Any
 
 from repro.blast.engine import BlastSearch
 from repro.obs.events import EV_GROUP
-from repro.parallel.checkpoint import (
-    PROMOTE,
-    CheckpointStore,
-    FailoverTracker,
-)
+from repro.parallel.checkpoint import CheckpointStore, FailoverTracker
 from repro.parallel.common import (
     footer_bytes_for,
     header_bytes_for,
@@ -72,6 +68,15 @@ from repro.parallel.common import (
     writer_for,
 )
 from repro.parallel.config import ParallelConfig
+from repro.parallel.pullrpc import (
+    GROUP,
+    HIER,
+    Heartbeat,
+    Orphaned,
+    Promoted,
+    PullClient,
+    PullServer,
+)
 from repro.parallel.results import select_metas
 from repro.parallel.warmdb import (
     load_fragment_pieces,
@@ -85,14 +90,11 @@ from repro.simmpi.faults import retry_io
 from repro.hier.coordinator import (
     TAG_HIER_PING,
     TAG_HIER_REPLY,
-    TAG_HIER_REQ,
     done_marker_path,
 )
 from repro.hier.topology import HierTopology
 
-TAG_GRP_REQ = 90
-TAG_GRP_REPLY = 91
-TAG_GRP_PING = 92
+TAG_GRP_REQ, TAG_GRP_REPLY, TAG_GRP_PING = GROUP
 
 
 @dataclass
@@ -169,17 +171,10 @@ def run_group_master(
         interval=cfg.checkpoint_interval, io_attempts=ft.io_attempts,
     )
 
-    # ---- heartbeat ----------------------------------------------------
-    last_ping = sim.now - ft.master_tick
-
-    def ping_members(force: bool = False) -> None:
-        nonlocal last_ping
-        if not force and sim.now - last_ping < ft.master_tick:
-            return
-        last_ping = sim.now
-        for w in members:
-            if w != me:
-                comm.isend(me, dest=w, tag=TAG_GRP_PING)
+    # ---- member-facing server ----------------------------------------
+    hb = Heartbeat(ctx, ft, TAG_GRP_PING, lambda: members)
+    ping_members = hb.beat
+    server = PullServer(ctx, ft, GROUP, members)
 
     done_marker = done_marker_path(cfg)
     if promoted:
@@ -197,12 +192,9 @@ def run_group_master(
                     source=ANY_SOURCE, tag=ANY_TAG,
                     timeout=ft.master_tick, status=st,
                 )
-                if msg is TIMEOUT:
-                    continue
-                if st.tag == TAG_GRP_REQ:
-                    w, seqno, _kind, _data = msg
-                    comm.isend(
-                        (seqno, ("done", None)), dest=w, tag=TAG_GRP_REPLY
+                if msg is not TIMEOUT and st.tag == TAG_GRP_REQ:
+                    server.serve_request(
+                        msg, lambda _w, _kind, _data: ("done", None)
                     )
             return "done"
 
@@ -255,35 +247,11 @@ def run_group_master(
     co = FailoverTracker(
         ctx, ft, succession=list(topo.coordinator_succession())
     )
-    co_seq = 0
-    pending: dict[str, Any] | None = None
+    coord = PullClient(ctx, ft, co, HIER)
     outbox: list[tuple[str, Any]] = []
     next_poll = sim.now
     done_flag = False
     done_since: float | None = None
-
-    def send_req(kind: str, data: Any) -> None:
-        nonlocal pending, co_seq
-        co_seq += 1
-        pending = {
-            "seq": co_seq, "kind": kind, "data": data,
-            "sent": sim.now, "attempts": 1,
-        }
-        comm.isend((me, co_seq, kind, data), dest=co.master, tag=TAG_HIER_REQ)
-
-    def resend_req() -> bool:
-        """Re-issue the outstanding request; False once out of attempts."""
-        if pending is None:
-            return True
-        pending["attempts"] += 1
-        if pending["attempts"] > ft.req_max_attempts:
-            return False
-        pending["sent"] = sim.now
-        comm.isend(
-            (me, pending["seq"], pending["kind"], pending["data"]),
-            dest=co.master, tag=TAG_HIER_REQ,
-        )
-        return True
 
     # ---- pipeline state ------------------------------------------------
     batch: _Batch | None = None
@@ -298,7 +266,6 @@ def run_group_master(
     search_out: dict[int, tuple[int, float]] = {}  # fid -> (worker, deadline)
     fetch_out: dict[int, tuple[set, float]] = {}   # worker -> (reqs, deadline)
     last_seen: dict[int, float] = {w: sim.now for w in alive}
-    reply_cache: dict[int, tuple[int, Any]] = {}
     wait_acc = coord_wait_acc = search_acc = merge_acc = 0.0
 
     if promoted:
@@ -718,10 +685,10 @@ def run_group_master(
         )
 
     def give_up(status: str) -> str:
-        nonlocal done_flag, done_since, pending
+        nonlocal done_flag, done_since
         done_flag = True
         done_since = sim.now
-        pending = None
+        coord.cancel()
         report.record(sim.now, "detect:group-orphaned", gid, me)
         return status
 
@@ -729,12 +696,11 @@ def run_group_master(
     while True:
         advance()
         # -- coordinator client step --
-        if pending is None and not done_flag:
+        if coord.request is None and not done_flag:
             if outbox:
-                kind, data = outbox.pop(0)
-                send_req(kind, data)
+                coord.send(*outbox.pop(0))
             elif sim.now >= next_poll:
-                send_req("work", (gid, 1 + len(alive)))
+                coord.send("work", (gid, 1 + len(alive)))
                 next_poll = sim.now + ft.poll_backoff
         st = Status()
         t0 = sim.now
@@ -742,7 +708,7 @@ def run_group_master(
             source=ANY_SOURCE, tag=ANY_TAG, timeout=ft.master_tick, status=st
         )
         dt = sim.now - t0
-        if pending is not None and not busy_locally():
+        if coord.request is not None and not busy_locally():
             coord_wait_acc += dt
         else:
             wait_acc += dt
@@ -769,9 +735,10 @@ def run_group_master(
                     None,
                 )
                 if successor is not None:
-                    for w in members[my_pos + 1:]:
-                        if w not in dead:
-                            comm.isend(successor, dest=w, tag=TAG_GRP_PING)
+                    hb.name(
+                        successor,
+                        [w for w in members[my_pos + 1:] if w not in dead],
+                    )
                 status = "promote-coordinator"
                 break
             if not done_flag and ctx.fs.exists(done_marker):
@@ -782,17 +749,13 @@ def run_group_master(
                 report.record(sim.now, "recover:done-marker", gid, me)
                 done_flag = True
                 done_since = sim.now
-                pending = None
-            elif pending is not None and not resend_req():
+                coord.cancel()
+            elif not coord.resend():
                 status = give_up("orphaned")
         if co.exhausted and not done_flag:
             status = give_up("orphaned")
-        if (
-            pending is not None
-            and now - pending["sent"] > ft.req_timeout
-            and not co.promoted
-        ):
-            if not resend_req():
+        if coord.overdue(now) and not co.promoted:
+            if not coord.resend():
                 status = give_up("orphaned")
         if done_flag and done_since is not None:
             if now - done_since > ft.linger:
@@ -800,39 +763,26 @@ def run_group_master(
         if msg is TIMEOUT:
             continue
         if st.tag == TAG_HIER_PING:
-            if co.announce(msg) and pending is not None:
-                resend_req()
+            coord.ping(msg)
             continue
         if st.tag == TAG_HIER_REPLY:
-            if pending is None:
-                continue
-            rseq, body = msg
-            if rseq != pending["seq"]:
-                continue
-            if st.source == co.master:
-                co.heard()
-            pending = None
-            handle_reply(body)
+            body = coord.match(msg, st.source)
+            if body is not None:
+                handle_reply(body)
             continue
         if st.tag == TAG_GRP_PING:
-            if msg in members and members.index(msg) > my_pos:
+            if server.outranked_by(msg):
                 report.record(sim.now, "recover:abdicate-submaster", gid, me, msg)
                 status = "abdicated"
                 break
             continue
         if st.tag != TAG_GRP_REQ:
             continue
-        w, seqno, kind, data = msg
+        w = msg[0]
         if w in dead:
             revive(w)
         last_seen[w] = now
-        cached = reply_cache.get(w)
-        if cached is not None and cached[0] == seqno:
-            comm.isend(cached, dest=w, tag=TAG_GRP_REPLY)
-            continue
-        body = handle(w, kind, data)
-        reply_cache[w] = (seqno, body)
-        comm.isend((seqno, body), dest=w, tag=TAG_GRP_REPLY)
+        server.serve_request(msg, handle)
 
     g = f"hier.group.g{gid}."
     metrics.set_gauge(None, g + "wait_s", wait_acc)
@@ -859,92 +809,14 @@ def run_group_member(
     coordinator succession list admits every member rank in group
     order (see :meth:`HierTopology.coordinator_succession`).
     """
-    comm, cost, ft = ctx.comm, cfg.cost, cfg.ft
+    cost, ft = cfg.cost, cfg.ft
     report = ctx.fault_report
     group = topo.groups[gid]
-    fo = FailoverTracker(ctx, ft, succession=list(group.members))
-    done_marker = done_marker_path(cfg)
-    seq = 0
+    rpc = PullClient(
+        ctx, ft, FailoverTracker(ctx, ft, succession=list(group.members)),
+        GROUP, done_marker=done_marker_path(cfg),
+    ).call
     held = HeldState()
-
-    def rpc(kind: str, data: Any = None) -> Any:
-        nonlocal seq
-        seq += 1
-        for _attempt in range(ft.req_max_attempts):
-            if fo.promoted:
-                return PROMOTE
-            comm.isend(
-                (ctx.rank, seq, kind, data), dest=fo.master, tag=TAG_GRP_REQ
-            )
-            sent = ctx.engine.now
-            while True:
-                # The resend deadline is absolute: peer traffic and
-                # heartbeats must not keep extending the receive, or a
-                # request dropped by a not-yet-promoted successor is
-                # never re-issued (and a successor swamped by peer
-                # retries never reaches its own tick).
-                remaining = ft.req_timeout - (ctx.engine.now - sent)
-                if remaining <= 0:
-                    if fo.tick() and ctx.fs.exists(done_marker):
-                        return ("done", None)
-                    break  # resend (possibly to a new candidate)
-                st = Status()
-                reply = comm.recv_with_timeout(
-                    source=ANY_SOURCE, tag=ANY_TAG,
-                    timeout=remaining, status=st,
-                )
-                if reply is TIMEOUT:
-                    if fo.tick() and ctx.fs.exists(done_marker):
-                        return ("done", None)
-                    break  # resend (possibly to a new candidate)
-                if st.tag == TAG_GRP_PING:
-                    if reply == ctx.rank:
-                        # A departing master named us its successor.
-                        fo.force_promote()
-                        return PROMOTE
-                    if fo.announce(reply):
-                        break  # re-home this request
-                    continue
-                if st.tag != TAG_GRP_REPLY:
-                    # Stray coordinator-level or peer traffic; drop it.
-                    continue
-                rseq, body = reply
-                if st.source == fo.master:
-                    fo.heard()
-                if rseq == seq:
-                    return body
-        return None
-
-    def promote() -> str:
-        status = run_group_master(ctx, cfg, hcfg, topo, gid, held=held)
-        return f"promoted:{status}"
-
-    body = rpc("hello")
-    if body is PROMOTE:
-        return promote()
-    if body is None:
-        return "orphaned"
-    _setup_kind, setup = body if body[0] == "setup" else (None, None)
-    while setup is None:
-        # A successor sub-master may answer the first poll with "wait"
-        # before it can serve setup; keep asking.
-        kind, data = body
-        if kind == "wait":
-            ctx.engine.sleep(data)
-        elif kind == "done":
-            return "done"
-        body = rpc("hello")
-        if body is PROMOTE:
-            return promote()
-        if body is None:
-            return "orphaned"
-        if body[0] == "setup":
-            setup = body[1]
-    info, index_bytes, assign = setup
-    ctx.compute(cost.init_seconds())
-    indexes = {base: parse_index(data) for base, data in index_bytes.items()}
-    engine = BlastSearch(cfg.search)
-    writer = writer_for(engine, info)
 
     def load(fid: int, pieces) -> None:
         held.pieces[fid] = pieces
@@ -968,51 +840,61 @@ def run_group_member(
             )
         held.cache[fid] = (batch_no, blist, metas)
 
-    for fid in sorted(assign):
-        load(fid, assign[fid])
+    try:
+        body = rpc("hello")
+        while body[0] != "setup":
+            # A successor sub-master may answer the first poll with
+            # "wait" before it can serve setup; keep asking.
+            kind, data = body
+            if kind == "wait":
+                ctx.engine.sleep(data)
+            elif kind == "done":
+                return "done"
+            body = rpc("hello")
+        info, index_bytes, assign = body[1]
+        ctx.compute(cost.init_seconds())
+        indexes = {
+            base: parse_index(data) for base, data in index_bytes.items()
+        }
+        engine = BlastSearch(cfg.search)
+        writer = writer_for(engine, info)
+        for fid in sorted(assign):
+            load(fid, assign[fid])
 
-    while True:
-        body = rpc("work")
-        if body is PROMOTE:
-            return promote()
-        if body is None:
-            return "orphaned"
-        kind, data = body
-        if kind == "wait":
-            ctx.engine.sleep(data)
-        elif kind == "done":
-            return "done"
-        elif kind == "adopt":
-            for fid in sorted(data):
-                if fid not in held.vols:
-                    load(fid, data[fid])
-        elif kind == "search":
-            b, jobs, fids = data
-            by_fid = {}
-            for fid in fids:
-                if fid not in held.vols:
-                    continue  # raced an adoption; sub-master re-homes
-                fresh(fid, b, jobs)
-                by_fid[fid] = held.cache[fid][2]
-            body = rpc("metas", (b, by_fid))
-            if body is PROMOTE:
-                return promote()
-            if body is None:
-                return "orphaned"
-        elif kind == "fetch":
-            b, jobs, reqs = data
-            out = []
-            for fid in sorted({fid for fid, _lid in reqs}):
-                if fid not in held.vols:
-                    continue
-                fresh(fid, b, jobs)
-            for fid, lid in reqs:
-                if fid in held.cache and held.cache[fid][0] == b:
-                    out.append(((fid, lid), held.cache[fid][1][lid]))
-            body = rpc("blocks", (b, out))
-            if body is PROMOTE:
-                return promote()
-            if body is None:
-                return "orphaned"
-        else:  # pragma: no cover - protocol error
-            raise RuntimeError(f"unknown group reply kind {kind!r}")
+        while True:
+            kind, data = rpc("work")
+            if kind == "wait":
+                ctx.engine.sleep(data)
+            elif kind == "done":
+                return "done"
+            elif kind == "adopt":
+                for fid in sorted(data):
+                    if fid not in held.vols:
+                        load(fid, data[fid])
+            elif kind == "search":
+                b, jobs, fids = data
+                by_fid = {}
+                for fid in fids:
+                    if fid not in held.vols:
+                        continue  # raced an adoption; sub-master re-homes
+                    fresh(fid, b, jobs)
+                    by_fid[fid] = held.cache[fid][2]
+                rpc("metas", (b, by_fid))
+            elif kind == "fetch":
+                b, jobs, reqs = data
+                out = []
+                for fid in sorted({fid for fid, _lid in reqs}):
+                    if fid not in held.vols:
+                        continue
+                    fresh(fid, b, jobs)
+                for fid, lid in reqs:
+                    if fid in held.cache and held.cache[fid][0] == b:
+                        out.append(((fid, lid), held.cache[fid][1][lid]))
+                rpc("blocks", (b, out))
+            else:  # pragma: no cover - protocol error
+                raise RuntimeError(f"unknown group reply kind {kind!r}")
+    except Promoted:
+        status = run_group_master(ctx, cfg, hcfg, topo, gid, held=held)
+        return f"promoted:{status}"
+    except Orphaned:
+        return "orphaned"

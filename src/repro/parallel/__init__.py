@@ -20,11 +20,7 @@ All drivers produce byte-identical output files for the same inputs
 (the paper's own correctness claim for pioBLAST vs mpiBLAST).
 """
 
-from repro.parallel.checkpoint import (
-    PROMOTE,
-    CheckpointStore,
-    FailoverTracker,
-)
+from repro.parallel.checkpoint import CheckpointStore, FailoverTracker
 from repro.parallel.config import FTParams, ParallelConfig, stage_inputs
 from repro.parallel.fragments import (
     mpiformatdb,
@@ -55,7 +51,6 @@ from repro.parallel.phases import (
 )
 
 __all__ = [
-    "PROMOTE",
     "CheckpointStore",
     "FailoverTracker",
     "FTParams",

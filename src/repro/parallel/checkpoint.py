@@ -20,11 +20,12 @@ cooperating pieces, both driver-agnostic:
   believe is master (initially 0).  Silence longer than
   ``FTParams.failover_silence`` advances the candidate to the next
   higher rank; a worker whose candidate reaches its *own* rank promotes
-  itself (its RPC helper returns :data:`PROMOTE` and the driver runs its
-  master function).  A promoted master announces itself with pings, so
-  the surviving workers converge on it quickly instead of each waiting
-  out the full silence budget.  Succession is monotone — candidates only
-  move up — which keeps the protocol consensus-free and deterministic;
+  itself (its :class:`~repro.parallel.pullrpc.PullClient` raises
+  ``Promoted`` and the driver runs its master function).  A promoted
+  master announces itself with pings, so the surviving workers converge
+  on it quickly instead of each waiting out the full silence budget.
+  Succession is monotone — candidates only move up — which keeps the
+  protocol consensus-free and deterministic;
   the (documented) price is that an extreme straggler with a low rank
   can be succeeded and never reclaims mastership.
 
@@ -50,18 +51,6 @@ CKPT_SUFFIX = ".ckpt"
 #: Fixed pickle protocol so the same run replays bit-for-bit regardless
 #: of the host interpreter's default.
 _PICKLE_PROTOCOL = 4
-
-
-class _Promote:
-    """Sentinel returned by worker RPC helpers: *you* are the master now."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:  # pragma: no cover - diagnostics only
-        return "PROMOTE"
-
-
-PROMOTE = _Promote()
 
 
 class CheckpointStore:

@@ -53,30 +53,32 @@ from repro.parallel.common import (
     search_fragment_timed,
     writer_for,
 )
-from repro.parallel.checkpoint import (
-    PROMOTE,
-    CheckpointStore,
-    FailoverTracker,
-)
+from repro.parallel.checkpoint import CheckpointStore, FailoverTracker
 from repro.parallel.config import ParallelConfig
 from repro.parallel.fragments import fragment_paths
+from repro.parallel.pullrpc import (
+    MPI_FT,
+    TAG_TABLE,
+    Heartbeat,
+    Orphaned,
+    Promoted,
+    PullClient,
+    PullServer,
+)
 from repro.parallel.results import AlignmentMeta, meta_from_alignment, select_metas
 from repro.simmpi import FileStore, PlatformSpec, ProcContext, RunResult, Status
 from repro.simmpi.comm import ANY_SOURCE, ANY_TAG, TIMEOUT
 from repro.simmpi.faults import FaultPlan, retry_io
 from repro.simmpi.launcher import run
 
-TAG_WORKREQ = 10
-TAG_ASSIGN = 11
-TAG_RESULT = 12
-TAG_FETCH = 13
-TAG_FETCHRESP = 14
-TAG_DONE = 15
-# Fault-tolerant RPC channel (same shape as pioBLAST's; see FAULTS.md).
-TAG_FT_REQ = 16
-TAG_FT_REPLY = 17
-# Master heartbeat / new-master announcement (see repro.parallel.checkpoint).
-TAG_FT_PING = 18
+TAG_WORKREQ = TAG_TABLE["mpiblast.WORKREQ"]
+TAG_ASSIGN = TAG_TABLE["mpiblast.ASSIGN"]
+TAG_RESULT = TAG_TABLE["mpiblast.RESULT"]
+TAG_FETCH = TAG_TABLE["mpiblast.FETCH"]
+TAG_FETCHRESP = TAG_TABLE["mpiblast.FETCHRESP"]
+TAG_DONE = TAG_TABLE["mpiblast.DONE"]
+# Fault-tolerant pull-RPC channel (see repro.parallel.pullrpc / FAULTS.md).
+TAG_FT_REQ, TAG_FT_REPLY, TAG_FT_PING = MPI_FT
 
 NO_MORE_WORK = -1
 
@@ -304,13 +306,10 @@ def _worker(ctx: ProcContext, cfg: ParallelConfig) -> None:
 # ---------------------------------------------------------------------------
 # Fault-tolerant variant.
 #
-# Same pull-RPC shape as pioBLAST's FT driver (see pioblast.py and
-# FAULTS.md): workers send ``(rank, seq, kind, data)`` on TAG_FT_REQ and
-# wait (with timeout + resend) for ``(seq, body)`` on TAG_FT_REPLY; the
-# master caches its last reply per worker so every RPC is idempotent
-# under drops.  The crucial difference is the *output* path: mpiBLAST's
-# alignment data lives only in the owning worker's memory, under that
-# worker's private local ids.  ``owner_rank`` therefore really is a rank
+# Same pull-RPC protocol as pioBLAST's FT driver (repro.parallel.pullrpc,
+# on the MPI_FT channel).  The crucial difference is the *output* path:
+# mpiBLAST's alignment data lives only in the owning worker's memory,
+# under that worker's private local ids.  ``owner_rank`` therefore really is a rank
 # here (unlike FT pioBLAST, where it carries a fragment id), a fetch that
 # times out means the whole output file must be restarted after the dead
 # owner's fragments are re-searched by someone else, and an output
@@ -365,14 +364,16 @@ def _ft_master(
         ctx, cfg.checkpoint_dir,
         interval=cfg.checkpoint_interval, io_attempts=ft.io_attempts,
     )
+    # Called throughout the serialized output pass too: that pass can
+    # outlast ``failover_silence``, and a silent master mid-output must
+    # not trigger a spurious succession.
+    ping_workers = Heartbeat(ctx, ft, TAG_FT_PING).beat
     if promoted:
         report.record(sim.now, "recover:promote-master", me)
         # Announce before doing anything slow (cold setup, checkpoint
         # restore): the announcement resets every survivor's silence
         # clock, heading off a second spurious succession.
-        for w in range(ctx.size):
-            if w != me:
-                comm.isend(me, dest=w, tag=TAG_FT_PING)
+        ping_workers(force=True)
 
     def rread(path: str, charge: int) -> bytes:
         return retry_io(
@@ -419,7 +420,6 @@ def _ft_master(
     # fid -> (owning worker, metas per query).  Dropped when the owner
     # dies: the metas' local ids only mean something to that owner.
     frag_metas: dict[int, tuple[int, list[list[AlignmentMeta]]]] = {}
-    reply_cache: dict[int, tuple[int, Any]] = {}
     state = "search"
     fetch_seq = 0
 
@@ -440,25 +440,6 @@ def _ft_master(
                 assigner.mark_completed(fid)
 
     # ---- helpers --------------------------------------------------------
-    last_ping = sim.now - ft.master_tick
-
-    def ping_workers(force: bool = False) -> None:
-        """Heartbeat (and, when promoted, new-master announcement).
-
-        Called throughout the serialized output pass too: that pass can
-        outlast ``failover_silence``, and a silent master mid-output
-        must not trigger a spurious succession.  Pings go to *every*
-        other rank, not just presumed-alive ones: an isend to a dead
-        rank is a buffered no-op, and a falsely-suspected ex-master
-        that is still running must hear its successor to abdicate."""
-        nonlocal last_ping
-        if not force and sim.now - last_ping < ft.master_tick:
-            return
-        last_ping = sim.now
-        for w in range(ctx.size):
-            if w != me:
-                comm.isend(me, dest=w, tag=TAG_FT_PING)
-
     def ckpt_state() -> dict:
         return {
             "driver": "mpiblast",
@@ -655,59 +636,40 @@ def _ft_master(
         # it on the first ping instead of waiting out failover_silence.
         ping_workers(force=True)
     done_since: float | None = None
-    while True:
-        st = Status()
-        msg = comm.recv_with_timeout(
-            source=ANY_SOURCE, tag=ANY_TAG, timeout=ft.master_tick, status=st
-        )
-        now = sim.now
-        if msg is not TIMEOUT and st.tag != TAG_FT_REQ:
-            if st.tag == TAG_FT_PING and msg > me:
-                # A higher rank announced itself as master: the fleet
-                # decided we were dead and moved on.  Step down without
-                # touching the output file again — the successor rewrites
-                # it from scratch.
-                report.record(sim.now, "recover:abdicate", me, msg)
-                return
-            # A stale ping from a lower ex-master (it will abdicate on
-            # our pings) or a stale TAG_FETCHRESP from a timed-out
-            # fetch attempt; drop it.
-            continue
-        if msg is not TIMEOUT:
-            # Refresh the sender's liveness *before* the death sweep so
-            # a slow worker is not declared dead by its own message.
-            w, seq, kind, data = msg
+
+    def on_tick(request, now: float) -> None:
+        nonlocal done_since
+        if request is not None:
+            done_since = None
+            w = request[0]
             if w in dead:
                 revive(w)
             last_seen[w] = now
-        # Death checks run every iteration: with several healthy workers
-        # polling, the receive above may never time out, and a dead
-        # worker must still be detected promptly.
         check_deaths()
         ping_workers()
         if state == "search":
             ckpt.maybe_save(ckpt_state)
         if state == "search" and (
-            len(frag_metas) == nfrag or (msg is TIMEOUT and not alive)
+            len(frag_metas) == nfrag or (request is None and not alive)
         ):
             # Complete — or degraded with nobody left to search the
             # missing fragments.  Either way, attempt the output pass.
             attempt_output()
-        if msg is TIMEOUT:
-            if state == "done":
-                if done_since is None:
-                    done_since = sim.now
-                elif sim.now - done_since > ft.linger:
-                    break
-            continue
-        done_since = None
-        cached = reply_cache.get(w)
-        if cached is not None and cached[0] == seq:
-            comm.isend(cached, dest=w, tag=TAG_FT_REPLY)
-            continue
-        body = handle(w, kind, data)
-        reply_cache[w] = (seq, body)
-        comm.isend((seq, body), dest=w, tag=TAG_FT_REPLY)
+
+    def on_idle(_now: float) -> bool:
+        nonlocal done_since
+        if state == "done":
+            if done_since is None:
+                done_since = sim.now
+            elif sim.now - done_since > ft.linger:
+                return True
+        return False
+
+    server = PullServer(ctx, ft, MPI_FT, range(ctx.size))
+    if server.serve(
+        on_tick=on_tick, on_idle=on_idle, on_request=handle
+    ) is not None:
+        return  # abdicated: the successor rewrites the output from scratch
 
     # Final accounting: fragments the report never saw results for.
     missing = sorted(set(range(nfrag)) - set(frag_metas))
@@ -791,8 +753,6 @@ def _ft_copy_and_search(
 
 def _ft_worker(ctx: ProcContext, cfg: ParallelConfig) -> str:
     comm, cost, ft = ctx.comm, cfg.cost, cfg.ft
-    seq = 0
-    fo = FailoverTracker(ctx, ft)
     setup: Any = None
     # Local result cache, exactly as in the baseline: alignment data
     # never leaves this worker until the master fetches it.
@@ -802,7 +762,11 @@ def _ft_worker(ctx: ProcContext, cfg: ParallelConfig) -> str:
     my_metas: dict[int, list[list[AlignmentMeta]]] = {}
     next_local_id = 0
 
-    def serve_fetch(msg: tuple[int, int, int], requester: int) -> None:
+    def serve_fetch(msg: tuple[int, int, int], requester: int) -> int:
+        """Answer one of the master's serialized fetches.  The master's
+        output pass interleaves them with our polling, so the RPC
+        receive loop serves them in-line.  Only a master fetches: the
+        requester is returned as an (implicit) master announcement."""
         fseq, qi, local_id = msg
         al = cache[(qi, local_id)]
         comm.isend(
@@ -811,119 +775,53 @@ def _ft_worker(ctx: ProcContext, cfg: ParallelConfig) -> str:
             tag=TAG_FETCHRESP,
             nbytes=cost.wire_bytes(al.payload_nbytes()),
         )
+        return requester
 
-    def rpc(kind: str, data: Any = None) -> Any:
-        """Idempotent RPC to the *believed* master.
+    rpc = PullClient(
+        ctx, ft, FailoverTracker(ctx, ft), MPI_FT,
+        extra={TAG_FETCH: serve_fetch},
+    ).call
+    try:
+        setup = rpc("hello")[1]
+        queries, ranges, info = setup
+        ctx.compute(cost.init_seconds())
+        engine = BlastSearch(cfg.search)
 
-        Returns the reply body; :data:`PROMOTE` when master-succession
-        reached this rank; None when every attempt was exhausted
-        (orphaned).  The master's serialized output pass interleaves
-        TAG_FETCH requests with our polling, so the receive loop answers
-        fetches in-line (they do not consume retry attempts).
-        """
-        nonlocal seq
-        seq += 1
-        for _attempt in range(ft.req_max_attempts):
-            if fo.promoted:
-                return PROMOTE
-            comm.isend(
-                (ctx.rank, seq, kind, data), dest=fo.master, tag=TAG_FT_REQ
-            )
-            sent = ctx.engine.now
-            while True:
-                # Absolute resend deadline: heartbeats, fetches and peer
-                # traffic must not keep extending the receive, or a
-                # request dropped by a not-yet-promoted successor is
-                # never re-issued while its pings keep arriving.
-                remaining = ft.req_timeout - (ctx.engine.now - sent)
-                if remaining <= 0:
-                    fo.tick()
-                    break  # resend (possibly to a new candidate)
-                st = Status()
-                reply = comm.recv_with_timeout(
-                    source=ANY_SOURCE, tag=ANY_TAG,
-                    timeout=remaining, status=st,
+        while True:
+            kind, data = rpc("work")
+            if kind == "wait":
+                ctx.engine.sleep(data)
+            elif kind == "done":
+                return "done"
+            elif kind == "frag":
+                frag = data
+                per_query = _ft_copy_and_search(
+                    ctx, cfg, engine, queries, ranges, info, frag
                 )
-                if reply is TIMEOUT:
-                    fo.tick()
-                    break  # resend (possibly to a new candidate)
-                if st.tag == TAG_FETCH:
-                    # Only a master fetches; a fetch from a higher rank
-                    # than our believed master is an implicit
-                    # announcement (its ping may still be queued).
-                    serve_fetch(reply, st.source)
-                    rehomed = fo.announce(st.source)
-                    if rehomed:
-                        break  # re-home this request to the new master
-                    continue
-                if st.tag == TAG_FT_PING:
-                    if fo.announce(reply):
-                        break  # re-home this request to the new master
-                    continue
-                if st.tag != TAG_FT_REPLY:
-                    # A TAG_FT_REQ from a peer whose succession already
-                    # reached us: drop it — its idempotent retry will
-                    # find us again once we have actually promoted.
-                    continue
-                rseq, body = reply
-                if st.source == fo.master:
-                    fo.heard()
-                if rseq == seq:
-                    return body
-                # A stale duplicate of an earlier reply; drain and retry.
-        return None
-
-    def promote() -> str:
-        """Become the master: restore + serve (see _ft_master)."""
+                metas_per_query: list[list[AlignmentMeta]] = []
+                for qi, als in enumerate(per_query):
+                    metas = []
+                    for al in als:
+                        cache[(qi, next_local_id)] = al
+                        metas.append(
+                            meta_from_alignment(
+                                al, ctx.rank, next_local_id, 0
+                            )
+                        )
+                        next_local_id += 1
+                    metas_per_query.append(metas)
+                my_metas[frag] = metas_per_query
+                rpc("result", (frag, metas_per_query))
+            else:  # pragma: no cover - protocol error
+                raise RuntimeError(f"unknown FT reply kind {kind!r}")
+    except Promoted:
+        # Become the master: restore + serve (see _ft_master).
         _ft_master(
             ctx, cfg, setup=setup, held_cache=cache, held_metas=my_metas
         )
         return "promoted-master"
-
-    body = rpc("hello")
-    if body is PROMOTE:
-        return promote()
-    if body is None:
+    except Orphaned:
         return "orphaned"
-    setup = body[1]
-    queries, ranges, info = setup
-    ctx.compute(cost.init_seconds())
-    engine = BlastSearch(cfg.search)
-
-    while True:
-        body = rpc("work")
-        if body is PROMOTE:
-            return promote()
-        if body is None:
-            return "orphaned"
-        kind, data = body
-        if kind == "wait":
-            ctx.engine.sleep(data)
-        elif kind == "done":
-            return "done"
-        elif kind == "frag":
-            frag = data
-            per_query = _ft_copy_and_search(
-                ctx, cfg, engine, queries, ranges, info, frag
-            )
-            metas_per_query: list[list[AlignmentMeta]] = []
-            for qi, als in enumerate(per_query):
-                metas = []
-                for al in als:
-                    cache[(qi, next_local_id)] = al
-                    metas.append(
-                        meta_from_alignment(al, ctx.rank, next_local_id, 0)
-                    )
-                    next_local_id += 1
-                metas_per_query.append(metas)
-            my_metas[frag] = metas_per_query
-            body = rpc("result", (frag, metas_per_query))
-            if body is PROMOTE:
-                return promote()
-            if body is None:
-                return "orphaned"
-        else:  # pragma: no cover - protocol error
-            raise RuntimeError(f"unknown FT reply kind {kind!r}")
 
 
 def _program(ctx: ProcContext) -> Any:

@@ -60,15 +60,20 @@ from repro.parallel.common import (
     search_fragment_timed,
     writer_for,
 )
-from repro.parallel.checkpoint import (
-    PROMOTE,
-    CheckpointStore,
-    FailoverTracker,
-)
+from repro.parallel.checkpoint import CheckpointStore, FailoverTracker
 from repro.parallel.config import ParallelConfig
 from repro.blast.formatdb import DatabaseVolume
 from repro.parallel.fragments import VolumePiece
 from repro.parallel.pruning import prune_metas, score_cutlines
+from repro.parallel.pullrpc import (
+    PIO_FT,
+    TAG_TABLE,
+    Heartbeat,
+    Orphaned,
+    Promoted,
+    PullClient,
+    PullServer,
+)
 from repro.parallel.results import AlignmentMeta, meta_from_alignment, select_metas
 from repro.parallel.warmdb import (
     check_fingerprint,
@@ -84,22 +89,18 @@ from repro.simmpi import (
     PlatformSpec,
     ProcContext,
     RunResult,
-    Status,
 )
-from repro.simmpi.comm import ANY_SOURCE, ANY_TAG, TIMEOUT
 from repro.simmpi.faults import FaultPlan, retry_io
 from repro.simmpi.launcher import run
 
-TAG_SELECT = 30
-TAG_FETCH = 31
-TAG_FETCHRESP = 32
-TAG_WQ_REQ = 33
-TAG_WQ_ASSIGN = 34
+TAG_SELECT = TAG_TABLE["pioblast.SELECT"]
+TAG_FETCH = TAG_TABLE["pioblast.FETCH"]
+TAG_FETCHRESP = TAG_TABLE["pioblast.FETCHRESP"]
+TAG_WQ_REQ = TAG_TABLE["pioblast.WQ_REQ"]
+TAG_WQ_ASSIGN = TAG_TABLE["pioblast.WQ_ASSIGN"]
 
-# Fault-tolerant pull-RPC protocol (see module docstring / FAULTS.md).
-TAG_FT_REQ = 40
-TAG_FT_REPLY = 41
-TAG_FT_PING = 42
+# Fault-tolerant pull-RPC channel (see repro.parallel.pullrpc / FAULTS.md).
+TAG_FT_REQ, TAG_FT_REPLY, TAG_FT_PING = PIO_FT
 
 NO_MORE_WORK = -1
 
@@ -379,11 +380,9 @@ def _worker(ctx: ProcContext, cfg: ParallelConfig) -> None:
 # Fault-tolerant driver (pull-RPC scheduling; see module docstring)
 # ======================================================================
 #
-# Protocol.  Workers send ``(rank, seq, kind, data)`` on TAG_FT_REQ and
-# wait (with timeout + resend) for ``(seq, body)`` on TAG_FT_REPLY.  The
-# master caches its last reply per worker: a request with an
-# already-answered ``seq`` just gets the cached reply again, which makes
-# every RPC idempotent under drops of either direction.
+# Protocol.  Workers and master speak repro.parallel.pullrpc on the
+# PIO_FT channel: idempotent sequence-numbered requests, a reply cache on
+# the master, heartbeat pings.  This driver's message kinds:
 #
 # Request kinds           Reply bodies
 #   ("hello",  None)        ("setup",  (queries, info, frags, indexes))
@@ -455,7 +454,7 @@ def _ft_master(
     master writes those blocks in-line at output time, so they are
     never re-searched.
     """
-    comm, cost, ft = ctx.comm, cfg.cost, cfg.ft
+    cost, ft = cfg.cost, cfg.ft
     sim = ctx.engine
     report = ctx.fault_report
     me = ctx.rank
@@ -465,14 +464,13 @@ def _ft_master(
         ctx, cfg.checkpoint_dir,
         interval=cfg.checkpoint_interval, io_attempts=ft.io_attempts,
     )
+    ping_workers = Heartbeat(ctx, ft, TAG_FT_PING).beat
     if promoted:
         report.record(sim.now, "recover:promote-master", me)
         # Announce before doing anything slow (cold setup, checkpoint
         # restore): the announcement resets every survivor's silence
         # clock, heading off a second spurious succession.
-        for w in range(ctx.size):
-            if w != me:
-                comm.isend(me, dest=w, tag=TAG_FT_PING)
+        ping_workers(force=True)
     if setup is None:
         ctx.compute(cost.init_seconds())
         setup = _ft_setup(ctx, cfg)
@@ -495,7 +493,6 @@ def _ft_master(
     research: list[int] = []             # completed fids needing re-search
     frag_results: dict[int, list[list[AlignmentMeta]]] = {}
     holders: dict[int, set[int]] = {f: set() for f in range(nfrag)}
-    reply_cache: dict[int, tuple[int, Any]] = {}
     state = "search"
     # output-phase state
     out_round = 0
@@ -518,23 +515,6 @@ def _ft_master(
                 assigner.mark_completed(fid)
 
     # ---- helpers --------------------------------------------------------
-    last_ping = sim.now - ft.master_tick
-
-    def ping_workers(force: bool = False) -> None:
-        """Heartbeat (and, for a promoted master, announcement): keeps
-        workers from starting failover during long silent passes.
-        Pings go to *every* other rank, not just presumed-alive ones:
-        an isend to a dead rank is a buffered no-op, and a
-        falsely-suspected ex-master that is still running must hear
-        its successor to abdicate."""
-        nonlocal last_ping
-        if not force and sim.now - last_ping < ft.master_tick:
-            return
-        last_ping = sim.now
-        for w in range(ctx.size):
-            if w != me:
-                comm.isend(me, dest=w, tag=TAG_FT_PING)
-
     def writable_now() -> set[int]:
         """Fragments an output round can cover right now."""
         if alive:
@@ -653,11 +633,6 @@ def _ft_master(
         dead.add(w)
         alive.discard(w)
         report.record(sim.now, "detect:worker-dead", w, why)
-        if w not in report.dead_ranks:
-            # Not every declared-dead worker was killed by the plan (a
-            # straggler can be declared dead and later revived); this
-            # ledger tracks the master's *belief*.
-            pass
         assigner.drop_worker(w)
         for fid in holders:
             holders[fid].discard(w)
@@ -768,61 +743,43 @@ def _ft_master(
         # it on the first ping instead of waiting out failover_silence.
         ping_workers(force=True)
     done_since: float | None = None
-    while True:
-        st = Status()
-        msg = comm.recv_with_timeout(
-            source=ANY_SOURCE, tag=ANY_TAG, timeout=ft.master_tick, status=st
-        )
-        now = sim.now
-        if msg is not TIMEOUT and st.tag != TAG_FT_REQ:
-            if st.tag == TAG_FT_PING and msg > me:
-                # A higher rank announced itself as master: the fleet
-                # decided we were dead and moved on.  Step down without
-                # touching the output file again — the successor rewrites
-                # it from scratch.
-                report.record(sim.now, "recover:abdicate", me, msg)
-                return
-            # Stale ping from a lower ex-master (it will abdicate on
-            # our pings); drop it.
-            continue
-        if msg is not TIMEOUT:
-            # Refresh the sender's liveness *before* the death sweep so
-            # a slow worker is not declared dead by its own message.
-            w, seq, kind, data = msg
+
+    def on_tick(request, now: float) -> None:
+        nonlocal done_since
+        if request is not None:
+            done_since = None
+            w = request[0]
             if w in dead:
                 revive(w)
                 ensure_progress()
             last_seen[w] = now
-        # Death checks run every iteration: with several healthy workers
-        # polling, the receive above may never time out, and a dead
-        # worker must still be detected promptly.
         check_deaths()
         ping_workers()
         ckpt.maybe_save(ckpt_state)
-        if msg is TIMEOUT:
-            if state == "search" and not alive:
-                # Degraded: nobody left to search the missing fragments
-                # (a promoted master can still write its own blocks).
-                state = "output"
-                start_output_round(writable_now())
-            elif state == "output" and not alive and pending:
-                # Everyone died mid-output: shrink to what the master
-                # can write alone.
-                start_output_round(writable_now())
-            if state == "output" and not pending and not research:
-                if done_since is None:
-                    done_since = now
-                elif now - done_since > ft.linger:
-                    break
-            continue
-        done_since = None
-        cached = reply_cache.get(w)
-        if cached is not None and cached[0] == seq:
-            comm.isend(cached, dest=w, tag=TAG_FT_REPLY)
-            continue
-        body = handle(w, kind, data)
-        reply_cache[w] = (seq, body)
-        comm.isend((seq, body), dest=w, tag=TAG_FT_REPLY)
+
+    def on_idle(now: float) -> bool:
+        nonlocal state, done_since
+        if state == "search" and not alive:
+            # Degraded: nobody left to search the missing fragments
+            # (a promoted master can still write its own blocks).
+            state = "output"
+            start_output_round(writable_now())
+        elif state == "output" and not alive and pending:
+            # Everyone died mid-output: shrink to what the master
+            # can write alone.
+            start_output_round(writable_now())
+        if state == "output" and not pending and not research:
+            if done_since is None:
+                done_since = now
+            elif now - done_since > ft.linger:
+                return True
+        return False
+
+    server = PullServer(ctx, ft, PIO_FT, range(ctx.size))
+    if server.serve(
+        on_tick=on_tick, on_idle=on_idle, on_request=handle
+    ) is not None:
+        return  # abdicated: the successor rewrites the output from scratch
 
     # Final accounting: fragments the report never saw results for.
     missing = sorted(set(range(nfrag)) - set(frag_results))
@@ -865,123 +822,57 @@ def _ft_search_fragment(
 def _ft_worker(ctx: ProcContext, cfg: ParallelConfig) -> str:
     comm, cost, ft = ctx.comm, cfg.cost, cfg.ft
     report = ctx.fault_report
-    seq = 0
-    fo = FailoverTracker(ctx, ft)
+    rpc = PullClient(ctx, ft, FailoverTracker(ctx, ft), PIO_FT).call
     setup: Any = None
     blocks: dict[int, list[bytes]] = {}
     my_metas: dict[int, list[list[AlignmentMeta]]] = {}
+    try:
+        setup = rpc("hello")[1]
+        queries, info, frags, index_bytes = setup
+        ctx.compute(cost.init_seconds())
+        indexes = {
+            base: parse_index(data) for base, data in index_bytes.items()
+        }
+        engine = BlastSearch(cfg.search)
+        writer = writer_for(engine, info)
 
-    def rpc(kind: str, data: Any = None) -> Any:
-        """Idempotent RPC to the *believed* master.
-
-        Returns the reply body; :data:`PROMOTE` when master-succession
-        reached this rank (the caller must become the master); None when
-        every attempt was exhausted (orphaned).
-        """
-        nonlocal seq
-        seq += 1
-        for _attempt in range(ft.req_max_attempts):
-            if fo.promoted:
-                return PROMOTE
-            comm.isend(
-                (ctx.rank, seq, kind, data), dest=fo.master, tag=TAG_FT_REQ
-            )
-            sent = ctx.engine.now
-            while True:
-                # Absolute resend deadline: heartbeats and peer traffic
-                # must not keep extending the receive, or a request
-                # dropped by a not-yet-promoted successor is never
-                # re-issued while its pings keep arriving.
-                remaining = ft.req_timeout - (ctx.engine.now - sent)
-                if remaining <= 0:
-                    fo.tick()
-                    break  # resend (possibly to a new candidate)
-                st = Status()
-                reply = comm.recv_with_timeout(
-                    source=ANY_SOURCE, tag=ANY_TAG,
-                    timeout=remaining, status=st,
+        while True:
+            kind, data = rpc("work")
+            if kind == "wait":
+                ctx.engine.sleep(data)
+            elif kind == "done":
+                return "done"
+            elif kind == "frag":
+                fid = data
+                metas = _ft_search_fragment(
+                    ctx, cfg, engine, writer, queries, info, indexes,
+                    frags[fid], fid, blocks,
                 )
-                if reply is TIMEOUT:
-                    fo.tick()
-                    break  # resend (possibly to a new candidate)
-                if st.tag == TAG_FT_PING:
-                    if fo.announce(reply):
-                        break  # re-home this request to the new master
-                    continue
-                if st.tag != TAG_FT_REPLY:
-                    # A TAG_FT_REQ from a peer whose succession already
-                    # reached us: drop it — its idempotent retry will
-                    # find us again once we have actually promoted.
-                    continue
-                rseq, body = reply
-                if st.source == fo.master:
-                    fo.heard()
-                if rseq == seq:
-                    return body
-                # A stale duplicate of an earlier reply; drain and retry.
-        return None
-
-    def promote() -> str:
-        """Become the master: restore + serve (see _ft_master)."""
+                my_metas[fid] = metas
+                rpc("result", (fid, metas))
+            elif kind == "select":
+                round_no, sels = data
+                with ctx.phase("output"):
+                    f = MPIFile(comm, ctx.fs, cfg.output_path)
+                    for fid, lid, off in sels:
+                        blk = blocks[fid][lid]
+                        f.write_at_reliable(
+                            off, blk,
+                            charge_bytes=cost.wire_bytes(len(blk)),
+                            attempts=ft.io_attempts, report=report,
+                        )
+                fids = tuple(sorted({fid for fid, _lid, _off in sels}))
+                rpc("wrote", (round_no, fids))
+            else:  # pragma: no cover - protocol error
+                raise RuntimeError(f"unknown FT reply kind {kind!r}")
+    except Promoted:
+        # Become the master: restore + serve (see _ft_master).
         _ft_master(
             ctx, cfg, setup=setup, held_blocks=blocks, held_metas=my_metas
         )
         return "promoted-master"
-
-    body = rpc("hello")
-    if body is PROMOTE:
-        return promote()
-    if body is None:
+    except Orphaned:
         return "orphaned"
-    setup = body[1]
-    queries, info, frags, index_bytes = setup
-    ctx.compute(cost.init_seconds())
-    indexes = {base: parse_index(data) for base, data in index_bytes.items()}
-    engine = BlastSearch(cfg.search)
-    writer = writer_for(engine, info)
-
-    while True:
-        body = rpc("work")
-        if body is PROMOTE:
-            return promote()
-        if body is None:
-            return "orphaned"
-        kind, data = body
-        if kind == "wait":
-            ctx.engine.sleep(data)
-        elif kind == "done":
-            return "done"
-        elif kind == "frag":
-            fid = data
-            metas = _ft_search_fragment(
-                ctx, cfg, engine, writer, queries, info, indexes,
-                frags[fid], fid, blocks,
-            )
-            my_metas[fid] = metas
-            body = rpc("result", (fid, metas))
-            if body is PROMOTE:
-                return promote()
-            if body is None:
-                return "orphaned"
-        elif kind == "select":
-            round_no, sels = data
-            with ctx.phase("output"):
-                f = MPIFile(comm, ctx.fs, cfg.output_path)
-                for fid, lid, off in sels:
-                    blk = blocks[fid][lid]
-                    f.write_at_reliable(
-                        off, blk,
-                        charge_bytes=cost.wire_bytes(len(blk)),
-                        attempts=ft.io_attempts, report=report,
-                    )
-            fids = tuple(sorted({fid for fid, _lid, _off in sels}))
-            body = rpc("wrote", (round_no, fids))
-            if body is PROMOTE:
-                return promote()
-            if body is None:
-                return "orphaned"
-        else:  # pragma: no cover - protocol error
-            raise RuntimeError(f"unknown FT reply kind {kind!r}")
 
 
 def _program(ctx: ProcContext) -> Any:

@@ -28,11 +28,12 @@ from repro.parallel.common import (
     writer_for,
 )
 from repro.parallel.config import ParallelConfig
+from repro.parallel.pullrpc import TAG_TABLE
 from repro.parallel.results import merge_select, meta_from_alignment
 from repro.simmpi import FileStore, PlatformSpec, ProcContext, RunResult
 from repro.simmpi.launcher import run
 
-TAG_SECTION = 40
+TAG_SECTION = TAG_TABLE["queryseg.SECTION"]
 
 
 def _query_slice(nqueries: int, nworkers: int, w: int) -> tuple[int, int]:

@@ -55,6 +55,7 @@ from repro.parallel.common import (
     writer_for,
 )
 from repro.parallel.config import FTParams, ParallelConfig
+from repro.parallel.pullrpc import TAG_TABLE
 from repro.parallel.results import select_metas
 from repro.parallel.warmdb import (
     check_fingerprint,
@@ -76,8 +77,8 @@ from repro.simmpi.comm import ANY_SOURCE, TIMEOUT
 from repro.simmpi.faults import FaultPlan
 from repro.simmpi.launcher import run
 
-TAG_SRV_CMD = 70
-TAG_SRV_MSG = 71
+TAG_SRV_CMD = TAG_TABLE["service.SRV_CMD"]
+TAG_SRV_MSG = TAG_TABLE["service.SRV_MSG"]
 
 
 # ----------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import faulthandler
+
 import pytest
 
 from repro.blast.fasta import SeqRecord
@@ -17,6 +19,17 @@ SMALL_SPEC = SynthSpec(
     family_size=5,
     seed=12345,
 )
+
+
+@pytest.fixture(autouse=True)
+def _hang_watchdog():
+    """A hang must fail, not wedge CI.  A livelocked serve loop spins in
+    virtual time forever (the engine's deadlock detector only sees
+    *blocked* ranks), so after 10 host minutes in one test dump every
+    thread's stack — each simulated rank is a thread — and exit."""
+    faulthandler.dump_traceback_later(600, exit=True)
+    yield
+    faulthandler.cancel_dump_traceback_later()
 
 
 @pytest.fixture(scope="session")

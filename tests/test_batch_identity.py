@@ -269,19 +269,18 @@ class TestUngappedBatchProperty:
 # ----------------------------------------------------------------------
 
 
-def run_fingerprint(program, nprocs, *, faults=None):
-    """Full-driver run; dense fingerprint."""
-    from repro.experiments.common import ExperimentWorkload, run_program_raw
+def _replay_workload():
+    from repro.experiments.common import ExperimentWorkload
 
-    wl = ExperimentWorkload(
+    return ExperimentWorkload(
         db_spec=SynthSpec(num_sequences=90, mean_length=130,
                           family_fraction=0.6, family_size=4,
                           seed=2025),
         query_bytes=2_500,
     )
-    _b, result, store, _cfg = run_program_raw(
-        program, nprocs, wl, faults=faults
-    )
+
+
+def _dense(result, store):
     files = {p: store.read_all(p) for p in store.listdir()}
     return {
         "makespan": result.makespan,
@@ -293,6 +292,40 @@ def run_fingerprint(program, nprocs, *, faults=None):
         "promotions": result.promotions,
         "files": files,
     }
+
+
+def run_fingerprint(program, nprocs, *, faults=None):
+    """Full-driver run; dense fingerprint."""
+    from repro.experiments.common import run_program_raw
+
+    _b, result, store, _cfg = run_program_raw(
+        program, nprocs, _replay_workload(), faults=faults
+    )
+    return _dense(result, store)
+
+
+def run_hier_fingerprint(faults, *, service=False):
+    """Hierarchical run (np=13, or the np=17 elastic service) in three
+    groups under a role-targeted fault plan; the dense fingerprint
+    plus the exact ``FaultReport`` event list."""
+    from repro.experiments.common import run_hier_raw, run_hier_service_raw
+    from repro.simmpi.faults import FaultPlan
+
+    plan = FaultPlan.parse(faults)
+    if service:
+        hres, store, _cfg = run_hier_service_raw(
+            17, _replay_workload(), ngroups=3, faults=plan
+        )
+    else:
+        hres, store, _cfg = run_hier_raw(
+            13, _replay_workload(), ngroups=3, faults=plan
+        )
+    fp = _dense(hres.result, store)
+    fp["events"] = [
+        (e.time, e.kind, e.detail)
+        for e in hres.result.fault_report.events
+    ]
+    return fp
 
 
 def _canon(x) -> str:
@@ -328,11 +361,37 @@ GOLDEN_REPLAY = {
 }
 
 
+#: The same, for the roles ``GOLDEN_REPLAY`` misses — sub-master,
+#: coordinator, elastic coordinator — each through a failover, taken at
+#: commit 17ee023 (before the pull-RPC protocol moved into
+#: ``repro.parallel.pullrpc``).
+GOLDEN_HIER_REPLAY = {
+    "crash=submaster:g1@20":
+        "1045e1b71efad2e07fc870f4b0b56a753d50842f553937f988b42e271f5ebf90",
+    "crash=coordinator@20":
+        "b38d2dea7b955a49e1b712a5a31ad33bbf6e7a1fb5da00ab6ca17a334b6f5ed7",
+    "crash=group:g1@40":
+        "0fb5d3aecdee7dd12410cde42b33604daed69f956ab6657ce3ff4306d7649b78",
+}
+
+
 class TestSchedulerReplayIdentity:
     @pytest.mark.parametrize("program", ["mpiblast", "pioblast"])
     def test_driver_replays_bit_for_bit(self, program):
         fp = run_fingerprint(program, 6)
         assert fingerprint_digest(fp) == GOLDEN_REPLAY[f"{program}-np6"]
+
+    @pytest.mark.parametrize(
+        "faults", ["crash=submaster:g1@20", "crash=coordinator@20"]
+    )
+    def test_hier_failover_replays_bit_for_bit(self, faults):
+        fp = run_hier_fingerprint(faults)
+        assert fingerprint_digest(fp) == GOLDEN_HIER_REPLAY[faults]
+
+    def test_hier_service_group_kill_replays_bit_for_bit(self):
+        faults = "crash=group:g1@40"
+        fp = run_hier_fingerprint(faults, service=True)
+        assert fingerprint_digest(fp) == GOLDEN_HIER_REPLAY[faults]
 
     def test_chaos_replay(self):
         from repro.simmpi.faults import CrashFault, FaultPlan, StragglerFault
