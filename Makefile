@@ -6,6 +6,10 @@
 #                     patch Engine.park/run/spawn from outside, so they
 #                     are the cheapest early warning that an engine
 #                     change broke host-time attribution
+#   make bench-smoke - the BENCHMARK.json command on table1-np32 and
+#                     kernel-bulk at a CI-sized 6 s with one traced rep;
+#                     that form exits 0 even when an output check fails,
+#                     so the result line is held to correct / failed == 0
 #   make chaos      - tier 2: randomized fault-injection sweeps over fixed
 #                     seeds (slower; exercises FaultPlan.random + the
 #                     exhaustive kill-subset enumeration)
@@ -33,7 +37,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test bench-test chaos report bench-json perf-smoke service-smoke \
+.PHONY: test bench-test bench-smoke chaos report bench-json perf-smoke service-smoke \
 	hier-smoke hier-service-smoke
 
 test:
@@ -41,6 +45,14 @@ test:
 
 bench-test:
 	$(PYTHON) -m pytest bench -q
+
+bench-smoke:
+	for w in table1-np32 kernel-bulk; do \
+		$(PYTHON) bench/run.py --workload $$w --seed 1 --seconds 6 --trace 1 \
+		| tail -n 1 | $(PYTHON) -c "import json, sys; r = json.load(sys.stdin); \
+		sys.exit(not (r['correct'] is True and r['failed'] == 0))" \
+		|| exit 1; \
+	done
 
 chaos:
 	$(PYTHON) -m pytest -m chaos -q

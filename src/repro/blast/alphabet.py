@@ -21,12 +21,29 @@ class Alphabet:
     letters: str  # index -> letter
     wildcard: str  # letter unknown input maps to
     _to_code: dict[str, int] = field(default_factory=dict, repr=False, compare=False)
+    # 256-entry byte tables for the ASCII fast paths: byte -> code
+    # (case folded, unknown -> wildcard) and code -> letter byte.
+    _encode_table: bytes = field(default=b"", repr=False, compare=False)
+    _decode_table: bytes = field(default=b"", repr=False, compare=False)
 
     def __post_init__(self) -> None:
         table = {c: i for i, c in enumerate(self.letters)}
         if self.wildcard not in table:
             raise ValueError(f"wildcard {self.wildcard!r} not in alphabet")
         object.__setattr__(self, "_to_code", table)
+        if self.letters.isascii():
+            wc = table[self.wildcard]
+            object.__setattr__(
+                self,
+                "_encode_table",
+                bytes(table.get(chr(b).upper(), wc) for b in range(128))
+                + bytes(128),
+            )
+            object.__setattr__(
+                self,
+                "_decode_table",
+                self.letters.encode("ascii").ljust(256, b"?"),
+            )
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -41,6 +58,13 @@ class Alphabet:
 
     def encode(self, seq: str) -> np.ndarray:
         """Encode a residue string to codes; unknown letters → wildcard."""
+        if self._encode_table and seq.isascii():
+            # One C pass: an ASCII letter upper-cases to one ASCII
+            # letter, so the table folds case and the length is kept.
+            return np.frombuffer(
+                seq.encode("ascii").translate(self._encode_table),
+                dtype=np.uint8,
+            ).copy()
         wc = self.wildcard_code
         # Upper-case first: some characters expand under .upper()
         # (e.g. 'ß' → 'SS'), so the length must be taken afterwards.
@@ -56,6 +80,11 @@ class Alphabet:
         if isinstance(codes, (bytes, bytearray, memoryview)):
             codes = np.frombuffer(bytes(codes), dtype=np.uint8)
         letters = self.letters
+        if self._decode_table and getattr(codes, "dtype", None) == np.uint8:
+            raw = codes.tobytes()
+            if raw and max(raw) >= len(letters):
+                raise IndexError("code outside the alphabet")
+            return raw.translate(self._decode_table).decode("ascii")
         return "".join(letters[int(c)] for c in codes)
 
     def is_valid_strict(self, seq: str) -> bool:

@@ -55,7 +55,6 @@ from repro.blast.seeding import (
     WordIndex,
     batch_triggers,
     one_hit_triggers,
-    rolling_codes,
     two_hit_triggers,
 )
 
@@ -206,33 +205,63 @@ class ListDatabase:
 
 
 @dataclass
-class _FragmentScan:
-    """Preprocessed fragment for the batched kernel (see _fragment_scan)."""
+class _Joined:
+    """Code arrays concatenated around sentinel codes (see _join)."""
 
     concat: np.ndarray
     starts: np.ndarray
     lens: np.ndarray
-    subj_of: np.ndarray
-    slabs: list[tuple[int, int]]
+    seq_of: np.ndarray
 
-    def __post_init__(self) -> None:
-        # rolling (positions, codes) per slab, filled on first use
-        self.codes_cache: list[tuple[np.ndarray, np.ndarray] | None] = [
-            None
-        ] * len(self.slabs)
+
+def _join(seqs: list[np.ndarray], sentinel: int) -> _Joined:
+    """Concatenate code arrays around sentinel codes.
+
+    The result carries the concatenation (one sentinel before, between
+    and after the sequences), each sequence's start offset inside it and
+    its length, and a concat position → sequence id lookup (O(1) per
+    hit; sentinel slots get the preceding sequence's id, and hits never
+    land on a sentinel, so that never surfaces).
+    """
+    n = len(seqs)
+    lens = np.fromiter((len(c) for c in seqs), dtype=np.int64, count=n)
+    starts = np.cumsum(lens + 1) - lens
+    concat = np.full(int(lens.sum()) + n + 1, sentinel, dtype=np.uint8)
+    for off, codes in zip(starts.tolist(), seqs):
+        concat[off : off + len(codes)] = codes
+    marks = np.zeros(len(concat), dtype=np.int32)
+    marks[starts[1:]] = 1
+    return _Joined(concat, starts, lens, np.cumsum(marks, dtype=np.int32))
+
+
+@dataclass
+class _Wave:
+    """The queries of one ``search_fragment`` call, laid out as one array.
+
+    The same sentinel join the fragment's subjects get (so
+    ``matrix_ext`` ends every extension at a query boundary) plus the
+    joint word index, whose hits are joined positions.  A pure function
+    of the query letters and the scoring config, memoised process-wide.
+    """
+
+    qcodes: list[np.ndarray]
+    joined: _Joined
+    index: WordIndex
 
 
 @dataclass
 class _GapState:
-    """One subject's progress through the round-based gapped dispatcher.
+    """One (query, subject) pair in the round-based gapped dispatcher.
 
     ``ptr`` walks the score-sorted seed list; ``slot`` is the index of
-    the DP this subject is waiting on in the current lockstep round.
-    Holding at most one outstanding DP per subject preserves the scalar
+    the DP this pair is waiting on in the current lockstep round.
+    Holding at most one outstanding DP per pair preserves the scalar
     rule that each seed's inside-check sees all earlier seeds' results.
     """
 
+    qi: int
     si: int
+    qcodes: np.ndarray
     scodes: np.ndarray
     skey: bytes
     hits: list
@@ -286,30 +315,34 @@ class BlastSearch:
         ext = np.full((size + 1, size + 1), -(1 << 30), dtype=np.int64)
         ext[:size, :size] = self.matrix
         self.matrix_ext = ext
-        self._index_cache: dict[int, WordIndex] = {}
         # Memo of gapped extensions within one (query x fragment) search:
         # duplicated subjects produce identical (subject bytes, anchor)
         # DP problems; both kernels answer repeats from here (counted as
         # ``SearchStats.gapped_dedup``) so their stats stay equal.
         self._gapped_memo: dict[tuple, GappedExtension] = {}
-        # Host-seconds per batched-kernel stage, accumulated across
-        # slabs/queries/fragments (scan / ungapped / gapped / render).
+        # Host-seconds per wave-kernel stage, accumulated across
+        # blocks/fragments (scan / ungapped / gapped / render).
         # Purely observational: repro.obs.bench reports it per scenario.
         self.stage_times: dict[str, float] = {}
 
-    # Process-wide memo of word indexes.  A WordIndex is immutable and a
-    # pure function of (query, scoring config); sharing it across the
-    # simulated ranks only removes redundant *wall-clock* work — virtual
-    # time for index construction is charged by the cost model.
-    _GLOBAL_INDEX_MEMO: dict[tuple, WordIndex] = {}
+    # Process-wide memo of word indexes and waves.  Both are immutable
+    # and pure functions of (query letters, scoring config); sharing
+    # them across the simulated ranks only removes redundant
+    # *wall-clock* work — virtual time for index construction is
+    # charged by the cost model.  One dict, one cap: a long service run
+    # clears it every ``_MEMO_CAP`` distinct queries + waves.
+    _GLOBAL_INDEX_MEMO: dict[tuple, "WordIndex | _Wave"] = {}
+    _MEMO_CAP = 4096
 
-    # ------------------------------------------------------------------
-    def _index_for(self, query_index: int, qcodes: np.ndarray) -> WordIndex:
-        # Content-keyed (query_index is only a hint and may be reused
-        # for different queries across processing batches).
+    def _memo_put(self, key: tuple, value: "WordIndex | _Wave") -> None:
+        memo = BlastSearch._GLOBAL_INDEX_MEMO
+        if len(memo) >= self._MEMO_CAP:
+            memo.clear()
+        memo[key] = value
+
+    def _scoring_key(self) -> tuple:
         p = self.params
-        key = (
-            qcodes.tobytes(),
+        return (
             p.program,
             p.matrix_name,
             p.effective_word_size,
@@ -317,14 +350,13 @@ class BlastSearch:
             p.dna_match,
             p.dna_mismatch,
         )
-        local = self._index_cache.get(query_index)
-        if local is not None and local[0] == key:
-            return local[1]
-        memo = BlastSearch._GLOBAL_INDEX_MEMO
-        idx = memo.get(key)
+
+    # ------------------------------------------------------------------
+    def _index_for(self, qcodes: np.ndarray) -> WordIndex:
+        p = self.params
+        key = (qcodes.tobytes(), *self._scoring_key())
+        idx = BlastSearch._GLOBAL_INDEX_MEMO.get(key)
         if idx is None:
-            if len(memo) >= 4096:
-                memo.clear()
             idx = WordIndex(
                 qcodes,
                 self.matrix,
@@ -333,9 +365,29 @@ class BlastSearch:
                 nstd=self.nstd,
                 exact_only=(p.program == "blastn"),
             )
-            memo[key] = idx
-        self._index_cache[query_index] = (key, idx)
+            self._memo_put(key, idx)
         return idx
+
+    def _wave_for(self, queries: list[SeqRecord]) -> _Wave:
+        """The call's queries encoded, joined and jointly indexed.
+
+        Keyed by the query letters, so the fragments of one job (and
+        every simulated rank searching the same batch) encode, join and
+        merge once.
+        """
+        key = (tuple(q.sequence for q in queries), *self._scoring_key())
+        wave = BlastSearch._GLOBAL_INDEX_MEMO.get(key)
+        if wave is None:
+            qcodes = [self.alphabet.encode(q.sequence) for q in queries]
+            joined = _join(qcodes, self.sentinel_code)
+            wave = _Wave(
+                qcodes, joined,
+                WordIndex.merged(
+                    [self._index_for(c) for c in qcodes], joined.starts
+                ),
+            )
+            self._memo_put(key, wave)
+        return wave
 
     # ------------------------------------------------------------------
     def search_fragment(
@@ -366,24 +418,53 @@ class BlastSearch:
         E-values are always global, so a downstream global filter
         restores exactly the serial result list.
         """
-        out: list[list[Alignment]] = []
-        scan = self._fragment_scan(fragment) if self.params.batch else None
-        for qi, qrec in enumerate(queries):
-            qcodes = self.alphabet.encode(qrec.sequence)
-            if scan is not None:
-                als = self._search_one_batched(
-                    qi, qcodes, fragment, scan, db_letters, db_num_seqs,
-                    base_oid, stats, filter_db_letters, filter_db_num_seqs,
+        if not queries:
+            return []
+        if self.params.batch:
+            out = self._search_wave(
+                self._wave_for(queries), fragment, db_letters, db_num_seqs,
+                base_oid, stats, filter_db_letters, filter_db_num_seqs,
+            )
+        else:
+            out = [
+                self._search_one(
+                    qi, qrec, self.alphabet.encode(qrec.sequence), fragment,
+                    db_letters, db_num_seqs, base_oid, stats,
+                    filter_db_letters, filter_db_num_seqs,
                 )
-            else:
-                als = self._search_one(
-                    qi, qrec, qcodes, fragment, db_letters, db_num_seqs,
-                    base_oid, stats, filter_db_letters, filter_db_num_seqs,
-                )
-            out.append(als)
+                for qi, qrec in enumerate(queries)
+            ]
         if stats is not None:
             stats.queries += len(queries)
         return out
+
+    # ------------------------------------------------------------------
+    def _cutoffs(
+        self,
+        query_length: int,
+        db_letters: int,
+        db_num_seqs: int,
+        filter_db_letters: int | None,
+        filter_db_num_seqs: int | None,
+    ) -> tuple[float, float, float, float]:
+        """One query's ``(space, filter_space, min_raw, min_keep)``."""
+        space = effective_search_space(
+            self.stats_params, query_length, db_letters, db_num_seqs
+        )
+        if filter_db_letters is not None:
+            filter_space = effective_search_space(
+                self.stats_params,
+                query_length,
+                filter_db_letters,
+                filter_db_num_seqs or 1,
+            )
+        else:
+            filter_space = space
+        # Raw score that meets the expect threshold: cheap pre-filter.
+        min_raw = self.stats_params.raw_score_for_evalue(
+            self.params.expect, filter_space
+        )
+        return space, filter_space, min_raw, self._min_keep(min_raw)
 
     # ------------------------------------------------------------------
     def _search_one(
@@ -400,24 +481,13 @@ class BlastSearch:
         filter_db_num_seqs: int | None = None,
     ) -> list[Alignment]:
         p = self.params
-        index = self._index_for(query_index, qcodes)
+        index = self._index_for(qcodes)
         sstats = SeedStats()
         self._gapped_memo = {}
-        space = effective_search_space(
-            self.stats_params, len(qcodes), db_letters, db_num_seqs
+        space, filter_space, min_raw, min_keep = self._cutoffs(
+            len(qcodes), db_letters, db_num_seqs,
+            filter_db_letters, filter_db_num_seqs,
         )
-        if filter_db_letters is not None:
-            filter_space = effective_search_space(
-                self.stats_params,
-                len(qcodes),
-                filter_db_letters,
-                filter_db_num_seqs or 1,
-            )
-        else:
-            filter_space = space
-        # Raw score that meets the expect threshold: cheap pre-filter.
-        min_raw = self.stats_params.raw_score_for_evalue(p.expect, filter_space)
-        min_keep = self._min_keep(min_raw)
 
         alignments: list[Alignment] = []
         nsub = fragment.num_sequences
@@ -470,234 +540,219 @@ class BlastSearch:
         return alignments
 
     # ------------------------------------------------------------------
-    # batched kernel
+    # wave kernel
     # ------------------------------------------------------------------
-    #: letters per scan slab — bounds the transient hit/trigger arrays
-    #: so huge fragments stream through in bounded memory.
-    SLAB_LETTERS = 1 << 21
+    #: query letters x subject letters per block — bounds the transient
+    #: hit/trigger arrays so huge fragments and wide waves stream
+    #: through in bounded memory (one ~300-letter query: 2^21-letter
+    #: slabs; more query letters, proportionally shorter slabs).
+    BLOCK_CELLS = 300 << 21
 
-    def _fragment_scan(self, fragment: SequenceDatabase) -> "_FragmentScan":
-        """Concatenate a fragment's records around sentinel codes.
+    def _fragment_scan(
+        self, fragment: SequenceDatabase, slab_letters: int
+    ) -> tuple[_Joined, list[tuple[int, int]]]:
+        """Join a fragment's records and cut them into slabs.
 
-        The returned scan carries the concatenation (one sentinel
-        before, between and after records), each record's start offset
-        and length inside it, a concat position → subject id lookup
-        (O(1) per hit, replacing a binary search over ``starts``), and
-        ``[lo, hi)`` subject ranges whose total letters stay under
-        :attr:`SLAB_LETTERS` — plus a per-slab cache of rolling word
-        codes, which are query-independent and so computed once no
-        matter how many queries scan the fragment.
+        Returns the join and ``[lo, hi)`` subject ranges whose total
+        letters stay under ``slab_letters`` (a record longer than that
+        gets a slab of its own).
         """
         nsub = fragment.num_sequences
-        lens = np.fromiter(
-            (fragment.get_length(i) for i in range(nsub)),
-            dtype=np.int64,
-            count=nsub,
+        joined = _join(
+            [fragment.get_codes(i) for i in range(nsub)], self.sentinel_code
         )
-        total = int(lens.sum())
-        concat = np.full(total + nsub + 1, self.sentinel_code, dtype=np.uint8)
-        starts = np.empty(nsub, dtype=np.int64)
-        off = 1
-        for i in range(nsub):
-            n = int(lens[i])
-            concat[off : off + n] = fragment.get_codes(i)
-            starts[i] = off
-            off += n + 1
-        # subj_of[p] = subject whose record covers concat position p
-        # (sentinel slots get the preceding record's id; hits never land
-        # on a sentinel, so that never surfaces).
-        marks = np.zeros(len(concat), dtype=np.int32)
-        marks[starts[1:]] = 1
-        subj_of = np.cumsum(marks, dtype=np.int32)
         slabs: list[tuple[int, int]] = []
         lo = 0
         acc = 0
-        for i in range(nsub):
-            if acc and acc + int(lens[i]) > self.SLAB_LETTERS:
+        for i, n in enumerate(joined.lens.tolist()):
+            if acc and acc + n > slab_letters:
                 slabs.append((lo, i))
                 lo, acc = i, 0
-            acc += int(lens[i])
+            acc += n
         if nsub:
             slabs.append((lo, nsub))
-        return _FragmentScan(concat, starts, lens, subj_of, slabs)
+        return joined, slabs
 
-    def _search_one_batched(
+    def _search_wave(
         self,
-        query_index: int,
-        qcodes: np.ndarray,
+        wave: _Wave,
         fragment: SequenceDatabase,
-        scan: "_FragmentScan",
         db_letters: int,
         db_num_seqs: int,
         base_oid: int,
         stats: SearchStats | None,
         filter_db_letters: int | None = None,
         filter_db_num_seqs: int | None = None,
-    ) -> list[Alignment]:
-        """Bulk-scan equivalent of :meth:`_search_one` (bit-identical).
+    ) -> list[list[Alignment]]:
+        """Every query of the wave against the fragment, block by block.
 
-        One CSR lookup covers a whole slab of subjects; two-hit
-        detection is segment-aware (:func:`batch_triggers`); the
-        ungapped stage runs vectorized over every trigger point at once
-        (:func:`ungapped_extend_batch`); survivors of the gap trigger
-        go through the banded lockstep gapped engine
-        (:meth:`_gapped_stage_batch`, or the scalar stage when
-        ``gapped_batch`` is off).  Per-stage host seconds accumulate in
-        :attr:`stage_times`.
+        Bit-identical, per query, to :meth:`_search_one`.  Each stage
+        runs once per (wave x subject slab) block: one lookup in the
+        wave's joint word index; two-hit detection with the (query,
+        subject) pair folded into the group key
+        (:func:`batch_triggers`), so no pair of hits spans two queries
+        or two subjects; one ungapped round loop over every (query,
+        subject, diagonal) run (:func:`ungapped_extend_batch` on the
+        two sentinel-joined arrays); survivors of the gap trigger go
+        through the banded lockstep gapped engine as one cohort per
+        round (:meth:`_gapped_stage_batch`, or the scalar stage per
+        pair when ``gapped_batch`` is off).  Per-stage host seconds
+        accumulate in :attr:`stage_times`.
         """
         p = self.params
-        concat, starts, lens = scan.concat, scan.starts, scan.lens
-        subj_of, slabs = scan.subj_of, scan.slabs
-        index = self._index_for(query_index, qcodes)
-        sstats = SeedStats()
-        self._gapped_memo = {}
-        space = effective_search_space(
-            self.stats_params, len(qcodes), db_letters, db_num_seqs
-        )
-        if filter_db_letters is not None:
-            filter_space = effective_search_space(
-                self.stats_params,
-                len(qcodes),
-                filter_db_letters,
-                filter_db_num_seqs or 1,
+        nq = len(wave.qcodes)
+        cut = [
+            self._cutoffs(
+                len(c), db_letters, db_num_seqs,
+                filter_db_letters, filter_db_num_seqs,
             )
-        else:
-            filter_space = space
-        min_raw = self.stats_params.raw_score_for_evalue(p.expect, filter_space)
-        min_keep = self._min_keep(min_raw)
-
-        alignments: list[Alignment] = []
-        nsub = fragment.num_sequences
+            for c in wave.qcodes
+        ]
+        min_keep = np.array([c[3] for c in cut], dtype=np.float64)
+        wave_letters = int(wave.joined.lens.sum())
+        subjects, slabs = self._fragment_scan(
+            fragment, self.BLOCK_CELLS // max(wave_letters, 1)
+        )
+        concat, starts, lens = subjects.concat, subjects.starts, subjects.lens
+        qcat, qstarts = wave.joined.concat, wave.joined.starts
+        # One gapped memo per query, alive across the call's blocks.
+        memos: list[dict] = [{} for _ in range(nq)]
+        out: list[list[Alignment]] = [[] for _ in range(nq)]
         w = p.effective_word_size
         two_hit = p.program == "blastp"
-        sstats.positions_scanned += int(lens.sum())
+        word_hits = triggers = 0
         stg = self.stage_times
-        for slab_i, (lo, hi) in enumerate(slabs):
+        for lo, hi in slabs:
             t0 = time.perf_counter()
             slab_off = int(starts[lo])
             slab_end = int(starts[hi - 1] + lens[hi - 1]) + 1  # + sentinel
-            pre = scan.codes_cache[slab_i]
-            if pre is None:
-                pre = rolling_codes(
-                    concat[slab_off:slab_end], w, self.nstd
-                )
-                scan.codes_cache[slab_i] = pre
-            cpos, qhit = index.find_hits(
-                concat[slab_off:slab_end], precomputed=pre
-            )
-            sstats.word_hits += len(cpos)
+            cpos, qhit = wave.index.find_hits(concat[slab_off:slab_end])
+            word_hits += len(cpos)
             if len(cpos) == 0:
                 stg["scan"] = stg.get("scan", 0.0) + time.perf_counter() - t0
                 continue
-            cpos = cpos + slab_off
-            subj = subj_of[cpos].astype(np.int64)
-            slocal = cpos - starts[subj]
-            t_subj, tq, ts = batch_triggers(
-                subj, slocal, qhit,
+            # Fold each hit's (query, subject) pair into one id and make
+            # both positions sequence-local — in place, the hit arrays
+            # are the block's largest transients.
+            cpos += slab_off
+            subj = subjects.seq_of[cpos]
+            cpos -= starts[subj]
+            qid = wave.joined.seq_of[qhit]
+            qhit -= qstarts[qid]
+            nsl = hi - lo
+            pair = qid.astype(np.int64)
+            pair *= nsl
+            pair += subj
+            pair -= lo
+            del subj, qid
+            t_pair, tq, ts = batch_triggers(
+                pair, cpos, qhit,
                 window=p.two_hit_window, word_size=w, two_hit=two_hit,
             )
-            sstats.triggers += len(tq)
+            del pair, cpos, qhit
+            n_t = len(tq)
+            triggers += n_t
             t1 = time.perf_counter()
             stg["scan"] = stg.get("scan", 0.0) + t1 - t0
-            if len(tq) == 0:
+            if n_t == 0:
                 continue
             # Ungapped stage in rounds: only the first live trigger of
-            # each (subject, diagonal) run extends; every trigger the
-            # scalar path's covered-diagonal rule would skip is skipped
-            # here by one vectorized searchsorted over the run keys —
-            # batched work equals the scalar path's executed extensions.
-            spos_c = starts[t_subj] + ts
+            # each (query, subject, diagonal) run extends; every trigger
+            # the scalar path's covered-diagonal rule would skip is
+            # skipped here by one vectorized searchsorted over the run
+            # keys — batched work equals the scalar path's executed
+            # extensions, in as many rounds as the deepest run needs.
+            t_query = t_pair // nsl
+            t_qoff = qstarts[t_query]
+            t_soff = starts[t_pair - t_query * nsl + lo]
+            qpos_c = t_qoff + tq
+            spos_c = t_soff + ts
             diag = tq - ts
-            n_t = len(tq)
             newg = np.empty(n_t, dtype=bool)
             newg[0] = True
-            newg[1:] = (t_subj[1:] != t_subj[:-1]) | (diag[1:] != diag[:-1])
+            newg[1:] = (t_pair[1:] != t_pair[:-1]) | (diag[1:] != diag[:-1])
             gid = np.cumsum(newg) - 1
             grp_start = np.flatnonzero(newg)
             grp_end = np.append(grp_start[1:], n_t)
             bigs = int(lens[lo:hi].max()) + 2
             gkey = gid * bigs + ts
-            uqs = np.empty(n_t, np.int64)
-            uqe = np.empty(n_t, np.int64)
-            uss = np.empty(n_t, np.int64)
-            use = np.empty(n_t, np.int64)
-            usc = np.empty(n_t, np.int64)
-            executed = np.zeros(n_t, dtype=bool)
+            # columns: qstart, qend, sstart, send (joined coordinates)
+            ext = np.empty((4, n_t), np.int64)
+            usc = np.zeros(n_t, np.int64)
             heads = grp_start
             while heads.size:
                 r = ungapped_extend_batch(
-                    qcodes, concat, tq[heads], spos_c[heads], w,
+                    qcat, concat, qpos_c[heads], spos_c[heads], w,
                     self.matrix_ext, p.x_drop_ungapped,
                 )
-                executed[heads] = True
-                uqs[heads], uqe[heads] = r[0], r[1]
-                uss[heads], use[heads] = r[2], r[3]
+                ext[:, heads] = r[:4]
                 usc[heads] = r[4]
                 if stats is not None:
                     stats.ungapped_extensions += heads.size
-                # Advance each group past triggers covered by this
+                # Advance each run past triggers covered by this
                 # extension (subject pos <= send, the scalar skip rule).
-                send_local = r[3] - starts[t_subj[heads]]
-                targets = gid[heads] * bigs + send_local
+                targets = gid[heads] * bigs + (r[3] - t_soff[heads])
                 nxt = np.searchsorted(gkey, targets, side="right")
-                ok = nxt < grp_end[gid[heads]]
-                heads = nxt[ok]
-            survivor = executed & (usc > 0) & (usc >= min_keep)
-            bounds = np.concatenate(
-                ([0], np.cumsum(np.bincount(t_subj - lo, minlength=hi - lo)))
-            )
-            slab_subjects: list[tuple[int, np.ndarray, list[UngappedHit]]] = []
-            for si in np.unique(t_subj[survivor]).tolist():
-                a = int(bounds[si - lo])
-                b = int(bounds[si - lo + 1])
-                sel = np.flatnonzero(survivor[a:b]) + a
-                if sel.size == 0:
-                    continue
-                off = int(starts[si])
-                scodes = concat[off : off + int(lens[si])]
-                hits = [
-                    UngappedHit(
-                        int(uqs[k]), int(uqe[k]),
-                        int(uss[k]) - off, int(use[k]) - off,
-                        int(usc[k]),
+                heads = nxt[nxt < grp_end[gid[heads]]]
+            # A trigger that never extended keeps score 0 and drops out
+            # with the non-positive scores.
+            sel = np.flatnonzero((usc > 0) & (usc >= min_keep[t_query]))
+            pairs: list[_GapState] = []
+            if sel.size:
+                ext = ext[:, sel]
+                ext[:2] -= t_qoff[sel]
+                ext[2:] -= t_soff[sel]
+                rows = list(zip(*ext.tolist(), usc[sel].tolist()))
+                pair = t_pair[sel]
+                edges = np.flatnonzero(pair[1:] != pair[:-1]) + 1
+                bounds = [0, *edges.tolist(), sel.size]
+                for a, b in zip(bounds, bounds[1:]):
+                    qi, si = divmod(int(pair[a]), nsl)
+                    si += lo
+                    off = int(starts[si])
+                    scodes = concat[off : off + int(lens[si])]
+                    pairs.append(
+                        _GapState(
+                            qi, si, wave.qcodes[qi], scodes, scodes.tobytes(),
+                            [UngappedHit(*row) for row in rows[a:b]],
+                        )
                     )
-                    for k in sel.tolist()
-                ]
-                slab_subjects.append((si, scodes, hits))
             t2 = time.perf_counter()
             stg["ungapped"] = stg.get("ungapped", 0.0) + t2 - t1
             if p.gapped and p.gapped_batch:
-                hsp_map = self._gapped_stage_batch(qcodes, slab_subjects, stats)
+                self._gapped_stage_batch(pairs, memos, stats)
             else:
-                hsp_map = {
-                    si: self._gapped_stage(qcodes, scodes, hits, si, stats)
-                    for si, scodes, hits in slab_subjects
-                }
+                for st in pairs:
+                    self._gapped_memo = memos[st.qi]
+                    st.gapped = self._gapped_stage(
+                        st.qcodes, st.scodes, st.hits, st.si, stats
+                    )
             t3 = time.perf_counter()
             stg["gapped"] = stg.get("gapped", 0.0) + t3 - t2
-            for si, scodes, _hits in slab_subjects:
-                hsps = cull_contained(hsp_map[si])
-                for h in hsps:
+            for st in pairs:
+                space, filter_space, min_raw, _ = cut[st.qi]
+                for h in cull_contained(st.gapped):
                     if h.score < min_raw:
                         continue
                     al = self._render(
-                        query_index, qcodes, scodes, h,
-                        fragment.get_defline(si), base_oid + si, space,
+                        st.qi, st.qcodes, st.scodes, h,
+                        fragment.get_defline(st.si), base_oid + st.si, space,
                     )
                     if (
                         self.stats_params.evalue(h.score, filter_space)
                         <= p.expect
                     ):
-                        alignments.append(al)
+                        out[st.qi].append(al)
             stg["render"] = stg.get("render", 0.0) + time.perf_counter() - t3
+        for als in out:
+            als.sort(key=Alignment.sort_key)
         if stats is not None:
-            stats.subjects += nsub
-            stats.letters_scanned += sstats.positions_scanned
-            stats.word_hits += sstats.word_hits
-            stats.triggers += sstats.triggers
-            stats.alignments += len(alignments)
-        alignments.sort(key=Alignment.sort_key)
-        return alignments
+            stats.subjects += nq * fragment.num_sequences
+            stats.letters_scanned += nq * int(lens.sum())
+            stats.word_hits += word_hits
+            stats.triggers += triggers
+            stats.alignments += sum(len(als) for als in out)
+        return out
 
     # ------------------------------------------------------------------
     def _min_keep(self, min_raw: int) -> int:
@@ -858,39 +913,40 @@ class BlastSearch:
     # ------------------------------------------------------------------
     def _gapped_stage_batch(
         self,
-        q: np.ndarray,
-        subjects: list[tuple[int, np.ndarray, list[UngappedHit]]],
+        pending: list[_GapState],
+        memos: list[dict],
         stats: SearchStats | None,
-    ) -> dict[int, list[HSP]]:
-        """Round-based batched gapped stage over many subjects at once.
+    ) -> None:
+        """Round-based batched gapped stage over many pairs at once.
 
-        Bit-identical to calling :meth:`_gapped_stage` per subject: each
-        subject's seeds are still consumed best-first and its inside-
-        check sees exactly the gapped HSPs its own earlier seeds
-        produced, because a subject submits at most one DP per round and
-        blocks until the result lands.  Across subjects the rounds run
-        in lockstep through :func:`extend_gapped_batch`; seeds never
-        depend on *other* subjects' results, so cross-subject ordering
-        cannot change which DPs execute.  Within a round, duplicate
-        (subject sequence, anchor) keys share one DP slot and the
-        non-first submitters count as ``gapped_dedup`` — the same split
-        the scalar memo produces, keeping SearchStats path-independent.
+        Leaves each pair's HSPs in its ``gapped`` list, bit-identical to
+        calling :meth:`_gapped_stage` per (query, subject) pair: a
+        pair's seeds are still consumed best-first and its inside-check
+        sees exactly the gapped HSPs its own earlier seeds produced,
+        because a pair submits at most one DP per round and blocks until
+        the result lands.  Across pairs — other subjects, other queries
+        of the wave — the rounds run in lockstep through one
+        :func:`extend_gapped_batch` cohort; seeds never depend on
+        *other* pairs' results, so cross-pair ordering cannot change
+        which DPs execute.  ``memos[qi]`` is query ``qi``'s memo for the
+        whole call.  Within a round, duplicate (query, subject sequence,
+        anchor) keys share one DP slot and the non-first submitters
+        count as ``gapped_dedup`` — the same split the scalar memo
+        produces, keeping SearchStats path-independent.
         """
         p = self.params
-        memo = self._gapped_memo
-        results: dict[int, list[HSP]] = {}
-        pending: list[_GapState] = []
-        for si, scodes, hits in subjects:
-            hits.sort(key=lambda h: (-h.score, h.qstart, h.sstart))
-            pending.append(_GapState(si, scodes, scodes.tobytes(), hits))
+        for st in pending:
+            st.hits.sort(key=lambda h: (-h.score, h.qstart, h.sstart))
         while pending:
             waiting: list[_GapState] = []
             round_map: dict[tuple, int] = {}
+            bqs: list[np.ndarray] = []
             bsubs: list[np.ndarray] = []
             baq: list[int] = []
             bas: list[int] = []
             bkeys: list[tuple] = []
             for st in pending:
+                memo = memos[st.qi]
                 queued = False
                 while st.ptr < len(st.hits):
                     h = st.hits[st.ptr]
@@ -917,14 +973,15 @@ class BlastSearch:
                             stats.gapped_dedup += 1
                         st.gapped.append(hsp_from_extension(st.si, ext))
                         continue
-                    slot = round_map.get(key)
+                    slot = round_map.get((st.qi, *key))
                     if slot is None:
                         slot = len(bsubs)
-                        round_map[key] = slot
+                        round_map[(st.qi, *key)] = slot
+                        bqs.append(st.qcodes)
                         bsubs.append(st.scodes)
                         baq.append(anchor_q)
                         bas.append(anchor_s)
-                        bkeys.append(key)
+                        bkeys.append((memo, key))
                     elif stats is not None:
                         stats.gapped_dedup += 1
                     st.slot = slot
@@ -933,17 +990,15 @@ class BlastSearch:
                 if queued:
                     waiting.append(st)
                 else:
-                    results[st.si] = self._finish_gapped(
-                        st.si, st.gapped, st.leftovers
-                    )
+                    self._finish_gapped(st.si, st.gapped, st.leftovers)
             if bsubs:
                 bst = GappedBatchStats()
                 exts = extend_gapped_batch(
-                    q, bsubs, baq, bas, self.matrix,
+                    bqs, bsubs, baq, bas, self.matrix,
                     p.gap_open, p.gap_extend, p.x_drop_gapped,
                     band=p.band, stats=bst,
                 )
-                for key, ext in zip(bkeys, exts):
+                for (memo, key), ext in zip(bkeys, exts):
                     memo[key] = ext
                 if stats is not None:
                     stats.gapped_extensions += len(bsubs)
@@ -955,7 +1010,6 @@ class BlastSearch:
                 for st in waiting:
                     st.gapped.append(hsp_from_extension(st.si, exts[st.slot]))
             pending = waiting
-        return results
 
     # ------------------------------------------------------------------
     def _render(

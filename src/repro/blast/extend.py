@@ -122,7 +122,8 @@ def _advance_batch(
 
     ``score_at(rows, offs)`` returns the substitution score of each
     trigger in ``rows`` at step offset ``offs`` (0-based), with
-    out-of-range steps already mapped to a large negative barrier.
+    out-of-range steps already mapped to a large negative barrier;
+    ``offs`` is scratch it may overwrite.
     Updates ``cur`` (running score), ``best`` (best prefix score) and
     ``best_off`` (steps to the best prefix; 0 = empty extension) exactly
     as the scalar loop in :func:`ungapped_extend` would: the running
@@ -138,24 +139,27 @@ def _advance_batch(
         # Chunk size never affects the result (the break scan happens
         # within each chunk and running state carries over exactly), so
         # grow it geometrically: most extensions die in the first small
-        # chunk, and the few long survivors get wide chunks.
+        # chunk, and the few long survivors get wide chunks.  The
+        # (rows x chunk) arrays are reused in place where they can be:
+        # a wave's first round puts thousands of rows through here.
         steps = np.arange(chunk, dtype=np.int64)
-        offs = done[active][:, None] + steps[None, :]
-        sc = score_at(active, offs)
-        csum = cur[active][:, None] + np.cumsum(sc, axis=1)
-        pb = np.maximum(
-            np.maximum.accumulate(csum, axis=1), best[active][:, None]
-        )
+        csum = score_at(active, done[active][:, None] + steps[None, :])
+        np.cumsum(csum, axis=1, out=csum)
+        csum += cur[active][:, None]
+        prev_best = best[active]
+        pb = np.maximum.accumulate(csum, axis=1)
+        np.maximum(pb, prev_best[:, None], out=pb)
         brk = csum <= pb - x_drop
         has_brk = brk.any(axis=1)
         stop = np.where(has_brk, brk.argmax(axis=1), chunk - 1)
-        # Strict improvements are exactly where the running best moves.
-        pb_prev = np.concatenate(
-            (best[active][:, None], pb[:, :-1]), axis=1
-        )
-        improve = (csum > pb_prev) & (steps[None, :] <= stop[:, None])
-        lastk = np.where(improve, steps[None, :], -1).max(axis=1)
-        has_imp = lastk >= 0
+        # Strict improvements are exactly where the running best moves;
+        # the last one at or before the stop is the new extent.
+        improve = brk  # reuse the buffer
+        improve[:, 0] = csum[:, 0] > prev_best
+        np.greater(csum[:, 1:], pb[:, :-1], out=improve[:, 1:])
+        improve &= steps[None, :] <= stop[:, None]
+        has_imp = improve.any(axis=1)
+        lastk = chunk - 1 - improve[:, ::-1].argmax(axis=1)
         rs = rowsel[: active.size]
         best[active] = pb[rs, stop]
         best_off[active] = np.where(
@@ -206,12 +210,13 @@ def ungapped_extend_batch(
 
     def right_scores(rows: np.ndarray, offs: np.ndarray) -> np.ndarray:
         qi = qe0[rows][:, None] + offs
-        sj = se0[rows][:, None] + offs
-        ok = (qi < nq) & (sj < ns)
-        sc = mat[
-            q[np.minimum(qi, nq - 1)], s[np.minimum(sj, ns - 1)]
-        ]
-        return np.where(ok, sc, barrier)
+        offs += se0[rows][:, None]  # sj, in the caller's scratch
+        out_of_range = (qi >= nq) | (offs >= ns)
+        np.minimum(qi, nq - 1, out=qi)
+        np.minimum(offs, ns - 1, out=offs)
+        sc = mat[q[qi], s[offs]]
+        sc[out_of_range] = barrier
+        return sc
 
     cur = seed.copy()
     best = seed.copy()
@@ -221,10 +226,13 @@ def ungapped_extend_batch(
     # Left extension, seeded with the right-extension best.
     def left_scores(rows: np.ndarray, offs: np.ndarray) -> np.ndarray:
         qi = qp[rows][:, None] - 1 - offs
-        sj = sp[rows][:, None] - 1 - offs
-        ok = (qi >= 0) & (sj >= 0)
-        sc = mat[q[np.maximum(qi, 0)], s[np.maximum(sj, 0)]]
-        return np.where(ok, sc, barrier)
+        np.subtract(sp[rows][:, None] - 1, offs, out=offs)  # sj
+        out_of_range = (qi < 0) | (offs < 0)
+        np.maximum(qi, 0, out=qi)
+        np.maximum(offs, 0, out=offs)
+        sc = mat[q[qi], s[offs]]
+        sc[out_of_range] = barrier
+        return sc
 
     cur2 = best.copy()
     best2 = best.copy()
@@ -629,20 +637,49 @@ def _run_band_cohort(
     ghost0 = (Hh[0, :, 0] > _NEG32) | (Hh[0, :, W - 1] > _NEG32)
     active &= ~ghost0
 
+    def regrow(old: np.ndarray, keep, rows: int) -> np.ndarray:
+        """Copy of ``old`` with ``rows`` rows and only ``keep``'s slots."""
+        if keep is None:
+            g = np.empty((rows,) + old.shape[1:], dtype=np.int32)
+            g[: len(old)] = old
+        else:
+            g = np.empty((rows, len(keep), W), dtype=np.int32)
+            # mode="clip": the default buffers the whole output
+            np.take(old, keep, axis=1, out=g[: len(old)], mode="clip")
+        return g
+
     xd32 = np.int32(x_drop)
+    n_live = int(active.sum())
     r = 1
-    while active.any():
+    while n_live:
         L = len(orig)
+        # Release retired slots' history once fewer than
+        # _COMPACT_FRACTION are live — and always when the history must
+        # grow, since that copies it anyway.  It doubles, but never past
+        # the last row a live slot can reach.
+        compact = n_live < (_COMPACT_FRACTION * L if r < cap else L)
+        if compact or r >= cap:
+            keep = np.flatnonzero(active) if compact else None
+            if r >= cap:
+                cap = min(cap * 2, int(nq[active].max()) + 1)
+            # Last row's views would keep the old histories alive; one
+            # history at a time, so one old copy at most sits next to
+            # the new ones.
+            H = E = F = Hp = Fp = None
+            Hh = regrow(Hh, keep, cap)
+            Eh = regrow(Eh, keep, cap)
+            Fh = regrow(Fh, keep, cap)
+        if compact:
+            orig, nq, ns, qoff, qlast = (
+                orig[keep], nq[keep], ns[keep], qoff[keep], qlast[keep]
+            )
+            best, best_i, best_j = best[keep], best_i[keep], best_j[keep]
+            hi_d = hi_d[keep]
+            sidx = np.ascontiguousarray(sidx[keep])
+            L = n_live
+            active = np.ones(L, dtype=bool)
+            D, T, SC, MI, SS, MB, RB = alloc_scratch(L)
         bstats.peak_cells = max(bstats.peak_cells, 3 * L * cap * W)
-        if r >= cap:
-            newcap = cap * 2
-            grown = []
-            for old in (Hh, Eh, Fh):
-                g = np.empty((newcap, L, W), dtype=np.int32)
-                g[:cap] = old
-                grown.append(g)
-            Hh, Eh, Fh = grown
-            cap = newcap
         if r > 1:
             sidx += 1
             hi_d -= 1
@@ -715,21 +752,6 @@ def _run_band_cohort(
             finish(np.flatnonzero(done))
             active &= ~(ghost | done)
             n_live = int(active.sum())
-            if n_live and n_live < _COMPACT_FRACTION * L:
-                keep = np.flatnonzero(active)
-                orig, nq, ns, qoff, qlast = (
-                    orig[keep], nq[keep], ns[keep], qoff[keep], qlast[keep]
-                )
-                best, best_i, best_j = (
-                    best[keep], best_i[keep], best_j[keep]
-                )
-                hi_d = hi_d[keep]
-                sidx = np.ascontiguousarray(sidx[keep])
-                Hh = np.ascontiguousarray(Hh[:, keep, :])
-                Eh = np.ascontiguousarray(Eh[:, keep, :])
-                Fh = np.ascontiguousarray(Fh[:, keep, :])
-                active = np.ones(len(keep), dtype=bool)
-                D, T, SC, MI, SS, MB, RB = alloc_scratch(len(keep))
         r += 1
     return out
 
@@ -798,7 +820,7 @@ def _extend_half_batch(
 
 
 def extend_gapped_batch(
-    q: np.ndarray,
+    q: np.ndarray | list[np.ndarray],
     subjects: list[np.ndarray],
     anchors_q,
     anchors_s,
@@ -813,8 +835,10 @@ def extend_gapped_batch(
 ) -> list[GappedExtension]:
     """Vectorized :func:`extend_gapped` over many (subject, seed) pairs.
 
-    Element ``k`` equals
-    ``extend_gapped(q, subjects[k], anchors_q[k], anchors_s[k], ...)``
+    ``q`` is one query shared by every problem, or a list with one
+    query per problem (a wave's problems ride in one cohort).  Element
+    ``k`` equals
+    ``extend_gapped(q[k], subjects[k], anchors_q[k], anchors_s[k], ...)``
     bit for bit: same spans, same score, same ops string.  Each
     extension is two banded half-extensions (forward and backward from
     the anchor) evaluated in one lockstep wavefront batch; band-edge
@@ -822,35 +846,36 @@ def extend_gapped_batch(
     the band is a pure performance knob, never a correctness one.
     """
     n = len(subjects)
-    if not (len(anchors_q) == len(anchors_s) == n):
-        raise ValueError("subjects and anchors must have equal length")
+    qs = [q] * n if isinstance(q, np.ndarray) else q
+    if not (len(qs) == len(anchors_q) == len(anchors_s) == n):
+        raise ValueError(
+            "queries, subjects and anchors must have equal length"
+        )
     if stats is None:
         stats = GappedBatchStats()
+    anchors = [
+        (int(aq), int(asub)) for aq, asub in zip(anchors_q, anchors_s)
+    ]
     halves: list[tuple[np.ndarray, np.ndarray]] = []
-    for k in range(n):
-        s = subjects[k]
-        aq, asub = int(anchors_q[k]), int(anchors_s[k])
-        if not (0 <= aq < len(q) and 0 <= asub < len(s)):
+    for qk, s, (aq, asub) in zip(qs, subjects, anchors):
+        if not (0 <= aq < len(qk) and 0 <= asub < len(s)):
             raise ValueError("anchor out of range")
-        halves.append((q[aq + 1 :], s[asub + 1 :]))
-        halves.append((q[:aq][::-1], s[:asub][::-1]))
+        halves.append((qk[aq + 1 :], s[asub + 1 :]))
+        halves.append((qk[:aq][::-1], s[:asub][::-1]))
     res = _extend_half_batch(
         halves, matrix, int(gap_open), int(gap_extend), int(x_drop),
         int(band), int(max_batch), stats,
     )
     out: list[GappedExtension] = []
-    for k in range(n):
-        s = subjects[k]
-        aq, asub = int(anchors_q[k]), int(anchors_s[k])
+    for k, (qk, s, (aq, asub)) in enumerate(zip(qs, subjects, anchors)):
         fwd, bwd = res[2 * k], res[2 * k + 1]
-        anchor_score = int(matrix[q[aq], s[asub]])
         out.append(
             GappedExtension(
                 qstart=aq - bwd.qlen,
                 qend=aq + 1 + fwd.qlen,
                 sstart=asub - bwd.slen,
                 send=asub + 1 + fwd.slen,
-                score=anchor_score + fwd.score + bwd.score,
+                score=int(matrix[qk[aq], s[asub]]) + fwd.score + bwd.score,
                 ops=bwd.ops[::-1] + "M" + fwd.ops,
             )
         )

@@ -200,6 +200,11 @@ def _karlin_k(probs: np.ndarray, low: int, lam: float, h: float,
     return float(k)
 
 
+#: ``karlin_params`` results by (matrix, composition): every engine of a
+#: run asks for the same one or two, and the K series is the slow part.
+_PARAMS_MEMO: dict[tuple, KarlinParams] = {}
+
+
 def karlin_params(
     matrix: np.ndarray,
     freqs: np.ndarray | None = None,
@@ -218,11 +223,19 @@ def karlin_params(
     if f.shape != (nstd,):
         raise KarlinError(f"frequencies must have shape ({nstd},)")
     f = f / f.sum()
-    probs, low = score_distribution(matrix, f, nstd)
-    lam = _solve_lambda(probs, low)
-    h = _entropy_h(probs, low, lam)
-    k = _karlin_k(probs, low, lam, h)
-    return KarlinParams(lam=lam, K=k, H=h, gapped=False)
+    matrix = np.asarray(matrix)
+    key = (matrix.shape, matrix.dtype.str, matrix.tobytes(), f.tobytes())
+    params = _PARAMS_MEMO.get(key)
+    if params is None:
+        probs, low = score_distribution(matrix, f, nstd)
+        lam = _solve_lambda(probs, low)
+        h = _entropy_h(probs, low, lam)
+        k = _karlin_k(probs, low, lam, h)
+        params = KarlinParams(lam=lam, K=k, H=h, gapped=False)
+        if len(_PARAMS_MEMO) >= 64:
+            _PARAMS_MEMO.clear()
+        _PARAMS_MEMO[key] = params
+    return params
 
 
 #: Empirically determined gapped parameters, as NCBI tabulates them:

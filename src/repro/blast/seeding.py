@@ -76,7 +76,6 @@ class WordIndex:
 
     def _build(self, q: np.ndarray, m: np.ndarray, exact_only: bool) -> None:
         w, nstd = self.word_size, self.nstd
-        nwords = nstd**w
         npos = len(q) - w + 1
         if npos > 0 and not exact_only and w == 3:
             # Fully vectorized neighbourhood for the blastp case: the
@@ -100,45 +99,33 @@ class WordIndex:
                     + c[:, None, None, :]
                 )
                 hit_pos, ha, hb, hc = np.nonzero(scores >= self.threshold)
-                codes_arr = ha * (nstd * nstd) + hb * nstd + hc
-                positions_arr = pos_ok[hit_pos]
-                # CSR directly from the flat (code, position) pairs.
-                order = np.argsort(codes_arr, kind="stable")
-                codes_sorted = codes_arr[order]
-                self._positions_sorted = positions_arr[order].astype(np.int64)
-                counts = np.bincount(codes_sorted, minlength=nwords)
-                self.indptr = np.concatenate(
-                    ([0], np.cumsum(counts))
-                ).astype(np.int64)
-                self.data = self._positions_sorted
-                self.num_words = nwords
-                self._dense = True
+                self._set_csr(
+                    ha * (nstd * nstd) + hb * nstd + hc, pos_ok[hit_pos]
+                )
                 return
         if npos > 0 and (exact_only or w != 3):
             # Exact words (blastn, or exact_only protein mode): the same
             # rolling-code scheme :meth:`subject_codes` uses, so the
             # build is one vectorized pass instead of a per-position
             # Python loop with a per-residue inner loop.
-            q64 = q.astype(np.int64)
-            codes = np.zeros(npos, dtype=np.int64)
-            valid = np.ones(npos, dtype=bool)
-            for k in range(w):
-                part = q64[k : k + npos]
-                codes = codes * nstd + part
-                valid &= part < nstd
-            positions = np.nonzero(valid)[0].astype(np.int64)
-            codes = codes[valid]
+            positions, codes = rolling_codes(q, w, nstd)
         else:
             positions = np.empty(0, dtype=np.int64)
             codes = np.empty(0, dtype=np.int64)
+        self._set_csr(codes, positions)
 
+    def _set_csr(self, codes: np.ndarray, positions: np.ndarray) -> None:
+        """Lay ``(code, position)`` entries out for :meth:`find_hits`.
+
+        ``positions`` must be ascending within each code once stably
+        sorted by code (true of every builder here), so the per-code
+        slices of ``data`` come out position-ascending.
+        """
+        nwords = self.nstd**self.word_size
         self.num_words = nwords
         self._dense = nwords <= 1 << 16
-        # Positions are already in increasing order, so a stable sort
-        # by code yields lookup data with per-code positions ascending —
-        # same layout the blastp branch builds.
         order = np.argsort(codes, kind="stable")
-        self.data = positions[order]
+        self.data = positions[order].astype(np.int64, copy=False)
         if self._dense:
             counts = np.bincount(codes, minlength=nwords)
             self.indptr = np.concatenate(([0], np.cumsum(counts))).astype(
@@ -160,6 +147,42 @@ class WordIndex:
             # position replaces a binary search over the whole scan.
             self._member = np.zeros(nwords, dtype=bool)
             self._member[uniq] = True
+
+    def _entry_codes(self) -> np.ndarray:
+        """Word code of each ``data`` entry (the CSR, unrolled)."""
+        if self._dense:
+            return np.repeat(
+                np.arange(self.num_words, dtype=np.int64),
+                np.diff(self.indptr),
+            )
+        return np.repeat(self._uniq, np.diff(self._ubounds))
+
+    @classmethod
+    def merged(
+        cls, indexes: list["WordIndex"], offsets: np.ndarray
+    ) -> "WordIndex":
+        """Joint index over several queries laid out in one array.
+
+        ``offsets[k]`` is where query ``k`` starts in the joined array;
+        the result's :meth:`find_hits` reports joined query positions.
+        Built by merging the per-query CSR arrays — the neighbourhood
+        expansion each index already paid for is not repeated.
+        """
+        first = indexes[0]
+        joint = cls.__new__(cls)
+        joint.word_size = first.word_size
+        joint.threshold = first.threshold
+        joint.nstd = first.nstd
+        joint.query_length = sum(ix.query_length for ix in indexes)
+        # Query-major concatenation keeps positions ascending per code
+        # under the stable sort: offsets increase with k.
+        joint._set_csr(
+            np.concatenate([ix._entry_codes() for ix in indexes]),
+            np.concatenate(
+                [ix.data + int(off) for ix, off in zip(indexes, offsets)]
+            ),
+        )
+        return joint
 
     @property
     def total_entries(self) -> int:
@@ -218,9 +241,12 @@ class WordIndex:
         if total == 0:
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
         spos = np.repeat(pos, counts)
+        # Entry k of a position's CSR slice sits at starts + k; with
+        # ``cum`` the hits before the position, k = hit number - cum.
         cum = np.cumsum(counts) - counts
-        offsets = np.arange(total, dtype=np.int64) - np.repeat(cum, counts)
-        qpos = self.data[np.repeat(starts, counts) + offsets]
+        idx = np.repeat(starts - cum, counts)
+        idx += np.arange(total, dtype=np.int64)
+        qpos = self.data[idx]
         if stats is not None:
             stats.word_hits += len(spos)
         return spos, qpos
@@ -281,7 +307,7 @@ def one_hit_triggers(
 
 
 def batch_triggers(
-    subj: np.ndarray,
+    group: np.ndarray,
     spos: np.ndarray,
     qpos: np.ndarray,
     *,
@@ -289,26 +315,27 @@ def batch_triggers(
     word_size: int,
     two_hit: bool,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Segment-aware triggers over hits spanning many subjects at once.
+    """Segment-aware triggers over hits spanning many sequences at once.
 
-    ``subj`` gives the subject record of each hit and ``spos`` is the
-    hit's *subject-local* position.  The two-hit window never pairs hits
-    from different subjects (the subject id is folded into the sort key),
-    so the result decomposes exactly into per-subject
-    :func:`two_hit_triggers` calls.  Returns ``(subj, qpos, spos)``
-    trigger arrays grouped by subject in increasing order, each group
-    internally ordered by (diagonal, subject position) — the order the
-    scalar kernel visits them in.
+    ``group`` identifies the (query, subject) pair each hit belongs to —
+    the caller folds both ids into one integer — and ``spos`` / ``qpos``
+    are the hit's *sequence-local* positions.  The two-hit window never
+    pairs hits from different groups (the group id is folded into the
+    sort key), so the result decomposes exactly into per-pair
+    :func:`two_hit_triggers` calls.  Returns ``(group, qpos, spos)``
+    trigger arrays in increasing group order, each group internally
+    ordered by (diagonal, subject position) — the order the scalar
+    kernel visits them in.
 
-    Falls back to a per-subject loop if the folded key would overflow
+    Falls back to a per-group loop if the folded key would overflow
     ``int64`` (gigantic subjects; never the synthetic workloads).
     """
     if len(spos) == 0:
         return _EMPTY, _EMPTY, _EMPTY
     if not two_hit:
-        order = np.lexsort((spos, qpos - spos, subj))
+        order = np.lexsort((spos, qpos - spos, group))
         return (
-            subj[order].astype(np.int64, copy=False),
+            group[order].astype(np.int64, copy=False),
             qpos[order].astype(np.int64, copy=False),
             spos[order].astype(np.int64, copy=False),
         )
@@ -316,37 +343,39 @@ def batch_triggers(
     d0 = int(diag.min())
     drange = int(diag.max()) - d0 + 1
     big = int(spos.max()) + int(window) + 2
-    nsub = int(subj.max()) + 1
-    if float(nsub) * float(drange) * float(big) >= float(1 << 62):
-        # Unfoldable without overflow: do it per subject (rare).
-        out_s, out_q, out_p = [], [], []
-        for si in np.unique(subj):
-            sel = subj == si
+    ngroups = int(group.max()) + 1
+    if float(ngroups) * float(drange) * float(big) >= float(1 << 62):
+        # Unfoldable without overflow: do it per group (rare).
+        out_g, out_q, out_p = [], [], []
+        for g in np.unique(group):
+            sel = group == g
             q, s = two_hit_triggers(
                 spos[sel], qpos[sel], window=window, word_size=word_size
             )
-            out_s.append(np.full(len(q), si, dtype=np.int64))
+            out_g.append(np.full(len(q), g, dtype=np.int64))
             out_q.append(q)
             out_p.append(s)
         return (
-            np.concatenate(out_s) if out_s else _EMPTY,
-            np.concatenate(out_q) if out_q else _EMPTY,
-            np.concatenate(out_p) if out_p else _EMPTY,
+            np.concatenate(out_g),
+            np.concatenate(out_q),
+            np.concatenate(out_p),
         )
-    # key = ((subj, diagonal), spos): within one (subj, diagonal) block
-    # keys differ only in spos, and blocks are spaced by ``big`` > any
-    # in-window distance, so the searchsorted window test below can
+    # key = ((group, diagonal), spos): within one (group, diagonal)
+    # block keys differ only in spos, and blocks are spaced by ``big`` >
+    # any in-window distance, so the searchsorted window test below can
     # never cross a block boundary — same construction as the
-    # single-subject key, with the subject folded in.
-    group = subj.astype(np.int64) * drange + (diag - d0)
-    key = group * big + spos
+    # single-subject key, with the group folded in.  Built in place:
+    # the hit arrays are the kernel's largest transients.
+    key = diag
+    key -= d0
+    key += group.astype(np.int64, copy=False) * drange
+    key *= big
+    key += spos
     key.sort()
     lo = np.searchsorted(key, key - window, side="left")
     hi = np.searchsorted(key, key - word_size, side="right")
-    mask = lo < hi
-    trig = key[mask]
+    trig = key[lo < hi]
     g = trig // big
     s = trig - g * big
     d = g % drange + d0
-    t_subj = g // drange
-    return t_subj, d + s, s
+    return g // drange, d + s, s

@@ -82,6 +82,56 @@ class TestAlphabetForProgram:
             alphabet_for_program("tblastx")
 
 
+def loop_encode(alphabet, seq):
+    """The per-character reference ``Alphabet.encode`` must equal."""
+    table = {c: i for i, c in enumerate(alphabet.letters)}
+    return [table.get(ch, alphabet.wildcard_code) for ch in seq.upper()]
+
+
+class TestEncodeBranches:
+    @pytest.mark.parametrize("alphabet", [PROTEIN, DNA])
+    def test_every_letter_round_trips_in_both_cases(self, alphabet):
+        s = alphabet.letters
+        assert list(alphabet.encode(s)) == list(range(len(s)))
+        assert list(alphabet.encode(s.lower())) == list(range(len(s)))
+        assert alphabet.decode(alphabet.encode(s.lower())) == s
+        assert alphabet.decode(bytes(range(len(s)))) == s
+
+    def test_ascii_unknowns_map_to_wildcard(self):
+        codes = PROTEIN.encode("M-k 1J\n")
+        assert list(codes) == loop_encode(PROTEIN, "M-k 1J\n")
+        assert list(codes[[1, 3, 4, 5, 6]]) == [PROTEIN.wildcard_code] * 5
+
+    def test_ascii_result_is_a_fresh_writable_array(self):
+        codes = PROTEIN.encode("MKV")
+        codes[0] = 0
+        assert list(PROTEIN.encode("MKV")) == loop_encode(PROTEIN, "MKV")
+
+    def test_non_ascii_takes_the_length_after_upper(self):
+        # 'ß'.upper() == 'SS': two residues, not one wildcard
+        assert "ß".upper() == "SS"
+        assert list(PROTEIN.encode("aßk")) == list(PROTEIN.encode("ASSK"))
+
+    def test_non_ascii_unknown_maps_to_wildcard(self):
+        assert list(PROTEIN.encode("MéK")) == [
+            PROTEIN.encode("M")[0], PROTEIN.wildcard_code,
+            PROTEIN.encode("K")[0],
+        ]
+
+    def test_decode_other_dtypes_and_bad_codes(self):
+        assert PROTEIN.decode(np.array([0, 1, 2], dtype=np.int64)) == "ARN"
+        with pytest.raises(IndexError):
+            PROTEIN.decode(np.array([len(PROTEIN)], dtype=np.uint8))
+        with pytest.raises(IndexError):
+            PROTEIN.decode(np.array([len(PROTEIN)], dtype=np.int64))
+
+
+@given(st.text(max_size=60))
+def test_encode_equals_the_per_character_loop(s):
+    assert list(PROTEIN.encode(s)) == loop_encode(PROTEIN, s)
+    assert list(DNA.encode(s)) == loop_encode(DNA, s)
+
+
 @given(st.text(alphabet="ARNDCQEGHILKMFPSTWYVBZX*", max_size=200))
 def test_protein_round_trip_property(s):
     assert PROTEIN.decode(PROTEIN.encode(s)) == s.upper()

@@ -16,6 +16,7 @@ run against the fast paths only.
 """
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -238,6 +239,203 @@ class TestBatchedKernelIdentity:
             "triplicated subjects produced no memoized gapped hits"
         )
         assert scalar[1].gapped_dedup == batched[1].gapped_dedup
+
+
+# ----------------------------------------------------------------------
+# wave kernel: one pass per stage for all the call's queries
+# ----------------------------------------------------------------------
+
+
+def search_call(eng, queries, db, **kwargs):
+    """One ``search_fragment`` call; (per-query alignments, stats)."""
+    stats = SearchStats()
+    out = eng.search_fragment(
+        queries, db, db_letters=db.total_letters,
+        db_num_seqs=db.num_sequences, stats=stats, **kwargs,
+    )
+    return out, stats
+
+
+def assert_wave_identical(program, records, queries, **params):
+    """wave == concatenation of single-query calls == scalar path."""
+    BlastSearch._GLOBAL_INDEX_MEMO.clear()
+    eng = BlastSearch(SearchParams(program=program, **params))
+    db = ListDatabase(records, eng.alphabet)
+    # mpiBLAST workers filter against the fragment-local search space
+    local = dict(filter_db_letters=db.total_letters // 3,
+                 filter_db_num_seqs=max(1, db.num_sequences // 3))
+    wave, wave_stats = search_call(eng, queries, db, **local)
+    singles_stats = SearchStats()
+    for qi, q in enumerate(queries):
+        (single,), st1 = search_call(eng, [q], db, **local)
+        singles_stats.merge(st1)
+        assert wave[qi] == [replace(a, query_index=qi) for a in single], (
+            f"query {qi} differs from its single-query call"
+        )
+    assert wave_stats == singles_stats
+    scalar_eng = BlastSearch(
+        SearchParams(program=program, batch=False, **params)
+    )
+    scalar, scalar_stats = search_call(scalar_eng, queries, db, **local)
+    assert wave == scalar
+    assert wave_stats == scalar_stats
+    return wave, wave_stats
+
+
+class TestWaveIdentity:
+    @pytest.mark.parametrize("program, synth, mean_length, specials", [
+        ("blastp", synthesize_protein_records, 70,
+         [SeqRecord("shorter than a word", "MK"),
+          SeqRecord("all wildcards", "X" * 12)]),
+        ("blastn", synthesize_dna_records, 160,
+         [SeqRecord("shorter than a word", "ACGTACG"),
+          SeqRecord("all wildcards", "N" * 30)]),
+    ])
+    @given(seed=st.integers(0, 2**16), nq=st.integers(1, 16),
+           data=st.data())
+    @settings(max_examples=5, deadline=None)
+    def test_random_waves(self, program, synth, mean_length, specials,
+                          seed, nq, data):
+        recs = synth(
+            SynthSpec(num_sequences=24, mean_length=mean_length,
+                      family_fraction=0.5, family_size=4, seed=seed)
+        )
+        picks = data.draw(st.lists(
+            st.sampled_from(recs + specials), min_size=nq, max_size=nq,
+        ))
+        # the same query twice inside one wave
+        picks.append(picks[0])
+        assert_wave_identical(program, recs, picks)
+
+    def test_many_blocks(self, monkeypatch):
+        # A block budget of a few subjects: every query's state (gapped
+        # memo, append order) has to survive across the call's blocks.
+        recs = list(synthesize_protein_records(
+            SynthSpec(num_sequences=40, mean_length=90,
+                      family_fraction=0.6, family_size=5, seed=31)
+        ))
+        recs = recs + recs[:8]
+        queries = [recs[0], recs[5], recs[0], recs[17]]
+        monkeypatch.setattr(BlastSearch, "BLOCK_CELLS", 4 * 90 * 300)
+        _wave, stats = assert_wave_identical("blastp", recs, queries)
+        assert stats.gapped_dedup > 0
+
+    @pytest.mark.parametrize("batch", [True, False])
+    def test_empty_wave(self, batch):
+        eng = BlastSearch(SearchParams(batch=batch))
+        db = ListDatabase([SeqRecord("s", "MKVLAWYRND")], eng.alphabet)
+        out, stats = search_call(eng, [], db)
+        assert out == [] and stats == SearchStats()
+
+    def test_two_hit_pair_never_spans_two_queries(self):
+        # In the joined query array [#]A[#]B[#], A's last word (local
+        # 6, joined 7) against subject position 6 and B's first word
+        # (local 0, joined 11) against subject position 10 share joined
+        # diagonal 1 at subject distance 4 — inside the two-hit window.
+        # Neither query has a non-overlapping pair of its own.
+        a = SeqRecord("A", "AAAAAAWWW")
+        b = SeqRecord("B", "CCCAAAAAA")
+        subject = SeqRecord("S", "PPPPPPWWWPCCCPPPPPP")
+        wave, stats = assert_wave_identical("blastp", [subject], [a, b])
+        assert stats.word_hits > 0
+        assert stats.triggers == 0
+        assert wave == [[], []]
+
+    def test_extension_stops_at_the_query_sentinel(self):
+        # The subject is A, one letter, then B: in the joined array A
+        # and B sit on ONE diagonal against it, so an extension that
+        # ignored the sentinel would run from A straight into B.
+        recs = synthesize_protein_records(
+            SynthSpec(num_sequences=2, mean_length=60, seed=77)
+        )
+        a, b = recs[0], recs[1]
+        subject = SeqRecord("A-B", a.sequence + "G" + b.sequence)
+        wave, _stats = assert_wave_identical("blastp", [subject], [a, b])
+        (top_a,), (top_b,) = wave
+        assert (top_a.qstart, top_a.qend) == (0, len(a.sequence))
+        assert (top_b.qstart, top_b.qend) == (0, len(b.sequence))
+        assert top_a.send == len(a.sequence)
+        assert top_b.sstart == len(a.sequence) + 1
+
+
+class TestWaveBatching:
+    """The property itself: stages run per wave, not per query."""
+
+    @staticmethod
+    def _fixture():
+        recs = synthesize_protein_records(
+            SynthSpec(num_sequences=60, mean_length=120,
+                      family_fraction=0.6, family_size=5, seed=5)
+        )
+        eng = BlastSearch(SearchParams())
+        return eng, recs[:15], ListDatabase(recs[:20], eng.alphabet)
+
+    def test_rounds_take_the_max_over_queries_not_the_sum(self, monkeypatch):
+        import repro.blast.engine as engine_mod
+        import repro.blast.extend as extend_mod
+
+        calls = {"ungapped": 0, "cohort": 0}
+
+        def counting(mod, name, key):
+            fn = getattr(mod, name)
+
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(mod, name, wrapper)
+
+        counting(engine_mod, "ungapped_extend_batch", "ungapped")
+        counting(extend_mod, "_run_band_cohort", "cohort")
+        eng, queries, db = self._fixture()
+
+        def count(qs):
+            calls.update(ungapped=0, cohort=0)
+            search_call(eng, qs, db)
+            return calls["ungapped"], calls["cohort"]
+
+        singles = [count([q]) for q in queries]
+        ungapped, cohort = count(queries)
+        assert max(c for _u, c in singles) > 0, "fixture ran no gapped DP"
+        assert sum(u for u, _c in singles) > 3 * ungapped
+        assert ungapped <= max(u for u, _c in singles)
+        assert cohort <= max(c for _u, c in singles)
+
+    def test_block_budget_bounds_transient_memory(self, monkeypatch):
+        import tracemalloc
+
+        rng = np.random.default_rng(9)
+        letters = "ARNDCQEGHILKMFPSTWYV"
+
+        def random_record(name, n):
+            return SeqRecord(
+                name, "".join(letters[i] for i in rng.integers(0, 20, n))
+            )
+
+        subjects = [random_record(f"s{i}", 40) for i in range(2000)]
+        queries = [random_record(f"q{i}", 80) for i in range(64)]
+        # Nothing random is this significant: the reported alignments,
+        # which rightly grow with the wave, stay out of the measurement.
+        eng = BlastSearch(SearchParams(expect=1e-6))
+        db = ListDatabase(subjects, eng.alphabet)
+        # One 80-letter query x this fragment is exactly one block.
+        monkeypatch.setattr(
+            BlastSearch, "BLOCK_CELLS", 80 * db.total_letters
+        )
+
+        def peak(qs):
+            search_call(eng, qs, db)  # wave and indexes memoised
+            tracemalloc.start()
+            try:
+                base, _ = tracemalloc.get_traced_memory()
+                search_call(eng, qs, db)
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        one = peak(queries[:1])
+        wave = peak(queries)
+        assert wave <= 1.5 * one, (one, wave)
 
 
 class TestUngappedBatchProperty:

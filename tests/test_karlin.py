@@ -22,6 +22,33 @@ from repro.blast.karlin import (
 from repro.blast.matrices import blosum62, dna_matrix
 
 
+class TestParamsMemo:
+    def test_same_scoring_system_is_solved_once(self, monkeypatch):
+        from repro.blast import karlin
+
+        solves = []
+        real = karlin._karlin_k
+        monkeypatch.setattr(
+            karlin, "_karlin_k",
+            lambda *a: solves.append(1) or real(*a),
+        )
+        m = dna_matrix(2, -7)  # no other test uses this one
+        first = karlin_params(m, alphabet=DNA)
+        assert karlin_params(m.copy(), alphabet=DNA) is first
+        assert len(solves) == 1
+        # another composition or another matrix is another entry
+        skew = np.array([0.4, 0.1, 0.1, 0.4])
+        assert karlin_params(m, skew, alphabet=DNA) != first
+        assert karlin_params(dna_matrix(2, -6), alphabet=DNA) != first
+        assert len(solves) == 3
+
+    def test_errors_are_not_cached(self):
+        m = np.full((24, 24), -1, dtype=np.int64)
+        for _ in range(2):
+            with pytest.raises(KarlinError):
+                karlin_params(m)
+
+
 class TestPublishedValues:
     """Our computation must reproduce NCBI's published parameters."""
 
