@@ -10,6 +10,12 @@
 #                     kernel-bulk at a CI-sized 6 s with one traced rep;
 #                     that form exits 0 even when an output check fails,
 #                     so the result line is held to correct / failed == 0
+#   make bench-pairs PARENT=<checkout> W=<workload> SEEDS=101..110
+#                   - ten alternating parent/change runs of the
+#                     BENCHMARK.json command (tools/bench_pairs.py):
+#                     per-pair values, medians, quartiles, wins and
+#                     failures of every end-to-end metric — what a
+#                     performance claim is made from (~8 min a workload)
 #   make chaos      - tier 2: randomized fault-injection sweeps over fixed
 #                     seeds (slower; exercises FaultPlan.random + the
 #                     exhaustive kill-subset enumeration)
@@ -37,7 +43,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test bench-test bench-smoke chaos report bench-json perf-smoke service-smoke \
+.PHONY: test bench-test bench-smoke bench-pairs chaos report bench-json perf-smoke service-smoke \
 	hier-smoke hier-service-smoke
 
 test:
@@ -53,6 +59,12 @@ bench-smoke:
 		sys.exit(not (r['correct'] is True and r['failed'] == 0))" \
 		|| exit 1; \
 	done
+
+W ?= kernel-bulk
+SEEDS ?= 101..110
+bench-pairs:
+	$(PYTHON) tools/bench_pairs.py --parent $(PARENT) --workload $(W) \
+		--seeds $(SEEDS)
 
 chaos:
 	$(PYTHON) -m pytest -m chaos -q

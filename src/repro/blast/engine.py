@@ -53,9 +53,10 @@ from repro.blast.matrices import dna_matrix, get_matrix
 from repro.blast.seeding import (
     SeedStats,
     WordIndex,
-    batch_triggers,
     one_hit_triggers,
+    rolling_codes,
     two_hit_triggers,
+    wave_triggers,
 )
 
 
@@ -240,13 +241,16 @@ class _Wave:
 
     The same sentinel join the fragment's subjects get (so
     ``matrix_ext`` ends every extension at a query boundary) plus the
-    joint word index, whose hits are joined positions.  A pure function
-    of the query letters and the scoring config, memoised process-wide.
+    joint word index and, per index entry, which query it belongs to
+    and the offset inside that query.  A pure function of the query
+    letters and the scoring config, memoised process-wide.
     """
 
     qcodes: list[np.ndarray]
     joined: _Joined
     index: WordIndex
+    entry_qid: np.ndarray
+    entry_ql: np.ndarray
 
 
 @dataclass
@@ -380,11 +384,12 @@ class BlastSearch:
         if wave is None:
             qcodes = [self.alphabet.encode(q.sequence) for q in queries]
             joined = _join(qcodes, self.sentinel_code)
+            index = WordIndex.merged(
+                [self._index_for(c) for c in qcodes], joined.starts
+            )
+            qid = joined.seq_of[index.data].astype(np.int64)
             wave = _Wave(
-                qcodes, joined,
-                WordIndex.merged(
-                    [self._index_for(c) for c in qcodes], joined.starts
-                ),
+                qcodes, joined, index, qid, index.data - joined.starts[qid]
             )
             self._memo_put(key, wave)
         return wave
@@ -588,16 +593,17 @@ class BlastSearch:
 
         Bit-identical, per query, to :meth:`_search_one`.  Each stage
         runs once per (wave x subject slab) block: one lookup in the
-        wave's joint word index; two-hit detection with the (query,
-        subject) pair folded into the group key
-        (:func:`batch_triggers`), so no pair of hits spans two queries
-        or two subjects; one ungapped round loop over every (query,
-        subject, diagonal) run (:func:`ungapped_extend_batch` on the
-        two sentinel-joined arrays); survivors of the gap trigger go
-        through the banded lockstep gapped engine as one cohort per
-        round (:meth:`_gapped_stage_batch`, or the scalar stage per
-        pair when ``gapped_batch`` is off).  Per-stage host seconds
-        accumulate in :attr:`stage_times`.
+        wave's joint word index per scanned position and one sorted
+        key per hit with the (query, subject) pair folded in
+        (:func:`~repro.blast.seeding.wave_triggers`), so no pair of
+        hits spans two queries or two subjects; one ungapped round loop
+        over every (query, subject, diagonal) run
+        (:func:`ungapped_extend_batch` on the two sentinel-joined
+        arrays); survivors of the gap trigger go through the banded
+        lockstep gapped engine as one cohort per round
+        (:meth:`_gapped_stage_batch`, or the scalar stage per pair when
+        ``gapped_batch`` is off).  Per-stage host seconds accumulate in
+        :attr:`stage_times`.
         """
         p = self.params
         nq = len(wave.qcodes)
@@ -615,41 +621,37 @@ class BlastSearch:
         )
         concat, starts, lens = subjects.concat, subjects.starts, subjects.lens
         qcat, qstarts = wave.joined.concat, wave.joined.starts
+        max_qlen = int(wave.joined.lens.max())
         # One gapped memo per query, alive across the call's blocks.
         memos: list[dict] = [{} for _ in range(nq)]
         out: list[list[Alignment]] = [[] for _ in range(nq)]
         w = p.effective_word_size
-        two_hit = p.program == "blastp"
         word_hits = triggers = 0
         stg = self.stage_times
         for lo, hi in slabs:
             t0 = time.perf_counter()
             slab_off = int(starts[lo])
             slab_end = int(starts[hi - 1] + lens[hi - 1]) + 1  # + sentinel
-            cpos, qhit = wave.index.find_hits(concat[slab_off:slab_end])
-            word_hits += len(cpos)
-            if len(cpos) == 0:
-                stg["scan"] = stg.get("scan", 0.0) + time.perf_counter() - t0
-                continue
-            # Fold each hit's (query, subject) pair into one id and make
-            # both positions sequence-local — in place, the hit arrays
-            # are the block's largest transients.
-            cpos += slab_off
-            subj = subjects.seq_of[cpos]
-            cpos -= starts[subj]
-            qid = wave.joined.seq_of[qhit]
-            qhit -= qstarts[qid]
-            nsl = hi - lo
-            pair = qid.astype(np.int64)
-            pair *= nsl
-            pair += subj
-            pair -= lo
-            del subj, qid
-            t_pair, tq, ts = batch_triggers(
-                pair, cpos, qhit,
-                window=p.two_hit_window, word_size=w, two_hit=two_hit,
+            # Per scanned position: its slice of the joint index, its
+            # record and the offset inside it.  Per hit: wave_triggers.
+            spos, codes = rolling_codes(
+                concat[slab_off:slab_end], w, self.nstd
             )
-            del pair, cpos, qhit
+            keep, cstarts, counts = wave.index.lookup(codes)
+            spos = spos[keep]
+            spos += slab_off
+            subj = subjects.seq_of[spos]
+            spos -= starts[subj]
+            subj -= lo
+            nsl = hi - lo
+            max_slen = int(lens[lo:hi].max())
+            word_hits += int(counts.sum())
+            t_pair, tq, ts = wave_triggers(
+                subj, spos, cstarts, counts, wave.entry_qid, wave.entry_ql,
+                nq=nq, nsl=nsl, max_qlen=max_qlen, max_slen=max_slen,
+                window=p.two_hit_window, word_size=w,
+                two_hit=p.program == "blastp",
+            )
             n_t = len(tq)
             triggers += n_t
             t1 = time.perf_counter()
@@ -674,7 +676,7 @@ class BlastSearch:
             gid = np.cumsum(newg) - 1
             grp_start = np.flatnonzero(newg)
             grp_end = np.append(grp_start[1:], n_t)
-            bigs = int(lens[lo:hi].max()) + 2
+            bigs = max_slen + 2
             gkey = gid * bigs + ts
             # columns: qstart, qend, sstart, send (joined coordinates)
             ext = np.empty((4, n_t), np.int64)

@@ -36,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 NEG_INF = np.int64(-(1 << 40))
 
@@ -109,66 +110,103 @@ def ungapped_extend(
     return UngappedHit(best_qs, best_qe, best_ss, best_se, int(best2))
 
 
+#: Widest chunk of the batched ungapped extension, and therefore the
+#: padding either end of its sequences needs: a window that starts on
+#: the first barrier past a sequence end still lies inside the array.
+_MAX_CHUNK = 128
+
+
+#: Row length from which :func:`_run_down` loops over the steps.
+_STEP_LOOP_COLUMNS = 512
+
+
+def _run_down(op: np.ufunc, a: np.ndarray) -> None:
+    """Running ``op`` down the rows of ``a`` (one row per step), in place.
+
+    One contiguous vector op per step once a row is long enough to pay
+    for the Python call (a bulk scan's first rounds: tens of thousands
+    of triggers per row); below that, NumPy's own axis-0 accumulate —
+    one call, but a strided inner loop at ~4 ns per element (a small
+    fragment's rounds: a few hundred).  The two cross near 400 columns.
+    """
+    if a.shape[1] < _STEP_LOOP_COLUMNS:
+        op.accumulate(a, axis=0, out=a)
+    else:
+        for k in range(1, len(a)):
+            op(a[k - 1], a[k], out=a[k])
+
+
 def _advance_batch(
-    score_at,
-    start: np.ndarray,
+    q: np.ndarray,
+    q0: np.ndarray,
+    s: np.ndarray,
+    s0: np.ndarray,
+    flat: np.ndarray,
+    width: int,
     cur: np.ndarray,
-    best: np.ndarray,
-    best_off: np.ndarray,
     x_drop: int,
     chunk: int,
-) -> None:
-    """Shared chunked driver for one extension direction (in place).
+) -> tuple[np.ndarray, np.ndarray]:
+    """Chunked driver for one extension direction.
 
-    ``score_at(rows, offs)`` returns the substitution score of each
-    trigger in ``rows`` at step offset ``offs`` (0-based), with
-    out-of-range steps already mapped to a large negative barrier;
-    ``offs`` is scratch it may overwrite.
-    Updates ``cur`` (running score), ``best`` (best prefix score) and
-    ``best_off`` (steps to the best prefix; 0 = empty extension) exactly
-    as the scalar loop in :func:`ungapped_extend` would: the running
-    best is a cumulative max over score prefixes, a step terminates its
-    row once the running score drops ``x_drop`` below it, and
-    improvements must be *strict* (ties keep the shorter extent).
+    Trigger ``i`` reads ``q[q0[i] + k]`` against ``s[s0[i] + k]`` at
+    step ``k`` (both arrays padded so that a ``_MAX_CHUNK`` window from
+    any step a live row can reach stays inside them);
+    ``flat[qcode * width + scode]`` is the substitution score.  ``cur``
+    holds the scores the direction starts from.  Returns
+    ``(best, best_off)``: the best prefix score and the steps to it (0 =
+    empty extension), exactly as the scalar loop in
+    :func:`ungapped_extend` finds them: the running best is a cumulative
+    max over score prefixes, a step terminates its row once the running
+    score drops ``x_drop`` below it, and improvements must be *strict*
+    (ties keep the shorter extent).
     """
-    n = len(start)
+    n = len(cur)
+    cur = cur.copy()
+    best = cur.copy()
+    best_off = np.zeros(n, dtype=np.int64)
     done = np.zeros(n, dtype=np.int64)
     active = np.arange(n)
-    rowsel = np.arange(n)
+    cols = np.arange(n)
     while active.size:
         # Chunk size never affects the result (the break scan happens
         # within each chunk and running state carries over exactly), so
         # grow it geometrically: most extensions die in the first small
         # chunk, and the few long survivors get wide chunks.  The
-        # (rows x chunk) arrays are reused in place where they can be:
-        # a wave's first round puts thousands of rows through here.
-        steps = np.arange(chunk, dtype=np.int64)
-        csum = score_at(active, done[active][:, None] + steps[None, :])
-        np.cumsum(csum, axis=1, out=csum)
-        csum += cur[active][:, None]
+        # windows are transposed while they are still bytes: step-major,
+        # the running sums and maxima below can be one contiguous
+        # vector op per step over all live triggers (_run_down).
+        done_a = done[active]
+        qwin = sliding_window_view(q, chunk)[q0[active] + done_a]
+        swin = sliding_window_view(s, chunk)[s0[active] + done_a]
+        idx = np.ascontiguousarray(qwin.T) * np.intp(width)
+        idx += np.ascontiguousarray(swin.T)
+        csum = flat.take(idx)
         prev_best = best[active]
-        pb = np.maximum.accumulate(csum, axis=1)
-        np.maximum(pb, prev_best[:, None], out=pb)
-        brk = csum <= pb - x_drop
-        has_brk = brk.any(axis=1)
-        stop = np.where(has_brk, brk.argmax(axis=1), chunk - 1)
-        # Strict improvements are exactly where the running best moves;
-        # the last one at or before the stop is the new extent.
-        improve = brk  # reuse the buffer
-        improve[:, 0] = csum[:, 0] > prev_best
-        np.greater(csum[:, 1:], pb[:, :-1], out=improve[:, 1:])
-        improve &= steps[None, :] <= stop[:, None]
-        has_imp = improve.any(axis=1)
-        lastk = chunk - 1 - improve[:, ::-1].argmax(axis=1)
-        rs = rowsel[: active.size]
-        best[active] = pb[rs, stop]
+        csum[0] += cur[active]
+        _run_down(np.add, csum)
+        pb = csum.copy()
+        np.maximum(pb[0], prev_best, out=pb[0])
+        _run_down(np.maximum, pb)
+        dead = (pb - csum) >= x_drop
+        _run_down(np.logical_or, dead)
+        has_brk = dead[-1]
+        stop = np.minimum(chunk - dead.sum(axis=0), chunk - 1)
+        sel = cols[: active.size]
+        new_best = pb[stop, sel]
+        # The running best is non-decreasing and moves only on a strict
+        # improvement, so the last improvement at or before the stop is
+        # where it first reaches its value at the stop.
+        first = (pb < new_best).sum(axis=0)
         best_off[active] = np.where(
-            has_imp, done[active] + lastk + 1, best_off[active]
+            new_best > prev_best, done_a + first + 1, best_off[active]
         )
-        cur[active] = csum[rs, stop]
-        done[active] += stop + 1
+        best[active] = new_best
+        cur[active] = csum[stop, sel]
+        done[active] = done_a + stop + 1
         active = active[~has_brk]
-        chunk = min(chunk * 2, 128)
+        chunk = min(chunk * 2, _MAX_CHUNK)
+    return best, best_off
 
 
 def ungapped_extend_batch(
@@ -186,65 +224,64 @@ def ungapped_extend_batch(
 
     Returns ``(qstart, qend, sstart, send, score)`` int64 arrays whose
     element ``i`` equals ``ungapped_extend(q, s, qpos[i], spos[i], ...)``
-    bit for bit.  Out-of-range steps score a large negative barrier, so
-    sequences may carry in-band sentinel codes (rows/columns of
-    ``matrix`` more negative than ``-x_drop``) to delimit records inside
-    one concatenated array — an extension can never cross a sentinel.
+    bit for bit.  Steps past either end of a sequence read a barrier
+    code that ends the extension, and sequences may carry in-band
+    sentinel codes (rows/columns of ``matrix`` at or below ``-x_drop``)
+    to delimit records inside one concatenated array — an extension can
+    never cross a sentinel.
     """
     n = len(qpos)
     if n == 0:
         e = np.empty(0, dtype=np.int64)
         return e, e.copy(), e.copy(), e.copy(), e.copy()
-    mat = np.ascontiguousarray(matrix, dtype=np.int64)
-    barrier = np.int64(-(1 << 30))
     qp = np.asarray(qpos, dtype=np.int64)
     sp = np.asarray(spos, dtype=np.int64)
-    nq, ns = len(q), len(s)
 
+    # The seed word scores as it stands; X-drop only governs the steps.
     seed = np.zeros(n, dtype=np.int64)
     for k in range(word_size):
-        seed += mat[q[qp + k], s[sp + k]]
+        seed += matrix[q[qp + k], s[sp + k]]
+
+    # One more code, the barrier, pads both sequences so every chunk is
+    # a plain window read.  A step scoring at or below -x_drop ends its
+    # row there whatever its magnitude (the running score cannot exceed
+    # the running best), so the barrier and everything below -x_drop
+    # score exactly -x_drop.  That bounds how far a running value can
+    # move from the seed — steps x largest score — and the state is
+    # int32 whenever twice that (best minus running) fits.
+    ncodes = matrix.shape[0]
+    width = ncodes + 1
+    mat = np.full((width, width), -x_drop, dtype=np.int64)
+    np.maximum(matrix, -x_drop, out=mat[:ncodes, :ncodes])
+    reach = int(np.abs(seed).max()) + (
+        min(len(q), len(s)) + _MAX_CHUNK
+    ) * max(int(mat.max()), x_drop)
+    flat = mat.astype(np.int32 if reach < 1 << 30 else np.int64).ravel()
+    pad = np.full(_MAX_CHUNK, ncodes, dtype=np.min_scalar_type(ncodes))
+    qpad = np.concatenate((pad, q.astype(pad.dtype, copy=False), pad))
+    spad = np.concatenate((pad, s.astype(pad.dtype, copy=False), pad))
 
     # Right extension from the residue after the word.
     qe0, se0 = qp + word_size, sp + word_size
-
-    def right_scores(rows: np.ndarray, offs: np.ndarray) -> np.ndarray:
-        qi = qe0[rows][:, None] + offs
-        offs += se0[rows][:, None]  # sj, in the caller's scratch
-        out_of_range = (qi >= nq) | (offs >= ns)
-        np.minimum(qi, nq - 1, out=qi)
-        np.minimum(offs, ns - 1, out=offs)
-        sc = mat[q[qi], s[offs]]
-        sc[out_of_range] = barrier
-        return sc
-
-    cur = seed.copy()
-    best = seed.copy()
-    roff = np.zeros(n, dtype=np.int64)
-    _advance_batch(right_scores, qe0, cur, best, roff, x_drop, chunk)
-
-    # Left extension, seeded with the right-extension best.
-    def left_scores(rows: np.ndarray, offs: np.ndarray) -> np.ndarray:
-        qi = qp[rows][:, None] - 1 - offs
-        np.subtract(sp[rows][:, None] - 1, offs, out=offs)  # sj
-        out_of_range = (qi < 0) | (offs < 0)
-        np.maximum(qi, 0, out=qi)
-        np.maximum(offs, 0, out=offs)
-        sc = mat[q[qi], s[offs]]
-        sc[out_of_range] = barrier
-        return sc
-
-    cur2 = best.copy()
-    best2 = best.copy()
-    loff = np.zeros(n, dtype=np.int64)
-    _advance_batch(left_scores, qp, cur2, best2, loff, x_drop, chunk)
+    best, roff = _advance_batch(
+        qpad, qe0 + _MAX_CHUNK, spad, se0 + _MAX_CHUNK,
+        flat, width, seed.astype(flat.dtype), x_drop, chunk,
+    )
+    # Left extension, seeded with the right-extension best: the same
+    # window reads on the reversed arrays, from the residue before the
+    # word (index len - 1 - i of the reversal is index i).
+    best, loff = _advance_batch(
+        qpad[::-1], len(qpad) - _MAX_CHUNK - qp,
+        spad[::-1], len(spad) - _MAX_CHUNK - sp,
+        flat, width, best, x_drop, chunk,
+    )
 
     return (
         qp - loff,
         qe0 + roff,
         sp - loff,
         se0 + roff,
-        best2,
+        best.astype(np.int64, copy=False),
     )
 
 

@@ -9,8 +9,24 @@ non-overlapping hits land on the same diagonal within a window ``A``.
 
 blastn uses exact word matches (default w=11) and one-hit triggering.
 
-Everything on the scanning path is NumPy-vectorized: rolling word codes,
-CSR index lookup, and the same-diagonal pairing test.
+Two scanning paths share the index.  The scalar oracle takes one
+subject at a time: :meth:`WordIndex.find_hits` materialises the
+``(spos, qpos)`` hit arrays and :func:`two_hit_triggers` /
+:func:`one_hit_triggers` pair them up.  The wave kernel
+(:func:`wave_triggers`) scans a block of many queries x many subjects
+and never builds per-hit coordinates: each hit is one int64 key
+
+    (pair * drange + diagonal + max_slen) * big + subject offset
+
+with ``pair = query * nsl + subject``, which is *linear* in a part known
+per scanned subject position and a part known per index entry, so the
+block's keys are one ``repeat``, one gather and one add over the CSR
+expansion.  Sorted, the keys of one (pair, diagonal) run are adjacent,
+ascending by subject offset, and runs are more than the two-hit window
+apart (``big > window + longest subject``), so pairing tests never
+cross a run.  Precondition of the two-hit test: the keys of a block are
+*distinct* — a CSR slice never repeats a query position, so one subject
+position cannot hit the same query position twice.
 """
 
 from __future__ import annotations
@@ -78,36 +94,36 @@ class WordIndex:
         w, nstd = self.word_size, self.nstd
         npos = len(q) - w + 1
         if npos > 0 and not exact_only and w == 3:
-            # Fully vectorized neighbourhood for the blastp case: the
-            # score of candidate word (a,b,c) against the query word at
-            # position p is std[q[p],a] + std[q[p+1],b] + std[q[p+2],c] —
-            # a broadcasted 3-way outer sum over all positions at once.
+            # Neighbourhood for the blastp case.  The score of candidate
+            # word (a,b,c) against the query word at position p is
+            # std[q[p],a] + std[q[p+1],b] + std[q[p+2],c].  Two stages:
+            # sum the first two letters for all positions at once and
+            # keep the (p,a,b) that can still reach T with the best
+            # third letter (~6 % of them), then score only those against
+            # the 20 third letters — never the npos x 20^3 cube.  Both
+            # ``nonzero`` calls walk C order, so entries come out
+            # lexicographic in (p,a,b,c), as the cube's would.
             std = m[:nstd, :nstd].astype(np.int32)
             q64 = q.astype(np.int64)
             w0, w1, w2 = q64[:npos], q64[1 : npos + 1], q64[2 : npos + 2]
-            ok = (w0 < nstd) & (w1 < nstd) & (w2 < nstd)
-            pos_ok = np.nonzero(ok)[0]
+            pos_ok = np.nonzero((w0 < nstd) & (w1 < nstd) & (w2 < nstd))[0]
             if pos_ok.size:
-                # Rows are safe to index even for wildcards (clipped),
-                # masked positions are excluded afterwards.
-                a = std[np.minimum(w0[pos_ok], nstd - 1)]
-                b = std[np.minimum(w1[pos_ok], nstd - 1)]
-                c = std[np.minimum(w2[pos_ok], nstd - 1)]
-                scores = (
-                    a[:, :, None, None]
-                    + b[:, None, :, None]
-                    + c[:, None, None, :]
-                )
-                hit_pos, ha, hb, hc = np.nonzero(scores >= self.threshold)
+                a, b, c = std[w0[pos_ok]], std[w1[pos_ok]], std[w2[pos_ok]]
+                ab = a[:, :, None] + b[:, None, :]
+                need = self.threshold - c.max(axis=1)
+                hp, ha, hb = np.nonzero(ab >= need[:, None, None])
+                abc = ab[hp, ha, hb][:, None] + c[hp]
+                keep, hc = np.nonzero(abc >= self.threshold)
                 self._set_csr(
-                    ha * (nstd * nstd) + hb * nstd + hc, pos_ok[hit_pos]
+                    ha[keep] * (nstd * nstd) + hb[keep] * nstd + hc,
+                    pos_ok[hp[keep]],
                 )
                 return
         if npos > 0 and (exact_only or w != 3):
             # Exact words (blastn, or exact_only protein mode): the same
-            # rolling-code scheme :meth:`subject_codes` uses, so the
-            # build is one vectorized pass instead of a per-position
-            # Python loop with a per-residue inner loop.
+            # rolling-code scheme the subject scan uses, so the build is
+            # one vectorized pass instead of a per-position Python loop
+            # with a per-residue inner loop.
             positions, codes = rolling_codes(q, w, nstd)
         else:
             positions = np.empty(0, dtype=np.int64)
@@ -184,72 +200,62 @@ class WordIndex:
         )
         return joint
 
-    @property
-    def total_entries(self) -> int:
-        return len(self.data)
-
     # ------------------------------------------------------------------
-    def subject_codes(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Rolling word codes of ``s``; returns (positions, codes).
+    def lookup(
+        self, codes: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """CSR slices of the scanned words that have entries.
 
-        Positions whose word contains a wildcard are excluded.
+        ``codes`` holds one word code per scanned position.  Returns
+        ``(keep, starts, counts)``: a bool mask over ``codes`` of the
+        positions with at least one entry and, for those, where their
+        slice of ``data`` starts and how long it is.  Everything here
+        is per scanned *position*; :func:`expand_slices` turns the
+        slices into per-hit entry numbers.
         """
-        return rolling_codes(s, self.word_size, self.nstd)
+        if self._dense:
+            starts = self.indptr[codes]
+            counts = self.indptr[codes + 1] - starts
+            keep = counts > 0
+            return keep, starts[keep], counts[keep]
+        keep = self._member[codes]
+        iu = np.searchsorted(self._uniq, codes[keep])
+        starts = self._ubounds[iu]
+        return keep, starts, self._ubounds[iu + 1] - starts
 
     def find_hits(
-        self,
-        s: np.ndarray,
-        stats: SeedStats | None = None,
-        *,
-        precomputed: tuple[np.ndarray, np.ndarray] | None = None,
+        self, s: np.ndarray, stats: SeedStats | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
         """All word hits against subject ``s``: arrays (spos, qpos).
 
         Hits are ordered by subject position (then query position).
-        ``precomputed`` optionally supplies ``(positions, codes)`` from a
-        prior :func:`rolling_codes` pass over ``s`` — the codes depend
-        only on (word_size, nstd), so a caller scanning the same subject
-        data with many query indexes computes them once.
         """
-        if precomputed is not None:
-            pos, codes = precomputed
-        else:
-            pos, codes = self.subject_codes(s)
+        pos, codes = rolling_codes(s, self.word_size, self.nstd)
         if stats is not None:
             stats.positions_scanned += len(s)
-        if len(pos) == 0:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        if self._dense:
-            starts = self.indptr[codes]
-            counts = self.indptr[codes + 1] - starts
-            # Drop positions with no hits before the expansion so
-            # cumsum/repeat run over the hit-bearing positions only.
-            nz = counts > 0
-            pos, starts, counts = pos[nz], starts[nz], counts[nz]
-        else:
-            if len(self._uniq) == 0:
-                return (
-                    np.empty(0, dtype=np.int64),
-                    np.empty(0, dtype=np.int64),
-                )
-            ok = self._member[codes]
-            pos, codes = pos[ok], codes[ok]
-            iu = np.searchsorted(self._uniq, codes)
-            starts = self._ubounds[iu]
-            counts = self._ubounds[iu + 1] - starts
-        total = int(counts.sum())
-        if total == 0:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        spos = np.repeat(pos, counts)
-        # Entry k of a position's CSR slice sits at starts + k; with
-        # ``cum`` the hits before the position, k = hit number - cum.
-        cum = np.cumsum(counts) - counts
-        idx = np.repeat(starts - cum, counts)
-        idx += np.arange(total, dtype=np.int64)
-        qpos = self.data[idx]
+        keep, starts, counts = self.lookup(codes)
+        qpos = self.data[expand_slices(starts, counts)]
         if stats is not None:
-            stats.word_hits += len(spos)
-        return spos, qpos
+            stats.word_hits += len(qpos)
+        return np.repeat(pos[keep], counts), qpos
+
+
+def expand_slices(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Concatenated ``arange(starts[i], starts[i] + counts[i])``.
+
+    The CSR expansion: one entry number per word hit, position-major.
+    Every count must be positive (:meth:`WordIndex.lookup` drops the
+    positions without entries).
+    """
+    if len(counts) == 0:
+        return np.empty(0, dtype=np.int64)
+    # Entry numbers go up by one inside a slice and jump at each slice
+    # start: write the steps, sum them up.
+    ends = np.cumsum(counts)
+    idx = np.ones(int(ends[-1]), dtype=np.int64)
+    idx[0] = starts[0]
+    idx[ends[:-1]] = starts[1:] - (starts[:-1] + counts[:-1] - 1)
+    return np.cumsum(idx, out=idx)
 
 
 _EMPTY = np.empty(0, dtype=np.int64)
@@ -306,76 +312,86 @@ def one_hit_triggers(
     )
 
 
-def batch_triggers(
-    group: np.ndarray,
-    spos: np.ndarray,
-    qpos: np.ndarray,
+#: A block whose key span reaches this does not fold into one int64;
+#: :func:`wave_triggers` then takes it one subject at a time.
+KEY_LIMIT = 1 << 62
+
+
+def wave_triggers(
+    subj: np.ndarray,
+    sl: np.ndarray,
+    starts: np.ndarray,
+    counts: np.ndarray,
+    entry_qid: np.ndarray,
+    entry_ql: np.ndarray,
     *,
+    nq: int,
+    nsl: int,
+    max_qlen: int,
+    max_slen: int,
     window: int,
     word_size: int,
     two_hit: bool,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Segment-aware triggers over hits spanning many sequences at once.
+    """Triggers of one (wave x subject slab) block, straight from the CSR.
 
-    ``group`` identifies the (query, subject) pair each hit belongs to —
-    the caller folds both ids into one integer — and ``spos`` / ``qpos``
-    are the hit's *sequence-local* positions.  The two-hit window never
-    pairs hits from different groups (the group id is folded into the
-    sort key), so the result decomposes exactly into per-pair
-    :func:`two_hit_triggers` calls.  Returns ``(group, qpos, spos)``
-    trigger arrays in increasing group order, each group internally
-    ordered by (diagonal, subject position) — the order the scalar
-    kernel visits them in.
+    Per scanned position that has hits: ``subj`` (record number inside
+    the block, ascending), ``sl`` (offset inside the record) and its
+    slice of the wave's joint index (``starts``, ``counts`` — see
+    :meth:`WordIndex.lookup`).  Per index entry: ``entry_qid`` and
+    ``entry_ql``, the query and the offset inside it.  ``nq`` / ``nsl``
+    count the block's queries and subjects, ``max_qlen`` / ``max_slen``
+    bound their lengths.
 
-    Falls back to a per-group loop if the folded key would overflow
-    ``int64`` (gigantic subjects; never the synthetic workloads).
+    Returns ``(pair, qpos, spos)`` trigger arrays, ``pair = query * nsl
+    + subject``, in increasing pair order and inside a pair by
+    (diagonal, subject offset) — the concatenation of the scalar path's
+    :func:`two_hit_triggers` (or :func:`one_hit_triggers`) results over
+    the pairs, which is the order the scalar kernel visits them in.
+
+    Per hit this does the key assembly, one sort and the two-hit test
+    (module docstring); everything else is per position or per entry,
+    and coordinates are decoded only for the keys that trigger.
     """
-    if len(spos) == 0:
-        return _EMPTY, _EMPTY, _EMPTY
-    if not two_hit:
-        order = np.lexsort((spos, qpos - spos, group))
-        return (
-            group[order].astype(np.int64, copy=False),
-            qpos[order].astype(np.int64, copy=False),
-            spos[order].astype(np.int64, copy=False),
-        )
-    diag = qpos - spos
-    d0 = int(diag.min())
-    drange = int(diag.max()) - d0 + 1
-    big = int(spos.max()) + int(window) + 2
-    ngroups = int(group.max()) + 1
-    if float(ngroups) * float(drange) * float(big) >= float(1 << 62):
-        # Unfoldable without overflow: do it per group (rare).
-        out_g, out_q, out_p = [], [], []
-        for g in np.unique(group):
-            sel = group == g
-            q, s = two_hit_triggers(
-                spos[sel], qpos[sel], window=window, word_size=word_size
+    # Diagonals span (-max_slen, max_qlen); subject offsets [0, max_slen).
+    drange = max_qlen + max_slen
+    big = max_slen + window + 1
+    if nq * nsl * drange * big >= KEY_LIMIT and nsl > 1:
+        # Unfoldable without overflow (gigantic subjects; never the
+        # synthetic workloads): one subject at a time — its positions
+        # are contiguous, ``subj`` ascends — through this same routine,
+        # then a stable sort back into pair order.
+        cuts = np.searchsorted(subj, np.arange(nsl + 1)).tolist()
+        parts = []
+        for j, (a, b) in enumerate(zip(cuts, cuts[1:])):
+            qid, tq, ts = wave_triggers(
+                subj[a:b] - j, sl[a:b], starts[a:b], counts[a:b],
+                entry_qid, entry_ql, nq=nq, nsl=1, max_qlen=max_qlen,
+                max_slen=max_slen, window=window, word_size=word_size,
+                two_hit=two_hit,
             )
-            out_g.append(np.full(len(q), g, dtype=np.int64))
-            out_q.append(q)
-            out_p.append(s)
-        return (
-            np.concatenate(out_g),
-            np.concatenate(out_q),
-            np.concatenate(out_p),
-        )
-    # key = ((group, diagonal), spos): within one (group, diagonal)
-    # block keys differ only in spos, and blocks are spaced by ``big`` >
-    # any in-window distance, so the searchsorted window test below can
-    # never cross a block boundary — same construction as the
-    # single-subject key, with the group folded in.  Built in place:
-    # the hit arrays are the kernel's largest transients.
-    key = diag
-    key -= d0
-    key += group.astype(np.int64, copy=False) * drange
-    key *= big
-    key += spos
+            parts.append((qid * nsl + j, tq, ts))
+        pair, tq, ts = map(np.concatenate, zip(*parts))
+        order = np.argsort(pair, kind="stable")
+        return pair[order], tq[order], ts[order]
+    pos_part = (subj.astype(np.int64) * drange + (max_slen - sl)) * big + sl
+    entry_part = (entry_qid * (nsl * drange) + entry_ql) * big
+    key = entry_part[expand_slices(starts, counts)]
+    key += np.repeat(pos_part, counts)
     key.sort()
-    lo = np.searchsorted(key, key - window, side="left")
-    hi = np.searchsorted(key, key - word_size, side="right")
-    trig = key[lo < hi]
-    g = trig // big
-    s = trig - g * big
-    d = g % drange + d0
-    return g // drange, d + s, s
+    if two_hit:
+        # Keys of a run are distinct integers, so a key's k-th
+        # predecessor is at least k away: its nearest predecessor at
+        # distance >= word_size is among the first word_size, and that
+        # one is in the window iff any is.
+        near = np.zeros(len(key), dtype=bool)
+        for k in range(1, word_size + 1):
+            gap = key[k:] - key[:-k]
+            gap -= word_size
+            # 0 <= gap <= window - word_size, as one unsigned compare.
+            near[k:] |= gap.view(np.uint64) <= window - word_size
+        key = key[near]
+    run = key // big
+    spos = key - run * big
+    pair = run // drange
+    return pair, run - pair * drange - max_slen + spos, spos

@@ -438,6 +438,52 @@ class TestWaveBatching:
         assert wave <= 1.5 * one, (one, wave)
 
 
+    def test_scan_transients_per_word_hit(self, monkeypatch):
+        """The scan keeps one sorted key per word hit and decodes
+        coordinates only for triggers: no hit-length (spos, qpos),
+        subject, query, pair or diagonal arrays.  Pinned as peak traced
+        bytes per word hit of one 8-query x 2 000-subject block, scan
+        only (the call is cut short where the ungapped stage starts).
+        """
+        import tracemalloc
+
+        import repro.blast.engine as engine_mod
+
+        rng = np.random.default_rng(17)
+        letters = "ARNDCQEGHILKMFPSTWYV"
+
+        def random_record(name, n):
+            return SeqRecord(
+                name, "".join(letters[i] for i in rng.integers(0, 20, n))
+            )
+
+        subjects = [random_record(f"s{i}", 120) for i in range(2000)]
+        queries = [random_record(f"q{i}", 150) for i in range(8)]
+        eng = BlastSearch(SearchParams())
+        db = ListDatabase(subjects, eng.alphabet)
+        _out, stats = search_call(eng, queries, db)  # memoises the wave
+        assert stats.word_hits > 1_000_000
+
+        class ScanDone(Exception):
+            pass
+
+        def stop(*_args, **_kwargs):
+            raise ScanDone
+
+        monkeypatch.setattr(engine_mod, "ungapped_extend_batch", stop)
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            with pytest.raises(ScanDone):
+                search_call(eng, queries, db)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # 57.1 bytes per hit at the parent of the change that removed
+        # the hit-length arrays (34.3 after it), with 1.25x slack.
+        assert peak / stats.word_hits <= 57.1 * 1.25, peak / stats.word_hits
+
+
 class TestUngappedBatchProperty:
     @given(
         seed=st.integers(0, 2**16),

@@ -11,6 +11,7 @@ from repro.blast.extend import (
     extend_gapped,
     score_alignment_ops,
     ungapped_extend,
+    ungapped_extend_batch,
 )
 from repro.blast.matrices import blosum62
 
@@ -79,6 +80,143 @@ class TestUngapped:
         hit = ungapped_extend(q, s, 0, 0, 3, M, 40)
         best_possible = 33  # WWW
         assert hit.score >= best_possible
+
+
+def sentinel_join(seqs, sentinel):
+    """One sentinel before, between and after the records (the wave
+    kernel's layout); returns the array and each record's start."""
+    parts, starts, off = [np.array([sentinel], dtype=np.uint8)], [], 1
+    for c in seqs:
+        parts += [c, np.array([sentinel], dtype=np.uint8)]
+        starts.append(off)
+        off += len(c) + 1
+    return np.concatenate(parts), starts
+
+
+def sentinel_matrix(m):
+    """``m`` plus one sentinel code scoring far below any X-drop."""
+    size = m.shape[0]
+    ext = np.full((size + 1, size + 1), -(1 << 30), dtype=np.int64)
+    ext[:size, :size] = m
+    return ext
+
+
+def assert_batch_equals_scalar(q, s, qpos, spos, w, m, x_drop):
+    got = ungapped_extend_batch(
+        q, s, np.array(qpos), np.array(spos), w, m, x_drop
+    )
+    assert all(col.dtype == np.int64 for col in got)
+    for i, row in enumerate(zip(*(col.tolist() for col in got))):
+        hit = ungapped_extend(q, s, qpos[i], spos[i], w, m, x_drop)
+        assert row == (
+            hit.qstart, hit.qend, hit.sstart, hit.send, hit.score
+        ), (i, qpos[i], spos[i])
+
+
+class TestUngappedBatchWindows:
+    """The batched extension reads fixed windows of barrier-padded
+    arrays: record edges, array edges, chunk growth and the int32 /
+    int64 running state must all be invisible in the results."""
+
+    W = 3
+    # A family: the founder, a diverged copy, and the founder inside
+    # unrelated flanks — extensions of every length, ending at record
+    # edges, at mismatches and at the X-drop.
+    rng = np.random.default_rng(404)
+    founder = rng.integers(0, 20, 420).astype(np.uint8)
+    diverged = founder.copy()
+    diverged[rng.integers(0, 420, 60)] = rng.integers(0, 20, 60)
+    flanked = np.concatenate((
+        rng.integers(0, 20, 37).astype(np.uint8), founder[100:300],
+        rng.integers(0, 20, 41).astype(np.uint8),
+    ))
+
+    def joined_case(self):
+        q, qstarts = sentinel_join([self.founder, self.diverged], 24)
+        s, sstarts = sentinel_join(
+            [self.founder, self.flanked, self.diverged], 24
+        )
+        n = len(self.founder)
+        qpos, spos = [], []
+        # First and last word of the first and the last record, on
+        # both sides: the steps next to them are the sentinels and,
+        # one further, the padding.
+        for qo in (qstarts[0], qstarts[0] + n - self.W,
+                   qstarts[1], qstarts[1] + n - self.W):
+            for so in (sstarts[0], sstarts[0] + n - self.W,
+                       sstarts[2], sstarts[2] + n - self.W):
+                qpos.append(qo), spos.append(so)
+        # Main diagonals of the homologous pairs, every 29 letters.
+        for qs, ss, shift in ((qstarts[0], sstarts[0], 0),
+                              (qstarts[1], sstarts[2], 0),
+                              (qstarts[0], sstarts[2], 0),
+                              (qstarts[0] + 100, sstarts[1] + 37, 0)):
+            for k in range(0, 190, 29):
+                qpos.append(qs + k), spos.append(ss + k + shift)
+        return q, s, qpos, spos
+
+    @pytest.mark.parametrize("x_drop", [1, 16, 10_000])
+    def test_sentinel_joined_records_and_their_edges(self, x_drop):
+        q, s, qpos, spos = self.joined_case()
+        assert_batch_equals_scalar(
+            q, s, qpos, spos, self.W, sentinel_matrix(M), x_drop
+        )
+
+    @pytest.mark.parametrize("x_drop", [1, 16, 10_000])
+    def test_array_edges_without_sentinels(self, x_drop):
+        """Raw arrays: the first and last word sit against the padding
+        itself."""
+        q, s = self.founder, self.diverged
+        last = len(q) - self.W
+        qpos = [0, 0, last, last, 0, last, 200]
+        spos = [0, last, 0, last, 5, last - 5, 200]
+        assert_batch_equals_scalar(q, s, qpos, spos, self.W, M, x_drop)
+
+    def test_many_triggers_take_the_step_loop(self):
+        """Enough triggers at once that the running sums go step by
+        step instead of through NumPy's accumulate (both sides of
+        ``_STEP_LOOP_COLUMNS`` must give the scalar result; every other
+        case here is on the short side)."""
+        from repro.blast import extend
+
+        q, s, qpos, spos = self.joined_case()
+        rng = np.random.default_rng(5)
+        n = 3 * extend._STEP_LOOP_COLUMNS
+        # Random cells (mostly noise, dying in the first chunk) plus the
+        # homologous diagonals (surviving into the later, wider ones).
+        qpos = qpos + (1 + rng.integers(0, 415, n)).tolist()
+        spos = spos + (1 + rng.integers(0, 415, n)).tolist()
+        assert_batch_equals_scalar(
+            q, s, qpos, spos, self.W, sentinel_matrix(M), 16
+        )
+
+    def test_long_identical_pair_grows_the_chunk(self):
+        """420 identical letters from the middle: 16 + 32 + 64 + 128
+        steps, then full-width chunks, in both directions."""
+        q = self.founder
+        got = ungapped_extend_batch(
+            q, q, np.array([200, 0]), np.array([200, 0]), self.W, M, 16
+        )
+        score = sum(int(M[c, c]) for c in q)
+        assert [col.tolist() for col in got] == [
+            [0, 0], [420, 420], [0, 0], [420, 420], [score, score]
+        ]
+        assert_batch_equals_scalar(q, q, [200, 0], [200, 0], self.W, M, 16)
+
+    @pytest.mark.parametrize("scale", [1, 10**3, 10**7])
+    def test_scaled_matrix_falls_back_to_int64(self, scale):
+        """At 10^7 the identical pair alone scores past 2^31: int32
+        running state would wrap, so the state must widen — decided
+        from the inputs, with nothing for a caller to set."""
+        q, s, qpos, spos = self.joined_case()
+        m = sentinel_matrix(M * scale)
+        assert_batch_equals_scalar(q, s, qpos, spos, self.W, m, 16 * scale)
+        if scale == 10**7:
+            best = ungapped_extend_batch(
+                q, s, np.array(qpos[:1]) + 200, np.array(spos[:1]) + 200,
+                self.W, m, 16 * scale,
+            )[4]
+            assert int(best[0]) > 1 << 31
 
 
 class TestGapped:
