@@ -13,7 +13,9 @@ the two-hit and gapped-extension refinements of BLAST 2.0):
 - X-drop ungapped and gapped extensions with traceback
   (:mod:`repro.blast.extend`),
 - HSP bookkeeping and culling (:mod:`repro.blast.hsp`),
-- the search driver (:mod:`repro.blast.engine`),
+- the search driver (:mod:`repro.blast.engine`) — one kernel path; the
+  per-subject scalar kernel the tests hold it bit-identical to lives in
+  ``reference.py`` beside it and is imported by no module of the package,
 - ``formatdb``-style binary databases with volumes
   (:mod:`repro.blast.formatdb`),
 - the NCBI-flavoured text report writer (:mod:`repro.blast.output`).

@@ -29,11 +29,8 @@ from repro.blast.alphabet import (
 )
 from repro.blast.extend import (
     GappedBatchStats,
-    GappedExtension,
     UngappedHit,
-    extend_gapped,
     extend_gapped_batch,
-    ungapped_extend,
     ungapped_extend_batch,
 )
 from repro.blast.fasta import SeqRecord
@@ -50,14 +47,7 @@ from repro.blast.karlin import (
     karlin_params,
 )
 from repro.blast.matrices import dna_matrix, get_matrix
-from repro.blast.seeding import (
-    SeedStats,
-    WordIndex,
-    one_hit_triggers,
-    rolling_codes,
-    two_hit_triggers,
-    wave_triggers,
-)
+from repro.blast.seeding import WordIndex, rolling_codes, wave_triggers
 
 
 @dataclass(frozen=True)
@@ -79,28 +69,12 @@ class SearchParams:
     max_alignments: int = 100  # per query, applied after global ranking
     dna_match: int = 1
     dna_mismatch: int = -3
-    # Batched kernel: scan a whole fragment as one concatenated array
-    # and vectorize the ungapped stage over all trigger points at once.
-    # ``False`` keeps the original per-subject scalar path — the
-    # bit-identity reference the property suite compares against.
-    batch: bool = True
-    # Vectorized banded gapped extension (the batched kernel's gapped
-    # stage): all seeds a slab produces run as lockstep banded
-    # wavefronts.  ``False`` is the escape hatch back to the scalar
-    # Gotoh DP per seed; results are bit-identical either way (band-edge
-    # hits widen and retry — see repro.blast.extend).
-    gapped_batch: bool = True
-    # Initial half-band width for the banded DP.  A pure performance
-    # knob: too narrow just costs widening retries, never correctness.
-    band: int = 32
 
     def __post_init__(self) -> None:
         if self.program not in ("blastp", "blastn"):
             raise ValueError(f"unsupported program {self.program!r}")
         if self.gap_open < 0 or self.gap_extend < 1:
             raise ValueError("need gap_open >= 0 and gap_extend >= 1")
-        if self.band < 1:
-            raise ValueError("band must be >= 1")
         if self.word_size < 0:
             raise ValueError("word_size must be >= 0 (0 = program default)")
         if self.expect <= 0:
@@ -126,11 +100,12 @@ class SearchStats:
     ``gapped_extensions`` counts gapped DPs actually *executed*;
     ``gapped_dedup`` counts seeds answered from the per-query memo of
     identical ``(subject, anchor)`` extensions instead of re-running
-    the DP.  Both are path-independent (scalar and batched kernels
-    memoize identically), so they participate in the bit-identity
-    equality the property suite asserts.  The ``gapped_widenings`` /
-    ``gapped_fallbacks`` / ``gapped_peak_cells`` health counters exist
-    only on the vectorized banded path and are excluded from equality.
+    the DP.  Both are path-independent (the wave kernel and the scalar
+    oracle, ``reference.py`` in this package, memoize identically), so
+    they participate in the bit-identity equality the property suite
+    asserts.  The ``gapped_widenings`` / ``gapped_fallbacks`` /
+    ``gapped_peak_cells`` health counters describe the banded engine
+    only and are excluded from equality.
     """
 
     queries: int = 0
@@ -275,6 +250,19 @@ class _GapState:
     leftovers: list = field(default_factory=list)
 
 
+def _ungapped_hsp(subject_local_index: int, h: UngappedHit) -> HSP:
+    """An ungapped extension reported as it stands: all-match ops."""
+    return HSP(
+        subject_oid=subject_local_index,
+        qstart=h.qstart,
+        qend=h.qend,
+        sstart=h.sstart,
+        send=h.send,
+        score=h.score,
+        ops="M" * (h.qend - h.qstart),
+    )
+
+
 class BlastSearch:
     """A configured search engine, reusable across queries and fragments."""
 
@@ -319,11 +307,6 @@ class BlastSearch:
         ext = np.full((size + 1, size + 1), -(1 << 30), dtype=np.int64)
         ext[:size, :size] = self.matrix
         self.matrix_ext = ext
-        # Memo of gapped extensions within one (query x fragment) search:
-        # duplicated subjects produce identical (subject bytes, anchor)
-        # DP problems; both kernels answer repeats from here (counted as
-        # ``SearchStats.gapped_dedup``) so their stats stay equal.
-        self._gapped_memo: dict[tuple, GappedExtension] = {}
         # Host-seconds per wave-kernel stage, accumulated across
         # blocks/fragments (scan / ungapped / gapped / render).
         # Purely observational: repro.obs.bench reports it per scenario.
@@ -425,20 +408,10 @@ class BlastSearch:
         """
         if not queries:
             return []
-        if self.params.batch:
-            out = self._search_wave(
-                self._wave_for(queries), fragment, db_letters, db_num_seqs,
-                base_oid, stats, filter_db_letters, filter_db_num_seqs,
-            )
-        else:
-            out = [
-                self._search_one(
-                    qi, qrec, self.alphabet.encode(qrec.sequence), fragment,
-                    db_letters, db_num_seqs, base_oid, stats,
-                    filter_db_letters, filter_db_num_seqs,
-                )
-                for qi, qrec in enumerate(queries)
-            ]
+        out = self._search_wave(
+            self._wave_for(queries), fragment, db_letters, db_num_seqs,
+            base_oid, stats, filter_db_letters, filter_db_num_seqs,
+        )
         if stats is not None:
             stats.queries += len(queries)
         return out
@@ -472,79 +445,6 @@ class BlastSearch:
         return space, filter_space, min_raw, self._min_keep(min_raw)
 
     # ------------------------------------------------------------------
-    def _search_one(
-        self,
-        query_index: int,
-        qrec: SeqRecord,
-        qcodes: np.ndarray,
-        fragment: SequenceDatabase,
-        db_letters: int,
-        db_num_seqs: int,
-        base_oid: int,
-        stats: SearchStats | None,
-        filter_db_letters: int | None = None,
-        filter_db_num_seqs: int | None = None,
-    ) -> list[Alignment]:
-        p = self.params
-        index = self._index_for(qcodes)
-        sstats = SeedStats()
-        self._gapped_memo = {}
-        space, filter_space, min_raw, min_keep = self._cutoffs(
-            len(qcodes), db_letters, db_num_seqs,
-            filter_db_letters, filter_db_num_seqs,
-        )
-
-        alignments: list[Alignment] = []
-        nsub = fragment.num_sequences
-        for si in range(nsub):
-            scodes = fragment.get_codes(si)
-            spos, qpos = index.find_hits(scodes, sstats)
-            if len(spos) == 0:
-                continue
-            if p.program == "blastp":
-                triggers = two_hit_triggers(
-                    spos,
-                    qpos,
-                    window=p.two_hit_window,
-                    word_size=p.effective_word_size,
-                )
-            else:
-                triggers = one_hit_triggers(spos, qpos)
-            if len(triggers[0]) == 0:
-                continue
-            sstats.triggers += len(triggers[0])
-            hsps = self._extend_subject(
-                qcodes, scodes, triggers, si, stats, min_keep
-            )
-            if not hsps:
-                continue
-            hsps = cull_contained(hsps)
-            for h in hsps:
-                if h.score < min_raw:
-                    continue
-                al = self._render(
-                    query_index,
-                    qcodes,
-                    scodes,
-                    h,
-                    fragment.get_defline(si),
-                    base_oid + si,
-                    space,
-                )
-                # Filter in the (possibly fragment-local) space; the
-                # reported evalue on the record is always global.
-                if self.stats_params.evalue(h.score, filter_space) <= p.expect:
-                    alignments.append(al)
-        if stats is not None:
-            stats.subjects += nsub
-            stats.letters_scanned += sstats.positions_scanned
-            stats.word_hits += sstats.word_hits
-            stats.triggers += sstats.triggers
-            stats.alignments += len(alignments)
-        alignments.sort(key=Alignment.sort_key)
-        return alignments
-
-    # ------------------------------------------------------------------
     # wave kernel
     # ------------------------------------------------------------------
     #: query letters x subject letters per block — bounds the transient
@@ -552,6 +452,9 @@ class BlastSearch:
     #: through in bounded memory (one ~300-letter query: 2^21-letter
     #: slabs; more query letters, proportionally shorter slabs).
     BLOCK_CELLS = 300 << 21
+    #: initial half-band of the banded gapped DP: too narrow only costs
+    #: widening retries (see repro.blast.extend), never correctness.
+    BAND = 32
 
     def _fragment_scan(
         self, fragment: SequenceDatabase, slab_letters: int
@@ -591,19 +494,19 @@ class BlastSearch:
     ) -> list[list[Alignment]]:
         """Every query of the wave against the fragment, block by block.
 
-        Bit-identical, per query, to :meth:`_search_one`.  Each stage
-        runs once per (wave x subject slab) block: one lookup in the
-        wave's joint word index per scanned position and one sorted
-        key per hit with the (query, subject) pair folded in
+        Bit-identical, per query, to the per-subject scalar oracle
+        (``reference.py`` in this package).  Each stage runs once per
+        (wave x subject slab) block: one lookup in the wave's joint
+        word index per scanned position and one sorted key per hit
+        with the (query, subject) pair folded in
         (:func:`~repro.blast.seeding.wave_triggers`), so no pair of
         hits spans two queries or two subjects; one ungapped round loop
         over every (query, subject, diagonal) run
         (:func:`ungapped_extend_batch` on the two sentinel-joined
         arrays); survivors of the gap trigger go through the banded
         lockstep gapped engine as one cohort per round
-        (:meth:`_gapped_stage_batch`, or the scalar stage per pair when
-        ``gapped_batch`` is off).  Per-stage host seconds accumulate in
-        :attr:`stage_times`.
+        (:meth:`_gapped_stage_batch`).  Per-stage host seconds
+        accumulate in :attr:`stage_times`.
         """
         p = self.params
         nq = len(wave.qcodes)
@@ -721,14 +624,11 @@ class BlastSearch:
                     )
             t2 = time.perf_counter()
             stg["ungapped"] = stg.get("ungapped", 0.0) + t2 - t1
-            if p.gapped and p.gapped_batch:
+            if p.gapped:
                 self._gapped_stage_batch(pairs, memos, stats)
             else:
                 for st in pairs:
-                    self._gapped_memo = memos[st.qi]
-                    st.gapped = self._gapped_stage(
-                        st.qcodes, st.scodes, st.hits, st.si, stats
-                    )
+                    st.gapped = [_ungapped_hsp(st.si, h) for h in st.hits]
             t3 = time.perf_counter()
             stg["gapped"] = stg.get("gapped", 0.0) + t3 - t2
             for st in pairs:
@@ -740,6 +640,8 @@ class BlastSearch:
                         st.qi, st.qcodes, st.scodes, h,
                         fragment.get_defline(st.si), base_oid + st.si, space,
                     )
+                    # Filter in the (possibly fragment-local) space; the
+                    # reported evalue on the record is always global.
                     if (
                         self.stats_params.evalue(h.score, filter_space)
                         <= p.expect
@@ -772,110 +674,6 @@ class BlastSearch:
         return min(self.gap_trigger_raw, min_raw)
 
     # ------------------------------------------------------------------
-    def _extend_subject(
-        self,
-        q: np.ndarray,
-        s: np.ndarray,
-        triggers: tuple[np.ndarray, np.ndarray],
-        subject_local_index: int,
-        stats: SearchStats | None,
-        min_keep: int,
-    ) -> list[HSP]:
-        p = self.params
-        w = p.effective_word_size
-        # Ungapped stage, skipping triggers inside already-extended
-        # regions on the same diagonal.
-        covered: dict[int, int] = {}
-        ungapped_hits = []
-        tq, ts = triggers
-        for qp, sp in zip(tq.tolist(), ts.tolist()):
-            dg = qp - sp
-            if covered.get(dg, -1) >= sp:
-                continue
-            hit = ungapped_extend(q, s, qp, sp, w, self.matrix, p.x_drop_ungapped)
-            covered[dg] = hit.send
-            if stats is not None:
-                stats.ungapped_extensions += 1
-            if hit.score > 0 and hit.score >= min_keep:
-                ungapped_hits.append(hit)
-        if not ungapped_hits:
-            return []
-        return self._gapped_stage(q, s, ungapped_hits, subject_local_index, stats)
-
-    # ------------------------------------------------------------------
-    def _gapped_stage(
-        self,
-        q: np.ndarray,
-        s: np.ndarray,
-        ungapped_hits: list[UngappedHit],
-        subject_local_index: int,
-        stats: SearchStats | None,
-    ) -> list[HSP]:
-        p = self.params
-        if not p.gapped:
-            return [
-                HSP(
-                    subject_oid=subject_local_index,
-                    qstart=h.qstart,
-                    qend=h.qend,
-                    sstart=h.sstart,
-                    send=h.send,
-                    score=h.score,
-                    ops="M" * (h.qend - h.qstart),
-                )
-                for h in ungapped_hits
-            ]
-
-        # Gapped stage: extend each qualifying ungapped HSP, best first,
-        # skipping seeds already inside a gapped alignment.  Duplicate
-        # (subject sequence, anchor) triples — common with replicated
-        # subjects in synthetic DBs — reuse the memoized DP result.
-        ungapped_hits.sort(key=lambda h: (-h.score, h.qstart, h.sstart))
-        memo = self._gapped_memo
-        skey: bytes | None = None
-        gapped: list[HSP] = []
-        leftovers = []
-        for h in ungapped_hits:
-            if h.score < self.gap_trigger_raw:
-                leftovers.append(h)
-                continue
-            inside = any(
-                g.qstart <= h.qstart
-                and h.qend <= g.qend
-                and g.sstart <= h.sstart
-                and h.send <= g.send
-                for g in gapped
-            )
-            if inside:
-                continue
-            mid = (h.qstart + h.qend) // 2
-            anchor_q = mid
-            anchor_s = h.sstart + (mid - h.qstart)
-            if skey is None:
-                skey = s.tobytes()
-            key = (skey, anchor_q, anchor_s)
-            ext = memo.get(key)
-            if ext is not None:
-                if stats is not None:
-                    stats.gapped_dedup += 1
-            else:
-                ext = extend_gapped(
-                    q,
-                    s,
-                    anchor_q,
-                    anchor_s,
-                    self.matrix,
-                    p.gap_open,
-                    p.gap_extend,
-                    p.x_drop_gapped,
-                )
-                memo[key] = ext
-                if stats is not None:
-                    stats.gapped_extensions += 1
-            gapped.append(hsp_from_extension(subject_local_index, ext))
-        return self._finish_gapped(subject_local_index, gapped, leftovers)
-
-    # ------------------------------------------------------------------
     def _finish_gapped(
         self,
         subject_local_index: int,
@@ -899,17 +697,7 @@ class BlastSearch:
                 for g in gapped
             )
             if not inside:
-                gapped.append(
-                    HSP(
-                        subject_oid=subject_local_index,
-                        qstart=h.qstart,
-                        qend=h.qend,
-                        sstart=h.sstart,
-                        send=h.send,
-                        score=h.score,
-                        ops="M" * (h.qend - h.qstart),
-                    )
-                )
+                gapped.append(_ungapped_hsp(subject_local_index, h))
         return gapped
 
     # ------------------------------------------------------------------
@@ -922,7 +710,7 @@ class BlastSearch:
         """Round-based batched gapped stage over many pairs at once.
 
         Leaves each pair's HSPs in its ``gapped`` list, bit-identical to
-        calling :meth:`_gapped_stage` per (query, subject) pair: a
+        the scalar oracle's gapped stage per (query, subject) pair: a
         pair's seeds are still consumed best-first and its inside-check
         sees exactly the gapped HSPs its own earlier seeds produced,
         because a pair submits at most one DP per round and blocks until
@@ -998,7 +786,7 @@ class BlastSearch:
                 exts = extend_gapped_batch(
                     bqs, bsubs, baq, bas, self.matrix,
                     p.gap_open, p.gap_extend, p.x_drop_gapped,
-                    band=p.band, stats=bst,
+                    band=self.BAND, stats=bst,
                 )
                 for (memo, key), ext in zip(bkeys, exts):
                     memo[key] = ext

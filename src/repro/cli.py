@@ -8,6 +8,9 @@ Commands mirror the tools the paper's users touch:
   formatted database, writing the NCBI-style report;
 - ``simulate``    — run mpiBLAST / pioBLAST / queryseg on a simulated
   cluster over a synthetic workload and print the phase breakdown;
+- ``service`` / ``hier`` / ``hier-service`` — the online service, the
+  two-level hierarchy and the elastic hierarchical service on the same
+  simulated cluster (one run path: ``_Run``);
 - ``experiment``  — run one of the paper's table/figure harnesses and
   print the paper-vs-measured table;
 - ``report``      — assemble the archived benchmark tables
@@ -19,6 +22,7 @@ from __future__ import annotations
 import argparse
 import pathlib
 import sys
+import time
 
 
 def _cmd_formatdb(args: argparse.Namespace) -> int:
@@ -46,15 +50,10 @@ def _cmd_formatdb(args: argparse.Namespace) -> int:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
-    from repro.blast.engine import (
-        BlastSearch,
-        SearchParams,
-        finalize_results,
-    )
+    from repro.blast.engine import SearchParams
     from repro.blast.fasta import parse_fasta
     from repro.blast.formatdb import FormattedDatabase
-    from repro.blast.output import DbStats, HitSummary, ReportWriter
-    from repro.parallel.common import GlobalDbInfo, writer_for
+    from repro.parallel.serial import serial_report
 
     dbdir = pathlib.Path(args.dbdir)
 
@@ -68,30 +67,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
         expect=args.evalue,
         max_alignments=args.max_alignments,
     )
-    engine = BlastSearch(params)
-    per_query = engine.search_fragment(
-        queries, db, db_letters=db.total_letters,
-        db_num_seqs=db.num_sequences,
-    )
-    results = finalize_results(queries, per_query, params.max_alignments)
-    info = GlobalDbInfo(db.title, db.num_sequences, db.total_letters)
-    writer = writer_for(engine, info)
-    parts = [writer.preamble()]
-    for qrec, qr in zip(queries, results):
-        summaries = [
-            HitSummary(a.subject_defline, a.bit_score, a.evalue)
-            for a in qr.alignments
-        ]
-        parts.append(
-            writer.query_header(qr.query_defline, qr.query_length, summaries)
-        )
-        for a in qr.alignments:
-            parts.append(writer.alignment_block(a))
-        space = engine.effective_space(
-            qr.query_length, db.total_letters, db.num_sequences
-        )
-        parts.append(writer.query_footer(space))
-    report = b"".join(parts)
+    report, results = serial_report(db, queries, params)
     if args.out == "-":
         sys.stdout.write(report.decode())
     else:
@@ -101,57 +77,170 @@ def _cmd_search(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    from repro.experiments.common import (
-        ExperimentWorkload,
-        run_program_raw,
-    )
-    from repro.parallel import fault_summary
-    from repro.platforms import PLATFORMS
-    from repro.simmpi import FaultPlan
-    from repro.workloads import SynthSpec
+class _UsageError(Exception):
+    """Arguments the parser accepted but the run cannot use: ``main``
+    prints the message on one stderr line and exits 2."""
 
-    faults = None
-    if args.faults is not None:
-        try:
-            faults = FaultPlan.parse(args.faults)
-        except ValueError as e:
-            print(f"bad --faults spec: {e}", file=sys.stderr)
-            return 2
-    # Fail fast on unwritable output paths: the simulation itself can
-    # take minutes, so a typo'd directory must not cost a full run.
-    for opt, path in (("--trace", args.trace),
-                      ("--metrics-json", args.metrics_json)):
-        if path is None:
-            continue
-        parent = pathlib.Path(path).resolve().parent
-        if not parent.is_dir():
-            print(f"bad {opt} path: directory does not exist: {parent}",
-                  file=sys.stderr)
-            return 2
-    tracer = None
-    if args.trace is not None:
+
+def _checked(what: str, fn, *args, **kwargs):
+    """``fn(...)``; a ``ValueError`` is the callee rejecting the flags."""
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as e:
+        raise _UsageError(f"{what}: {e}") from None
+
+
+class _Run:
+    """The path the four run commands share: flags -> faults, tracer,
+    workload, platform (or exit 2); the timed driver call; the tail."""
+
+    def __init__(self, args: argparse.Namespace):
+        from repro.experiments.common import ExperimentWorkload
         from repro.obs import Tracer
+        from repro.platforms import PLATFORMS
+        from repro.simmpi import FaultPlan
+        from repro.workloads import SynthSpec
 
-        tracer = Tracer()
-    wl = ExperimentWorkload(
-        db_spec=SynthSpec(
-            num_sequences=args.db_sequences, mean_length=args.mean_length,
-        ),
-        query_bytes=args.query_bytes,
+        self.args = args
+        self.faults = None
+        if args.faults is not None:
+            self.faults = _checked(
+                "bad --faults spec", FaultPlan.parse, args.faults
+            )
+        # Fail fast on unwritable output paths: the simulation itself can
+        # take minutes, so a typo'd directory must not cost a full run.
+        for opt, path in (("--trace", args.trace),
+                          ("--metrics-json", args.metrics_json)):
+            if path is None:
+                continue
+            parent = pathlib.Path(path).resolve().parent
+            if not parent.is_dir():
+                raise _UsageError(
+                    f"bad {opt} path: directory does not exist: {parent}"
+                )
+        self.tracer = Tracer() if args.trace is not None else None
+        self.workload = ExperimentWorkload(
+            db_spec=SynthSpec(
+                num_sequences=args.db_sequences,
+                mean_length=args.mean_length,
+            ),
+            query_bytes=args.query_bytes,
+        )
+        self.platform = PLATFORMS[args.platform]
+        self.host_s = 0.0
+
+    def drive(self, runner, *lead, **kwargs):
+        """``runner(*lead, workload, platform, faults=, tracer=, ...)``,
+        timed into ``host_s``."""
+        t0 = time.perf_counter()
+        out = _checked(
+            "cannot run", runner, *lead, self.workload, self.platform,
+            faults=self.faults, tracer=self.tracer, **kwargs,
+        )
+        self.host_s = time.perf_counter() - t0
+        return out
+
+    def finish(self, result, store, cfg, *, program: str,
+               report: bytes | None = None, oracle_name: str = "",
+               degraded: bool = False, trace_note: str = "",
+               bottleneck: bool = False) -> int:
+        """Report size, fault summary, oracle, trace, metrics, host
+        budget -> the exit code."""
+        from repro.obs import write_chrome_trace, write_run_metrics
+        from repro.parallel import (
+            bottleneck_table,
+            fault_summary,
+            run_serial_reference,
+        )
+
+        args = self.args
+        print(f"  report: {store.size(cfg.output_path):,} bytes at "
+              f"'{cfg.output_path}' (virtual filesystem)")
+        if self.faults is not None:
+            print(fault_summary(result) or
+                  "faults: none injected, none detected")
+            if result.promotions:
+                print(f"  master promotions: {list(result.promotions)}")
+        if args.verify_oracle:
+            oracle = run_serial_reference(
+                store, cfg, output_path="_oracle.out"
+            )
+            if report == oracle:
+                print(f"  oracle: {oracle_name} report is byte-identical "
+                      "to the serial reference")
+            elif degraded:
+                print("  oracle: report degraded (expected: fragments lost "
+                      "or queries shed)")
+            else:
+                print("  oracle: MISMATCH against the serial reference",
+                      file=sys.stderr)
+                return 1
+        if self.tracer is not None:
+            write_chrome_trace(args.trace, result.events, result.nprocs)
+            print(f"  trace: {len(result.events)} events -> {args.trace}"
+                  f"{trace_note}")
+            if bottleneck:
+                print(bottleneck_table(result))
+        if args.metrics_json is not None:
+            write_run_metrics(args.metrics_json, result, program=program)
+            print(f"  metrics: -> {args.metrics_json}")
+        if args.host_budget is not None and self.host_s > args.host_budget:
+            print(f"host budget exceeded: {self.host_s:.1f} s > "
+                  f"{args.host_budget:.1f} s", file=sys.stderr)
+            return 3
+        return 0
+
+
+def _stream(args: argparse.Namespace, **extra) -> dict:
+    """The arrival/admission flags as the service runners' keywords."""
+    from repro.service import ServiceConfig
+
+    trace_text = None
+    if args.arrivals is not None:
+        try:
+            trace_text = pathlib.Path(args.arrivals).read_text()
+        except OSError as e:
+            raise _UsageError(f"bad --arrivals file: {e}") from None
+    scfg = _checked(
+        "bad admission flags", ServiceConfig,
+        max_wave=args.max_wave,
+        admission_delay=args.admission_delay,
+        priority=not args.no_priority,
+        interactive_max_len=args.interactive_max_len,
+        **extra,
     )
-    platform = PLATFORMS[args.platform]
+    return dict(rate=args.rate, arrival_seed=args.seed,
+                trace_text=trace_text, service=scfg)
+
+
+def _print_latency(lat: dict, makespan: float, host_s: float) -> None:
+    rows = [("all", lat["all"])] + sorted(lat["lanes"].items())
+    print(f"  {'lane':<12} {'n':>5} {'p50':>9} {'p95':>9} {'p99':>9} "
+          f"{'mean':>9} {'max':>9}")
+    for name, s in rows:
+        print(f"  {name:<12} {s['count']:>5} {s['p50_s']:>9.3f} "
+              f"{s['p95_s']:>9.3f} {s['p99_s']:>9.3f} "
+              f"{s['mean_s']:>9.3f} {s['max_s']:>9.3f}")
+    print(f"  span {lat['span_s']:.2f} s, throughput "
+          f"{lat['throughput_qps']:.3f} q/s, makespan "
+          f"{makespan:.2f} s (host {host_s:.1f} s)")
+
+
+def _cmd_simulate(args: argparse.Namespace) -> int:
+    from repro.experiments.common import run_program_raw
+
+    run = _Run(args)
     overrides = {}
     if args.checkpoint_interval > 0:
         overrides["checkpoint_interval"] = args.checkpoint_interval
     if args.checkpoint_dir is not None:
         overrides["checkpoint_dir"] = args.checkpoint_dir
-    b, result, store, cfg = run_program_raw(
-        args.program, args.nprocs, wl, platform, faults=faults,
-        tracer=tracer, config_overrides=overrides or None,
+    b, result, store, cfg = run.drive(
+        run_program_raw, args.program, args.nprocs,
+        config_overrides=overrides or None,
     )
     print(
-        f"{args.program} on {platform.name}, {args.nprocs} processes "
+        f"{args.program} on {run.platform.name}, {args.nprocs} processes "
         f"({args.db_sequences} db seqs, {args.query_bytes} B queries)"
     )
     print(
@@ -162,195 +251,47 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         f"  total      {b.total:10.2f} s   "
         f"(search share {100 * b.search_share:.1f}%)"
     )
-    print(f"  report: {store.size(cfg.output_path):,} bytes at "
-          f"'{cfg.output_path}' (virtual filesystem)")
-    if faults is not None:
-        print(fault_summary(result) or
-              "faults: none injected, none detected")
-        if result.promotions:
-            print(f"  master promotions: {list(result.promotions)}")
-    if tracer is not None:
-        from repro.obs import write_chrome_trace
-        from repro.parallel import bottleneck_table
-
-        write_chrome_trace(args.trace, result.events, result.nprocs)
-        print(f"  trace: {len(result.events)} events -> {args.trace} "
-              "(load in chrome://tracing or ui.perfetto.dev)")
-        print(bottleneck_table(result))
-    if args.metrics_json is not None:
-        from repro.obs import write_run_metrics
-
-        write_run_metrics(args.metrics_json, result, program=args.program)
-        print(f"  metrics: -> {args.metrics_json}")
-    return 0
+    return run.finish(
+        result, store, cfg, program=args.program, bottleneck=True,
+        trace_note=" (load in chrome://tracing or ui.perfetto.dev)",
+    )
 
 
 def _cmd_service(args: argparse.Namespace) -> int:
-    import time
+    from repro.experiments.common import run_service_raw
 
-    from repro.experiments.common import (
-        ExperimentWorkload,
-        run_service_raw,
-    )
-    from repro.platforms import PLATFORMS
-    from repro.service import ServiceConfig
-    from repro.simmpi import FaultPlan
-    from repro.workloads import SynthSpec
-
-    faults = None
-    if args.faults is not None:
-        try:
-            faults = FaultPlan.parse(args.faults)
-        except ValueError as e:
-            print(f"bad --faults spec: {e}", file=sys.stderr)
-            return 2
-    for opt, path in (("--trace", args.trace),
-                      ("--metrics-json", args.metrics_json)):
-        if path is None:
-            continue
-        parent = pathlib.Path(path).resolve().parent
-        if not parent.is_dir():
-            print(f"bad {opt} path: directory does not exist: {parent}",
-                  file=sys.stderr)
-            return 2
-    trace_text = None
-    if args.arrivals is not None:
-        trace_text = pathlib.Path(args.arrivals).read_text()
-    tracer = None
-    if args.trace is not None:
-        from repro.obs import Tracer
-
-        tracer = Tracer()
-    wl = ExperimentWorkload(
-        db_spec=SynthSpec(
-            num_sequences=args.db_sequences, mean_length=args.mean_length,
-        ),
-        query_bytes=args.query_bytes,
-    )
-    scfg = ServiceConfig(
-        max_wave=args.max_wave,
-        admission_delay=args.admission_delay,
-        priority=not args.no_priority,
-        interactive_max_len=args.interactive_max_len,
-    )
-    platform = PLATFORMS[args.platform]
-    t0 = time.perf_counter()
-    sres, store, cfg = run_service_raw(
-        args.nprocs, wl, platform,
-        rate=args.rate, arrival_seed=args.seed, trace_text=trace_text,
-        service=scfg, faults=faults, tracer=tracer,
-    )
-    host_s = time.perf_counter() - t0
-    result = sres.result
+    run = _Run(args)
+    stream = _stream(args)
+    sres, store, cfg = run.drive(run_service_raw, args.nprocs, **stream)
     lat = sres.latency
+    arrivals = ("trace" if stream["trace_text"] is not None
+                else f"poisson rate={args.rate}/s")
     print(
-        f"service on {platform.name}, {args.nprocs} processes "
-        f"({lat['all']['count']} queries, {sres.waves} waves, "
-        f"{'trace' if trace_text is not None else f'poisson rate={args.rate}/s'}"
-        f", priority={'on' if scfg.priority else 'off'})"
+        f"service on {run.platform.name}, {args.nprocs} processes "
+        f"({lat['all']['count']} queries, {sres.waves} waves, {arrivals}"
+        f", priority={'on' if stream['service'].priority else 'off'})"
     )
-    rows = [("all", lat["all"])] + sorted(lat["lanes"].items())
-    print(f"  {'lane':<12} {'n':>5} {'p50':>9} {'p95':>9} {'p99':>9} "
-          f"{'mean':>9} {'max':>9}")
-    for name, s in rows:
-        print(f"  {name:<12} {s['count']:>5} {s['p50_s']:>9.3f} "
-              f"{s['p95_s']:>9.3f} {s['p99_s']:>9.3f} "
-              f"{s['mean_s']:>9.3f} {s['max_s']:>9.3f}")
-    print(f"  span {lat['span_s']:.2f} s, throughput "
-          f"{lat['throughput_qps']:.3f} q/s, makespan "
-          f"{result.makespan:.2f} s (host {host_s:.1f} s)")
-    print(f"  report: {store.size(cfg.output_path):,} bytes at "
-          f"'{cfg.output_path}' (virtual filesystem)")
-    if faults is not None:
-        from repro.parallel import fault_summary
-
-        print(fault_summary(result) or
-              "faults: none injected, none detected")
-    if args.verify_oracle:
-        from repro.parallel import run_serial_reference
-
-        oracle = run_serial_reference(store, cfg, output_path="_oracle.out")
-        if sres.report == oracle:
-            print("  oracle: service report is byte-identical to the "
-                  "serial reference")
-        else:
-            print("  oracle: MISMATCH against the serial reference",
-                  file=sys.stderr)
-            return 1
-    if tracer is not None:
-        from repro.obs import write_chrome_trace
-
-        write_chrome_trace(args.trace, result.events, result.nprocs)
-        print(f"  trace: {len(result.events)} events -> {args.trace}")
-    if args.metrics_json is not None:
-        from repro.obs import write_run_metrics
-
-        write_run_metrics(args.metrics_json, result, program="service")
-        print(f"  metrics: -> {args.metrics_json}")
-    if args.host_budget is not None and host_s > args.host_budget:
-        print(f"host budget exceeded: {host_s:.1f} s > "
-              f"{args.host_budget:.1f} s", file=sys.stderr)
-        return 3
-    return 0
+    _print_latency(lat, sres.result.makespan, run.host_s)
+    return run.finish(
+        sres.result, store, cfg, program="service",
+        report=sres.report, oracle_name="service",
+    )
 
 
 def _cmd_hier(args: argparse.Namespace) -> int:
-    import time
+    from repro.experiments.common import run_hier_raw
 
-    from repro.experiments.common import (
-        ExperimentWorkload,
-        run_hier_raw,
-    )
-    from repro.platforms import PLATFORMS
-    from repro.simmpi import FaultPlan
-    from repro.workloads import SynthSpec
-
-    faults = None
-    if args.faults is not None:
-        try:
-            faults = FaultPlan.parse(args.faults)
-        except ValueError as e:
-            print(f"bad --faults spec: {e}", file=sys.stderr)
-            return 2
-    for opt, path in (("--trace", args.trace),
-                      ("--metrics-json", args.metrics_json)):
-        if path is None:
-            continue
-        parent = pathlib.Path(path).resolve().parent
-        if not parent.is_dir():
-            print(f"bad {opt} path: directory does not exist: {parent}",
-                  file=sys.stderr)
-            return 2
-    tracer = None
-    if args.trace is not None:
-        from repro.obs import Tracer
-
-        tracer = Tracer()
-    wl = ExperimentWorkload(
-        db_spec=SynthSpec(
-            num_sequences=args.db_sequences, mean_length=args.mean_length,
-        ),
-        query_bytes=args.query_bytes,
-    )
-    platform = PLATFORMS[args.platform]
+    run = _Run(args)
     mode = "shard" if args.shard else "replicate"
-    t0 = time.perf_counter()
-    try:
-        hres, store, cfg = run_hier_raw(
-            args.nprocs, wl, platform,
-            ngroups=args.groups, mode=mode,
-            batch_queries=args.batch_queries,
-            faults=faults, tracer=tracer,
-        )
-    except ValueError as e:
-        print(f"bad topology: {e}", file=sys.stderr)
-        return 2
-    host_s = time.perf_counter() - t0
+    hres, store, cfg = run.drive(
+        run_hier_raw, args.nprocs,
+        ngroups=args.groups, mode=mode, batch_queries=args.batch_queries,
+    )
     result = hres.result
     topo = hres.topology
     gsizes = [len(g.members) for g in topo.groups]
     print(
-        f"hier on {platform.name}, {args.nprocs} processes: "
+        f"hier on {run.platform.name}, {args.nprocs} processes: "
         f"{topo.ngroups} {mode} groups of "
         f"{min(gsizes)}-{max(gsizes)} ranks, coordinator + "
         f"sub-masters {[g.submaster for g in topo.groups]}"
@@ -358,7 +299,8 @@ def _cmd_hier(args: argparse.Namespace) -> int:
     gauges = result.metrics.get("global", {}).get("gauges", {})
     makespan = max(result.makespan, 1e-12)
     coord_busy = gauges.get("hier.coordinator.busy_s", 0.0)
-    print(f"  makespan   {result.makespan:10.2f} s   (host {host_s:.1f} s)")
+    print(f"  makespan   {result.makespan:10.2f} s   "
+          f"(host {run.host_s:.1f} s)")
     print(f"  coordinator busy {coord_busy:8.2f} s "
           f"({100 * coord_busy / makespan:.1f}% of makespan)")
     waits = {
@@ -369,190 +311,63 @@ def _cmd_hier(args: argparse.Namespace) -> int:
     print(f"  group coordinator-wait max {worst:8.2f} s "
           f"({100 * worst / makespan:.1f}% of makespan; per group "
           f"{['%.1f' % waits[g] for g in sorted(waits)]})")
-    print(f"  report: {store.size(cfg.output_path):,} bytes at "
-          f"'{cfg.output_path}' (virtual filesystem)")
-    if faults is not None:
-        from repro.parallel import fault_summary
-
-        print(fault_summary(result) or
-              "faults: none injected, none detected")
-    if args.verify_oracle:
-        from repro.parallel import run_serial_reference
-
-        oracle = run_serial_reference(store, cfg, output_path="_oracle.out")
-        if hres.report == oracle:
-            print("  oracle: hierarchical report is byte-identical to "
-                  "the serial reference")
-        else:
-            print("  oracle: MISMATCH against the serial reference",
-                  file=sys.stderr)
-            return 1
-    if tracer is not None:
-        from repro.obs import write_chrome_trace
-
-        write_chrome_trace(args.trace, result.events, result.nprocs)
-        print(f"  trace: {len(result.events)} events -> {args.trace} "
-              "(EV_GROUP spans show per-batch group activity)")
-    if args.metrics_json is not None:
-        from repro.obs import write_run_metrics
-
-        write_run_metrics(args.metrics_json, result, program="hier")
-        print(f"  metrics: -> {args.metrics_json}")
-    if args.host_budget is not None and host_s > args.host_budget:
-        print(f"host budget exceeded: {host_s:.1f} s > "
-              f"{args.host_budget:.1f} s", file=sys.stderr)
-        return 3
-    return 0
+    return run.finish(
+        result, store, cfg, program="hier",
+        report=hres.report, oracle_name="hierarchical",
+        trace_note=" (EV_GROUP spans show per-batch group activity)",
+    )
 
 
 def _cmd_hier_service(args: argparse.Namespace) -> int:
-    import time
-
-    from repro.experiments.common import (
-        ExperimentWorkload,
-        run_hier_service_raw,
-    )
+    from repro.experiments.common import run_hier_service_raw
     from repro.hier import ElasticConfig
-    from repro.platforms import PLATFORMS
-    from repro.service import ServiceConfig
-    from repro.simmpi import FaultPlan
-    from repro.workloads import SynthSpec
 
-    faults = None
-    if args.faults is not None:
-        try:
-            faults = FaultPlan.parse(args.faults)
-        except ValueError as e:
-            print(f"bad --faults spec: {e}", file=sys.stderr)
-            return 2
-
-    def parse_pairs(specs, what):
+    def parse_pairs(what):
         out = []
-        for tok in specs or ():
+        for tok in getattr(args, what) or ():
             try:
                 a, b = tok.split("@", 1)
                 out.append((int(a), float(b)))
             except ValueError:
-                raise ValueError(
+                raise _UsageError(
                     f"bad --{what} spec {tok!r} (expected N@TIME)"
                 ) from None
         return tuple(out)
 
-    try:
-        joins = parse_pairs(args.join, "join")
-        drains = parse_pairs(args.drain, "drain")
-    except ValueError as e:
-        print(str(e), file=sys.stderr)
-        return 2
-    for opt, path in (("--trace", args.trace),
-                      ("--metrics-json", args.metrics_json)):
-        if path is None:
-            continue
-        parent = pathlib.Path(path).resolve().parent
-        if not parent.is_dir():
-            print(f"bad {opt} path: directory does not exist: {parent}",
-                  file=sys.stderr)
-            return 2
-    trace_text = None
-    if args.arrivals is not None:
-        trace_text = pathlib.Path(args.arrivals).read_text()
-    tracer = None
-    if args.trace is not None:
-        from repro.obs import Tracer
-
-        tracer = Tracer()
-    wl = ExperimentWorkload(
-        db_spec=SynthSpec(
-            num_sequences=args.db_sequences, mean_length=args.mean_length,
-        ),
-        query_bytes=args.query_bytes,
+    run = _Run(args)
+    ecfg = _checked(
+        "bad elasticity flags", ElasticConfig,
+        joins=parse_pairs("join"), drains=parse_pairs("drain"),
+        recovery_attempts=args.recovery_attempts,
+        redispatch_timeout=args.redispatch_timeout,
     )
-    scfg = ServiceConfig(
-        max_wave=args.max_wave,
-        admission_delay=args.admission_delay,
-        priority=not args.no_priority,
-        interactive_max_len=args.interactive_max_len,
-        shed_threshold=args.shed_threshold,
-    )
-    ecfg = ElasticConfig(joins=joins, drains=drains,
-                         recovery_attempts=args.recovery_attempts,
-                         redispatch_timeout=args.redispatch_timeout)
-    platform = PLATFORMS[args.platform]
     mode = "shard" if args.shard else "replicate"
-    t0 = time.perf_counter()
-    try:
-        sres, store, cfg = run_hier_service_raw(
-            args.nprocs, wl, platform,
-            ngroups=args.groups, mode=mode,
-            rate=args.rate, arrival_seed=args.seed, trace_text=trace_text,
-            service=scfg, elastic=ecfg, faults=faults, tracer=tracer,
-        )
-    except ValueError as e:
-        print(f"bad topology: {e}", file=sys.stderr)
-        return 2
-    host_s = time.perf_counter() - t0
-    result = sres.result
+    sres, store, cfg = run.drive(
+        run_hier_service_raw, args.nprocs,
+        ngroups=args.groups, mode=mode, elastic=ecfg,
+        **_stream(args, shed_threshold=args.shed_threshold),
+    )
     topo = sres.topology
     lat = sres.latency
     gsizes = [len(g.members) for g in topo.groups]
     print(
-        f"hier-service on {platform.name}, {args.nprocs} processes: "
+        f"hier-service on {run.platform.name}, {args.nprocs} processes: "
         f"{len(topo.initial_groups)}+{len(topo.latent)} {mode} groups "
         f"of {min(gsizes)}-{max(gsizes)} ranks "
         f"({lat['all']['count']} queries, {sres.waves} waves, "
         f"{sres.regroups} regroup events)"
     )
-    rows = [("all", lat["all"])] + sorted(lat["lanes"].items())
-    print(f"  {'lane':<12} {'n':>5} {'p50':>9} {'p95':>9} {'p99':>9} "
-          f"{'mean':>9} {'max':>9}")
-    for name, s in rows:
-        print(f"  {name:<12} {s['count']:>5} {s['p50_s']:>9.3f} "
-              f"{s['p95_s']:>9.3f} {s['p99_s']:>9.3f} "
-              f"{s['mean_s']:>9.3f} {s['max_s']:>9.3f}")
-    print(f"  span {lat['span_s']:.2f} s, throughput "
-          f"{lat['throughput_qps']:.3f} q/s, makespan "
-          f"{result.makespan:.2f} s (host {host_s:.1f} s)")
-    if sres.degraded_queries or sres.shed_queries:
+    _print_latency(lat, sres.result.makespan, run.host_s)
+    degraded = bool(sres.degraded_queries or sres.shed_queries)
+    if degraded:
         print(f"  degraded {sres.degraded_queries} queries "
               f"(missing fragments), shed {sres.shed_queries} at "
               f"admission")
-    print(f"  report: {store.size(cfg.output_path):,} bytes at "
-          f"'{cfg.output_path}' (virtual filesystem)")
-    if faults is not None:
-        from repro.parallel import fault_summary
-
-        print(fault_summary(result) or
-              "faults: none injected, none detected")
-    if args.verify_oracle:
-        from repro.parallel import run_serial_reference
-
-        oracle = run_serial_reference(store, cfg, output_path="_oracle.out")
-        if sres.report == oracle:
-            print("  oracle: service report is byte-identical to the "
-                  "serial reference")
-        elif sres.degraded_queries or sres.shed_queries:
-            print("  oracle: report degraded (expected: fragments lost "
-                  "or queries shed)")
-        else:
-            print("  oracle: MISMATCH against the serial reference",
-                  file=sys.stderr)
-            return 1
-    if tracer is not None:
-        from repro.obs import write_chrome_trace
-
-        write_chrome_trace(args.trace, result.events, result.nprocs)
-        print(f"  trace: {len(result.events)} events -> {args.trace} "
-              "(EV_REGROUP spans show elastic membership events)")
-    if args.metrics_json is not None:
-        from repro.obs import write_run_metrics
-
-        write_run_metrics(args.metrics_json, result, program="hier-service")
-        print(f"  metrics: -> {args.metrics_json}")
-    if args.host_budget is not None and host_s > args.host_budget:
-        print(f"host budget exceeded: {host_s:.1f} s > "
-              f"{args.host_budget:.1f} s", file=sys.stderr)
-        return 3
-    return 0
+    return run.finish(
+        sres.result, store, cfg, program="hier-service",
+        report=sres.report, oracle_name="service", degraded=degraded,
+        trace_note=" (EV_REGROUP spans show elastic membership events)",
+    )
 
 
 _EXPERIMENTS = {
@@ -598,6 +413,80 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
+#: The flag families the run commands share, as ``(flag, add_argument
+#: kwargs)``.  A command's parent parser is :func:`_family` over the
+#: families it has; help text that differs by command is passed there,
+#: keyed by the flag's dest.
+def _workload(nprocs: int) -> tuple:
+    return (
+        ("--nprocs", dict(type=int, default=nprocs)),
+        ("--platform", dict(choices=["altix", "blade"], default="altix")),
+        ("--db-sequences", dict(type=int, default=300)),
+        ("--mean-length", dict(type=int, default=200)),
+        ("--query-bytes", dict(type=int, default=6000)),
+    )
+
+
+_OBS = (
+    ("--faults", dict(default=None, metavar="SPEC")),
+    ("--trace", dict(default=None, metavar="FILE")),
+    ("--metrics-json", dict(default=None, metavar="FILE")),
+)
+_GATE = (
+    ("--verify-oracle", dict(action="store_true")),
+    ("--host-budget", dict(
+        type=float, default=None, metavar="SECONDS",
+        help="exit 3 if the run needs more wall-clock than this "
+        "(CI smoke guard)")),
+)
+_STREAM = (
+    ("--rate", dict(
+        type=float, default=0.1,
+        help="Poisson arrival rate in queries per virtual second "
+        "(default 0.1)")),
+    ("--seed", dict(type=int, default=0,
+                    help="arrival-stream seed (default 0)")),
+    ("--arrivals", dict(default=None, metavar="FILE")),
+    ("--max-wave", dict(type=int, default=8,
+                        help="admission batch size (default 8)")),
+    ("--admission-delay", dict(
+        type=float, default=20.0,
+        help="max virtual seconds a queued query waits before a wave "
+        "departs anyway (default 20)")),
+    ("--no-priority", dict(action="store_true")),
+    ("--interactive-max-len", dict(
+        type=int, default=120,
+        help="sequences up to this length ride the interactive lane "
+        "(default 120)")),
+)
+#: ``exclusive`` is not an argparse keyword: the flags naming the same
+#: one go into one mutually exclusive group.
+_TOPOLOGY = (
+    ("--groups", dict(type=int, default=4)),
+    ("--replicate", dict(action="store_true", exclusive="placement")),
+    ("--shard", dict(action="store_true", exclusive="placement")),
+)
+
+
+def _family(flags, **help_by_dest: str) -> argparse.ArgumentParser:
+    """A parent parser carrying ``flags`` (families concatenated)."""
+    parent = argparse.ArgumentParser(add_help=False)
+    groups: dict[str, argparse._MutuallyExclusiveGroup] = {}
+    for flag, kwargs in flags:
+        kwargs = dict(kwargs)
+        dest = flag[2:].replace("-", "_")
+        if dest in help_by_dest:
+            kwargs["help"] = help_by_dest[dest]
+        target = parent
+        if "exclusive" in kwargs:
+            name = kwargs.pop("exclusive")
+            if name not in groups:
+                groups[name] = parent.add_mutually_exclusive_group()
+            target = groups[name]
+        target.add_argument(flag, **kwargs)
+    return parent
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="repro",
@@ -627,20 +516,22 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--out", default="-", help="report path or - for stdout")
     s.set_defaults(func=_cmd_search)
 
-    m = sub.add_parser("simulate", help="parallel run on a simulated cluster")
-    m.add_argument("program", choices=["mpiblast", "pioblast", "queryseg"])
-    m.add_argument("--nprocs", type=int, default=16)
-    m.add_argument("--platform", choices=["altix", "blade"], default="altix")
-    m.add_argument("--db-sequences", type=int, default=300)
-    m.add_argument("--mean-length", type=int, default=200)
-    m.add_argument("--query-bytes", type=int, default=6000)
-    m.add_argument(
-        "--faults", default=None, metavar="SPEC",
-        help="fault-injection plan; ','-separated events, e.g. "
-        "'seed=7,kill=2@0.05,slowdisk=4x1.0@0.2,ioerr=nr@0.1n2' "
-        "(see FAULTS.md for the full mini-language); switches "
-        "mpiblast/pioblast to their fault-tolerant drivers",
+    m = sub.add_parser(
+        "simulate", help="parallel run on a simulated cluster",
+        parents=[_family(
+            _workload(16) + _OBS,
+            faults="fault-injection plan; ','-separated events, e.g. "
+            "'seed=7,kill=2@0.05,slowdisk=4x1.0@0.2,ioerr=nr@0.1n2' "
+            "(see FAULTS.md for the full mini-language); switches "
+            "mpiblast/pioblast to their fault-tolerant drivers",
+            trace="write a Chrome/Perfetto trace of the run to FILE and "
+            "print the event-derived bottleneck table "
+            "(see OBSERVABILITY.md)",
+            metrics_json="write machine-readable run metrics (makespan, "
+            "phase maxima, counters, critical-path attribution) to FILE",
+        )],
     )
+    m.add_argument("program", choices=["mpiblast", "pioblast", "queryseg"])
     m.add_argument(
         "--checkpoint-interval", type=float, default=0.0,
         metavar="SECONDS",
@@ -654,147 +545,83 @@ def build_parser() -> argparse.ArgumentParser:
         help="virtual-filesystem directory for checkpoint snapshots "
         "(default: _ckpt)",
     )
-    m.add_argument(
-        "--trace", default=None, metavar="FILE",
-        help="write a Chrome/Perfetto trace of the run to FILE and "
-        "print the event-derived bottleneck table "
-        "(see OBSERVABILITY.md)",
-    )
-    m.add_argument(
-        "--metrics-json", default=None, metavar="FILE",
-        help="write machine-readable run metrics (makespan, phase "
-        "maxima, counters, critical-path attribution) to FILE",
-    )
-    m.set_defaults(func=_cmd_simulate)
+    # simulate has neither _GATE flag; _Run.finish reads both
+    m.set_defaults(func=_cmd_simulate, verify_oracle=False, host_budget=None)
 
     v = sub.add_parser(
         "service",
         help="online query service on a simulated cluster "
         "(streaming arrivals, admission batching, latency SLOs)",
+        parents=[_family(
+            _workload(16) + _STREAM + _OBS + _GATE,
+            arrivals="replay an arrival trace file instead of a "
+            "Poisson stream ('<arrival> <query-index> [lane]' per line)",
+            no_priority="disable the interactive priority lane (single "
+            "FIFO admission)",
+            faults="fault-injection plan (see FAULTS.md); the service "
+            "adopts a dead worker's fragments and re-searches the "
+            "in-flight wave",
+            verify_oracle="also run the serial reference and fail unless "
+            "the service report is byte-identical",
+            trace="write a Chrome/Perfetto trace (EV_QUERY spans show "
+            "per-query latency)",
+            metrics_json="write machine-readable run metrics including "
+            "the service latency section",
+        )],
     )
-    v.add_argument("--nprocs", type=int, default=16)
-    v.add_argument("--platform", choices=["altix", "blade"], default="altix")
-    v.add_argument("--db-sequences", type=int, default=300)
-    v.add_argument("--mean-length", type=int, default=200)
-    v.add_argument("--query-bytes", type=int, default=6000)
-    v.add_argument("--rate", type=float, default=0.1,
-                   help="Poisson arrival rate in queries per virtual "
-                   "second (default 0.1)")
-    v.add_argument("--seed", type=int, default=0,
-                   help="arrival-stream seed (default 0)")
-    v.add_argument("--arrivals", default=None, metavar="FILE",
-                   help="replay an arrival trace file instead of a "
-                   "Poisson stream ('<arrival> <query-index> [lane]' "
-                   "per line)")
-    v.add_argument("--max-wave", type=int, default=8,
-                   help="admission batch size (default 8)")
-    v.add_argument("--admission-delay", type=float, default=20.0,
-                   help="max virtual seconds a queued query waits before "
-                   "a wave departs anyway (default 20)")
-    v.add_argument("--no-priority", action="store_true",
-                   help="disable the interactive priority lane (single "
-                   "FIFO admission)")
-    v.add_argument("--interactive-max-len", type=int, default=120,
-                   help="sequences up to this length ride the "
-                   "interactive lane (default 120)")
-    v.add_argument("--faults", default=None, metavar="SPEC",
-                   help="fault-injection plan (see FAULTS.md); the "
-                   "service adopts a dead worker's fragments and "
-                   "re-searches the in-flight wave")
-    v.add_argument("--verify-oracle", action="store_true",
-                   help="also run the serial reference and fail unless "
-                   "the service report is byte-identical")
-    v.add_argument("--trace", default=None, metavar="FILE",
-                   help="write a Chrome/Perfetto trace (EV_QUERY spans "
-                   "show per-query latency)")
-    v.add_argument("--metrics-json", default=None, metavar="FILE",
-                   help="write machine-readable run metrics including "
-                   "the service latency section")
-    v.add_argument("--host-budget", type=float, default=None,
-                   metavar="SECONDS",
-                   help="exit 3 if the run needs more wall-clock than "
-                   "this (CI smoke guard)")
     v.set_defaults(func=_cmd_service)
 
     h = sub.add_parser(
         "hier",
         help="two-level hierarchical run (replication groups under a "
         "coordinator) on a simulated cluster",
+        parents=[_family(
+            _workload(64) + _TOPOLOGY + _OBS + _GATE,
+            groups="number of replication groups (default 4)",
+            replicate="each group holds the whole database; query "
+            "batches split across groups (default)",
+            shard="one global partition; each group owns a fragment "
+            "slice and searches every batch",
+            faults="fault-injection plan (see FAULTS.md); role events "
+            "'crash=coordinator@T' and 'crash=submaster:gN@T' resolve "
+            "against the topology",
+            verify_oracle="also run the serial reference and fail unless "
+            "the report is byte-identical",
+            trace="write a Chrome/Perfetto trace (EV_GROUP spans show "
+            "per-batch group activity)",
+            metrics_json="write machine-readable run metrics including "
+            "the hier section (coordinator + per-group waits)",
+        )],
     )
-    h.add_argument("--nprocs", type=int, default=64)
-    h.add_argument("--groups", type=int, default=4,
-                   help="number of replication groups (default 4)")
-    placement = h.add_mutually_exclusive_group()
-    placement.add_argument("--replicate", action="store_true",
-                           help="each group holds the whole database; "
-                           "query batches split across groups (default)")
-    placement.add_argument("--shard", action="store_true",
-                           help="one global partition; each group owns a "
-                           "fragment slice and searches every batch")
     h.add_argument("--batch-queries", type=int, default=0,
                    help="queries per coordinator batch (0 = ~2 batches "
                    "per group)")
-    h.add_argument("--platform", choices=["altix", "blade"], default="altix")
-    h.add_argument("--db-sequences", type=int, default=300)
-    h.add_argument("--mean-length", type=int, default=200)
-    h.add_argument("--query-bytes", type=int, default=6000)
-    h.add_argument("--faults", default=None, metavar="SPEC",
-                   help="fault-injection plan (see FAULTS.md); role "
-                   "events 'crash=coordinator@T' and "
-                   "'crash=submaster:gN@T' resolve against the topology")
-    h.add_argument("--verify-oracle", action="store_true",
-                   help="also run the serial reference and fail unless "
-                   "the report is byte-identical")
-    h.add_argument("--trace", default=None, metavar="FILE",
-                   help="write a Chrome/Perfetto trace (EV_GROUP spans "
-                   "show per-batch group activity)")
-    h.add_argument("--metrics-json", default=None, metavar="FILE",
-                   help="write machine-readable run metrics including "
-                   "the hier section (coordinator + per-group waits)")
-    h.add_argument("--host-budget", type=float, default=None,
-                   metavar="SECONDS",
-                   help="exit 3 if the run needs more wall-clock than "
-                   "this (CI smoke guard)")
     h.set_defaults(func=_cmd_hier)
 
     hs = sub.add_parser(
         "hier-service",
         help="online query service through elastic replication groups "
         "(group join/drain, group-loss recovery, degraded answers)",
+        parents=[_family(
+            _workload(32) + _TOPOLOGY + _STREAM + _OBS + _GATE,
+            groups="number of initial replication groups (default 4)",
+            replicate="each group holds the whole database (default)",
+            shard="one global partition; groups own fragment slices",
+            arrivals="replay an arrival trace file instead of a "
+            "Poisson stream",
+            no_priority="disable the interactive priority lane",
+            faults="fault-injection plan (see FAULTS.md); role events "
+            "'crash=coordinator@T', 'crash=submaster:gN@T' and "
+            "'crash=group:gN@T' resolve against the topology",
+            verify_oracle="also run the serial reference and fail unless "
+            "the report is byte-identical (degraded/shed runs are "
+            "reported, not failed)",
+            trace="write a Chrome/Perfetto trace (EV_REGROUP spans "
+            "show elastic membership events)",
+            metrics_json="write machine-readable run metrics including "
+            "the latency and hier sections",
+        )],
     )
-    hs.add_argument("--nprocs", type=int, default=32)
-    hs.add_argument("--groups", type=int, default=4,
-                    help="number of initial replication groups (default 4)")
-    placement2 = hs.add_mutually_exclusive_group()
-    placement2.add_argument("--replicate", action="store_true",
-                            help="each group holds the whole database "
-                            "(default)")
-    placement2.add_argument("--shard", action="store_true",
-                            help="one global partition; groups own "
-                            "fragment slices")
-    hs.add_argument("--platform", choices=["altix", "blade"],
-                    default="altix")
-    hs.add_argument("--db-sequences", type=int, default=300)
-    hs.add_argument("--mean-length", type=int, default=200)
-    hs.add_argument("--query-bytes", type=int, default=6000)
-    hs.add_argument("--rate", type=float, default=0.1,
-                    help="Poisson arrival rate in queries per virtual "
-                    "second (default 0.1)")
-    hs.add_argument("--seed", type=int, default=0,
-                    help="arrival-stream seed (default 0)")
-    hs.add_argument("--arrivals", default=None, metavar="FILE",
-                    help="replay an arrival trace file instead of a "
-                    "Poisson stream")
-    hs.add_argument("--max-wave", type=int, default=8,
-                    help="admission batch size (default 8)")
-    hs.add_argument("--admission-delay", type=float, default=20.0,
-                    help="max virtual seconds a queued query waits "
-                    "before a wave departs anyway (default 20)")
-    hs.add_argument("--no-priority", action="store_true",
-                    help="disable the interactive priority lane")
-    hs.add_argument("--interactive-max-len", type=int, default=120,
-                    help="sequences up to this length ride the "
-                    "interactive lane (default 120)")
     hs.add_argument("--shed-threshold", type=int, default=0,
                     help="shed arrivals once this many queries are "
                     "queued (0 disables; default 0)")
@@ -812,24 +639,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "virtual-time silence instead of waiting out the "
                     "group-death budget (default: the death budget; "
                     "see FAULTS.md §5)")
-    hs.add_argument("--faults", default=None, metavar="SPEC",
-                    help="fault-injection plan (see FAULTS.md); role "
-                    "events 'crash=coordinator@T', 'crash=submaster:gN@T' "
-                    "and 'crash=group:gN@T' resolve against the topology")
-    hs.add_argument("--verify-oracle", action="store_true",
-                    help="also run the serial reference and fail unless "
-                    "the report is byte-identical (degraded/shed runs "
-                    "are reported, not failed)")
-    hs.add_argument("--trace", default=None, metavar="FILE",
-                    help="write a Chrome/Perfetto trace (EV_REGROUP "
-                    "spans show elastic membership events)")
-    hs.add_argument("--metrics-json", default=None, metavar="FILE",
-                    help="write machine-readable run metrics including "
-                    "the latency and hier sections")
-    hs.add_argument("--host-budget", type=float, default=None,
-                    metavar="SECONDS",
-                    help="exit 3 if the run needs more wall-clock than "
-                    "this (CI smoke guard)")
     hs.set_defaults(func=_cmd_hier_service)
 
     e = sub.add_parser("experiment", help="run a paper table/figure harness")
@@ -844,9 +653,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except _UsageError as e:
+        print(e, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

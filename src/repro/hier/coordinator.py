@@ -61,6 +61,9 @@ from repro.parallel.checkpoint import CheckpointStore
 from repro.parallel.common import (
     layout_query_section,
     read_queries_bytes,
+    reliable_read,
+    reliable_write,
+    write_output,
     writer_for,
 )
 from repro.parallel.config import ParallelConfig
@@ -68,7 +71,6 @@ from repro.parallel.pullrpc import HIER, Heartbeat, PullServer
 from repro.parallel.results import select_metas
 from repro.parallel.warmdb import partition_database
 from repro.simmpi import ProcContext
-from repro.simmpi.faults import retry_io
 
 from repro.hier.topology import HierTopology
 
@@ -194,13 +196,9 @@ def run_coordinator(
 
     # ---- setup --------------------------------------------------------
     ctx.compute(cost.init_seconds())
-    qdata = retry_io(
-        sim,
-        lambda: ctx.fs.read(
-            cfg.query_path,
-            charge_bytes=cost.wire_bytes(ctx.fs.size(cfg.query_path)),
-        ),
-        attempts=ft.io_attempts, report=report, what=f"read:{cfg.query_path}",
+    qdata = reliable_read(
+        ctx, ft, cfg.query_path,
+        charge_bytes=cost.wire_bytes(ctx.fs.size(cfg.query_path)),
     )
     queries = read_queries_bytes(qdata)
     # One-fragment partition = the cheap way to read the global index
@@ -379,15 +377,7 @@ def run_coordinator(
         with ctx.phase("output"):
             for poff, buf in pieces:
                 ping_submasters()
-                retry_io(
-                    sim,
-                    lambda poff=poff, buf=buf: ctx.fs.write(
-                        out, poff, buf,
-                        charge_bytes=cost.wire_bytes(len(buf)),
-                    ),
-                    attempts=ft.io_attempts, report=report,
-                    what="write:output",
-                )
+                write_output(ctx, cfg, poff, buf)
         # Drop write obligations nobody can honour (dead shard groups).
         for key in list(layout):
             gid = key[1] if mode == "shard" else None
@@ -407,11 +397,7 @@ def run_coordinator(
         if marker_written:
             return
         marker_written = True
-        retry_io(
-            sim,
-            lambda: ctx.fs.write(marker, 0, b"done", charge_bytes=0),
-            attempts=ft.io_attempts, report=report, what=f"write:{marker}",
-        )
+        reliable_write(ctx, ft, marker, 0, b"done", charge_bytes=0)
 
     # ---- request handling --------------------------------------------
     def offer_search(gid: int):

@@ -71,6 +71,9 @@ from repro.parallel.checkpoint import CheckpointStore
 from repro.parallel.common import (
     footer_bytes_for,
     header_bytes_for,
+    reliable_read,
+    reliable_write,
+    write_output,
     writer_for,
 )
 from repro.parallel.config import FTParams, ParallelConfig
@@ -80,7 +83,7 @@ from repro.parallel.warmdb import partition_database
 from repro.service.arrivals import QueryJob
 from repro.service.scheduler import AdmissionScheduler, ServiceConfig
 from repro.simmpi import FileStore, PlatformSpec, ProcContext, RunResult
-from repro.simmpi.faults import FaultPlan, TransientIOError, retry_io
+from repro.simmpi.faults import FaultPlan, TransientIOError
 from repro.simmpi.launcher import run
 
 from repro.hier.coordinator import (
@@ -714,11 +717,8 @@ def _serve_coordinator(
             if not ctx.fs.exists(path):
                 return False
             try:
-                retry_io(
-                    sim,
-                    lambda path=path: ctx.fs.read(path, charge_bytes=0),
-                    attempts=ft.io_attempts, report=report,
-                    what=f"probe:{path}",
+                reliable_read(
+                    ctx, ft, path, charge_bytes=0, what=f"probe:{path}"
                 )
             except TransientIOError:
                 return False
@@ -838,23 +838,10 @@ def _serve_coordinator(
                 [writer.preamble()]
                 + [sections[qid] for qid in sorted(sections)]
             )
-            retry_io(
-                sim,
-                lambda: ctx.fs.write(
-                    out, 0, report_bytes,
-                    charge_bytes=cost.wire_bytes(len(report_bytes)),
-                ),
-                attempts=ft.io_attempts, report=report,
-                what="write:output",
-            )
+            write_output(ctx, cfg, 0, report_bytes)
         if not marker_written:
             marker_written = True
-            retry_io(
-                sim,
-                lambda: ctx.fs.write(marker, 0, b"done", charge_bytes=0),
-                attempts=ft.io_attempts, report=report,
-                what=f"write:{marker}",
-            )
+            reliable_write(ctx, ft, marker, 0, b"done", charge_bytes=0)
         finished = True
         done_since = sim.now
 

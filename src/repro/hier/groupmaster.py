@@ -65,6 +65,7 @@ from repro.parallel.common import (
     footer_bytes_for,
     header_bytes_for,
     parse_index,
+    write_output,
     writer_for,
 )
 from repro.parallel.config import ParallelConfig
@@ -85,7 +86,6 @@ from repro.parallel.warmdb import (
 )
 from repro.simmpi import ProcContext, Status
 from repro.simmpi.comm import ANY_SOURCE, ANY_TAG, TIMEOUT
-from repro.simmpi.faults import retry_io
 
 from repro.hier.coordinator import (
     TAG_HIER_PING,
@@ -161,7 +161,6 @@ def run_group_master(
     tracer = ctx.cluster.tracer
     me = ctx.rank
     mode = topo.mode
-    out = cfg.output_path
     group = topo.groups[gid]
     members = list(group.members)
     my_pos = members.index(me)
@@ -429,22 +428,13 @@ def run_group_master(
         else:
             outbox.append(("result", (gid, b, payload)))
 
-    def reliable_write(off: int, buf: bytes) -> None:
-        retry_io(
-            sim,
-            lambda: ctx.fs.write(
-                out, off, buf, charge_bytes=cost.wire_bytes(len(buf))
-            ),
-            attempts=ft.io_attempts, report=report, what="write:output",
-        )
-
     def do_replicate_write(b: int, writes, epoch: int) -> None:
         t0w = sim.now
         sections = done_batches[b]["sections"]
         with ctx.phase("output"):
             for qi, off in writes:
                 ping_members()
-                reliable_write(off, sections[qi])
+                write_output(ctx, cfg, off, sections[qi])
         written_local[b] = epoch
         outbox.append(("wrote", (gid, b, epoch)))
         if tracer is not None:
@@ -459,7 +449,9 @@ def run_group_master(
         with ctx.phase("output"):
             for key in sorted(shard_write.offs):
                 ping_members()
-                reliable_write(shard_write.offs[key], shard_write.blocks[key])
+                write_output(
+                    ctx, cfg, shard_write.offs[key], shard_write.blocks[key]
+                )
         written_local[b] = shard_write.epoch
         outbox.append(("wrote", (gid, b, shard_write.epoch)))
         if tracer is not None:

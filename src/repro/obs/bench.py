@@ -29,18 +29,16 @@ Two kinds of time appear in the file and must not be confused:
   the cost model; deterministic, comparable across machines;
 * **host** seconds (``host_s``, ``*_host_s``) — wall-clock time the run
   took on the machine that wrote the file; noisy, only comparable
-  against baselines from similar hardware, but the only number that can
-  show whether the *implementation* (batched search kernel, simmpi
-  scheduler fast path) got faster.
+  against baselines from similar hardware; ``bench/`` (BENCHMARK.json)
+  is the harness that owns host time and attributes it by layer.
 
-The ``kernel`` section times the batched BLAST search kernel directly
-(no simulator): each scenario searches a synthetic database once with
-``SearchParams.batch`` off (scalar reference) and once on, records both
-host times, the speedup, the batch run's per-stage breakdown, and the
-gapped-DP work counters.  The paper's data-access argument is made on
-GenBank *nt*-scale databases, so scenarios cover 10^4-sequence blastn
-and blastp plus a 10^5-sequence blastp point (the batched banded
-gapped extension makes the latter routine; see PERFORMANCE.md §2).
+The ``kernel`` section times the BLAST search kernel directly (no
+simulator): each scenario searches a synthetic database once and
+records the host time (``batch_host_s``, the key the committed files
+carry), the per-stage breakdown, and the gapped-DP work counters.  The
+paper's data-access argument is made on GenBank *nt*-scale databases,
+so scenarios cover 10^4-sequence blastn and blastp plus a 10^5-sequence
+blastp point (see PERFORMANCE.md §2).
 
 The file is the comparison baseline for :mod:`repro.obs.compare`::
 
@@ -69,11 +67,20 @@ from repro.blast.engine import (
     SearchParams,
     SearchStats,
 )
-from repro.experiments.common import ExperimentWorkload, run_program_raw
+from repro.experiments.common import (
+    ExperimentWorkload,
+    run_hier_raw,
+    run_hier_service_raw,
+    run_program_raw,
+    run_service_raw,
+)
 from repro.experiments.fig3a import PROCESS_COUNTS
+from repro.hier import ElasticConfig
 from repro.obs.export import run_metrics
 from repro.obs.tracer import Tracer
 from repro.platforms import ORNL_ALTIX
+from repro.service import ServiceConfig
+from repro.simmpi import FaultPlan
 from repro.workloads import (
     SynthSpec,
     synthesize_dna_records,
@@ -106,22 +113,20 @@ HIER_POINTS = ((256, 16), (512, 16), (1024, 32))
 HIER_POINTS_QUICK = ((256, 16),)
 HIER_MODE = "replicate"
 
-#: Kernel scenarios: (program, database sequences, queries, scalar?).
+#: Kernel scenarios: (program, database sequences, queries).
 #: Sequences average 300 letters, so 10^4 sequences is a ~3 Mletter
-#: fragment and 10^5 a ~30 Mletter one.  ``scalar?`` False skips the
-#: scalar reference column — the quick blastp/100000 point is
-#: batch-only (one query) so CI measures the 10^5 regime without
-#: paying minutes of scalar Gotoh DP inside the perf-smoke budget.
+#: fragment and 10^5 a ~30 Mletter one (one query in the quick set, so
+#: CI measures the 10^5 regime inside the perf-smoke budget).
 KERNEL_QUERIES = 4
 KERNEL_FULL = (
-    ("blastn", 10_000, KERNEL_QUERIES, True),
-    ("blastp", 10_000, KERNEL_QUERIES, True),
-    ("blastp", 100_000, KERNEL_QUERIES, True),
+    ("blastn", 10_000, KERNEL_QUERIES),
+    ("blastp", 10_000, KERNEL_QUERIES),
+    ("blastp", 100_000, KERNEL_QUERIES),
 )
 KERNEL_QUICK = (
-    ("blastn", 1_000, KERNEL_QUERIES, True),
-    ("blastp", 1_000, KERNEL_QUERIES, True),
-    ("blastp", 100_000, 1, False),
+    ("blastn", 1_000, KERNEL_QUERIES),
+    ("blastp", 1_000, KERNEL_QUERIES),
+    ("blastp", 100_000, 1),
 )
 
 #: Online-service scenario: a Poisson arrival stream against the warm
@@ -168,91 +173,81 @@ HIER_SERVICE_REDISPATCH = 90.0
 def kernel_scenarios(
     scenarios=KERNEL_FULL, *, verbose: bool = False
 ) -> dict[str, dict]:
-    """Time the search kernel, scalar vs batched, per scenario.
+    """Time the search kernel per scenario.
 
-    Both modes search the same queries against the same database and
-    produce bit-identical results (enforced by the tier-1 suite); only
-    the host time differs.  The global index memo is cleared before
-    each timed run so neither mode inherits the other's cached work.
-
-    Per scenario the entry also carries the batch run's per-stage host
+    The global index memo is cleared before each timed run so no
+    scenario inherits another's cached work.  Per scenario the entry
+    carries the host seconds (``batch_host_s``), the per-stage host
     seconds (``stages``: scan / ungapped / gapped / render) and the
     gapped-DP work/health counters (``gapped_extensions``,
     ``gapped_dedup``, ``gapped_widenings``, ``gapped_fallbacks``,
     ``gapped_peak_cells``) — see OBSERVABILITY.md §6.
     """
     out: dict[str, dict] = {}
-    for program, nseqs, nqueries, with_scalar in scenarios:
+    for program, nseqs, nqueries in scenarios:
         if program == "blastn":
             recs = synthesize_dna_records(
                 SynthSpec(num_sequences=nseqs, mean_length=300, seed=11)
             )
-            base = dict(program="blastn", gapped=False)
+            params = SearchParams(program="blastn", gapped=False)
         else:
             recs = synthesize_protein_records(
                 SynthSpec(num_sequences=nseqs, mean_length=300)
             )
-            base = dict(program="blastp")
+            params = SearchParams(program="blastp")
         step = max(1, nseqs // nqueries)
         queries = [recs[i] for i in range(0, nseqs, step)][:nqueries]
-        entry: dict = {
+        BlastSearch._GLOBAL_INDEX_MEMO.clear()
+        eng = BlastSearch(params)
+        db = ListDatabase(recs, eng.alphabet)
+        stats = SearchStats()
+        t0 = time.perf_counter()
+        eng.search_fragment(
+            queries,
+            db,
+            db_letters=db.total_letters,
+            db_num_seqs=db.num_sequences,
+            stats=stats,
+        )
+        host_s = time.perf_counter() - t0
+        name = f"{program}/{nseqs}"
+        out[name] = {
             "num_sequences": nseqs,
             "num_queries": len(queries),
+            "db_letters": db.total_letters,
+            "batch_host_s": host_s,
+            "stages": {k: round(v, 4) for k, v in eng.stage_times.items()},
+            "gapped_extensions": stats.gapped_extensions,
+            "gapped_dedup": stats.gapped_dedup,
+            "gapped_widenings": stats.gapped_widenings,
+            "gapped_fallbacks": stats.gapped_fallbacks,
+            "gapped_peak_cells": stats.gapped_peak_cells,
         }
-        modes = [("scalar", False)] if with_scalar else []
-        modes.append(("batch", True))
-        for mode, batch in modes:
-            BlastSearch._GLOBAL_INDEX_MEMO.clear()
-            eng = BlastSearch(SearchParams(batch=batch, **base))
-            db = ListDatabase(recs, eng.alphabet)
-            entry["db_letters"] = db.total_letters
-            stats = SearchStats()
-            t0 = time.perf_counter()
-            eng.search_fragment(
-                queries,
-                db,
-                db_letters=db.total_letters,
-                db_num_seqs=db.num_sequences,
-                stats=stats,
-            )
-            entry[f"{mode}_host_s"] = time.perf_counter() - t0
-            if batch:
-                entry["stages"] = {
-                    k: round(v, 4) for k, v in eng.stage_times.items()
-                }
-                entry["gapped_extensions"] = stats.gapped_extensions
-                entry["gapped_dedup"] = stats.gapped_dedup
-                entry["gapped_widenings"] = stats.gapped_widenings
-                entry["gapped_fallbacks"] = stats.gapped_fallbacks
-                entry["gapped_peak_cells"] = stats.gapped_peak_cells
-        name = f"{program}/{nseqs}"
-        if with_scalar:
-            entry["speedup"] = entry["scalar_host_s"] / entry["batch_host_s"]
-            if verbose:
-                print(
-                    f"kernel {name}: scalar {entry['scalar_host_s']:.2f}s, "
-                    f"batch {entry['batch_host_s']:.2f}s "
-                    f"({entry['speedup']:.1f}x)"
-                )
-        elif verbose:
-            print(
-                f"kernel {name}: batch {entry['batch_host_s']:.2f}s "
-                f"(batch-only)"
-            )
-        out[name] = entry
+        if verbose:
+            print(f"kernel {name}: {host_s:.2f}s")
     return out
+
+
+def _timed_run(runs: dict, name: str, program: str, trace: bool, run):
+    """The time-run-record step every simulated scenario shares.
+
+    ``run(tracer)`` returns a ``RunResult`` or a driver result carrying
+    one as ``.result``; its :func:`run_metrics` plus the host seconds
+    land in ``runs[name]``.  Returns ``(run's return value, host_s)``.
+    """
+    tracer = Tracer() if trace else None
+    t0 = time.perf_counter()
+    res = run(tracer)
+    host_s = time.perf_counter() - t0
+    runs[name] = run_metrics(getattr(res, "result", res), program=program)
+    runs[name]["host_s"] = host_s
+    return res, host_s
 
 
 def bench_document(
     *, quick: bool = False, trace: bool = True, verbose: bool = False,
-    profile: str | pathlib.Path | None = None,
 ) -> dict:
-    """Run the sweep and the kernel scenarios; build the bench document.
-
-    ``profile`` wraps the *kernel section only* in :mod:`cProfile` and
-    dumps the stats to that path (plus a top-functions digest on
-    stdout) — the map future PRs use to find the next kernel floor.
-    """
+    """Run the sweep and the kernel scenarios; build the bench document."""
     wl = ExperimentWorkload()
     counts = FULL_COUNTS
     kernels = KERNEL_FULL
@@ -263,35 +258,21 @@ def bench_document(
     # Kernel scenarios run first: they are pure wall-clock measurements,
     # and timing them in a fresh process state (before the simulator
     # sweep has churned the allocator) keeps them reproducible.
-    if profile is not None:
-        import cProfile
-        import pstats
-
-        prof = cProfile.Profile()
-        prof.enable()
-        kernel = kernel_scenarios(kernels, verbose=verbose)
-        prof.disable()
-        prof.dump_stats(str(profile))
-        print(f"kernel cProfile -> {profile}; top functions by cumtime:")
-        pstats.Stats(prof).sort_stats("cumulative").print_stats(15)
-    else:
-        kernel = kernel_scenarios(kernels, verbose=verbose)
+    kernel = kernel_scenarios(kernels, verbose=verbose)
     runs: dict[str, dict] = {}
     for program in ("mpiblast", "pioblast"):
         for nprocs in counts:
             nfrag = None
             if program == "mpiblast" and nprocs - 1 > MPIBLAST_FRAG_CAP:
                 nfrag = MPIBLAST_FRAG_CAP
-            tracer = Tracer() if trace else None
-            t0 = time.perf_counter()
-            _b, result, _store, _cfg = run_program_raw(
-                program, nprocs, wl, ORNL_ALTIX,
-                nfragments=nfrag, tracer=tracer,
-            )
-            host_s = time.perf_counter() - t0
             name = f"{program}/np{nprocs}"
-            runs[name] = run_metrics(result, program=program)
-            runs[name]["host_s"] = host_s
+            result, host_s = _timed_run(
+                runs, name, program, trace,
+                lambda tracer: run_program_raw(
+                    program, nprocs, wl, ORNL_ALTIX,
+                    nfragments=nfrag, tracer=tracer,
+                )[1],
+            )
             if verbose:
                 print(
                     f"{name}: makespan {result.makespan:.1f}s, "
@@ -300,18 +281,14 @@ def bench_document(
                 )
     hier_points = HIER_POINTS_QUICK if quick else HIER_POINTS
     for nprocs, ngroups in hier_points:
-        from repro.experiments.common import run_hier_raw
-
-        tracer = Tracer() if trace else None
-        t0 = time.perf_counter()
-        hres, _store, _cfg = run_hier_raw(
-            nprocs, wl, ORNL_ALTIX, ngroups=ngroups, mode=HIER_MODE,
-            tracer=tracer,
-        )
-        host_s = time.perf_counter() - t0
         name = f"hier/np{nprocs}"
-        runs[name] = run_metrics(hres.result, program="hier")
-        runs[name]["host_s"] = host_s
+        hres, host_s = _timed_run(
+            runs, name, "hier", trace,
+            lambda tracer: run_hier_raw(
+                nprocs, wl, ORNL_ALTIX, ngroups=ngroups, mode=HIER_MODE,
+                tracer=tracer,
+            )[0],
+        )
         if verbose:
             share = runs[name]["hier"]["group_coord_wait_share_max"]
             print(
@@ -321,28 +298,23 @@ def bench_document(
             )
     service_np = SERVICE_NP_QUICK if quick else SERVICE_NP
     service_rate = SERVICE_RATE_QUICK if quick else SERVICE_RATE
+    admission = dict(
+        max_wave=SERVICE_MAX_WAVE,
+        max_scan_defer=SERVICE_MAX_SCAN_DEFER,
+        interactive_max_len=SERVICE_INTERACTIVE_MAX_LEN,
+        admission_delay=SERVICE_ADMISSION_DELAY,
+    )
     for label, priority in (("prio", True), ("fifo", False)):
-        from repro.experiments.common import run_service_raw
-        from repro.service import ServiceConfig
-
-        tracer = Tracer() if trace else None
-        t0 = time.perf_counter()
-        sres, _store, _cfg = run_service_raw(
-            service_np, wl, ORNL_ALTIX,
-            rate=service_rate, arrival_seed=SERVICE_SEED,
-            service=ServiceConfig(
-                priority=priority,
-                max_wave=SERVICE_MAX_WAVE,
-                max_scan_defer=SERVICE_MAX_SCAN_DEFER,
-                interactive_max_len=SERVICE_INTERACTIVE_MAX_LEN,
-                admission_delay=SERVICE_ADMISSION_DELAY,
-            ),
-            tracer=tracer,
-        )
-        host_s = time.perf_counter() - t0
         name = f"service-{label}/np{service_np}"
-        runs[name] = run_metrics(sres.result, program="service")
-        runs[name]["host_s"] = host_s
+        sres, host_s = _timed_run(
+            runs, name, "service", trace,
+            lambda tracer: run_service_raw(
+                service_np, wl, ORNL_ALTIX,
+                rate=service_rate, arrival_seed=SERVICE_SEED,
+                service=ServiceConfig(priority=priority, **admission),
+                tracer=tracer,
+            )[0],
+        )
         if verbose:
             lat = sres.latency
             print(
@@ -357,33 +329,21 @@ def bench_document(
     hs_latency: dict[str, dict] = {}
     for label, fault_spec in (("plain", None), ("groupkill",
                                                 HIER_SERVICE_KILL)):
-        from repro.experiments.common import run_hier_service_raw
-        from repro.hier import ElasticConfig
-        from repro.service import ServiceConfig
-        from repro.simmpi import FaultPlan
-
-        tracer = Tracer() if trace else None
-        t0 = time.perf_counter()
-        sres, _store, _cfg = run_hier_service_raw(
-            hs_np, wl, ORNL_ALTIX,
-            ngroups=hs_groups, mode=HIER_MODE,
-            rate=service_rate, arrival_seed=SERVICE_SEED,
-            service=ServiceConfig(
-                max_wave=SERVICE_MAX_WAVE,
-                max_scan_defer=SERVICE_MAX_SCAN_DEFER,
-                interactive_max_len=SERVICE_INTERACTIVE_MAX_LEN,
-                admission_delay=SERVICE_ADMISSION_DELAY,
-            ),
-            elastic=ElasticConfig(
-                redispatch_timeout=HIER_SERVICE_REDISPATCH
-            ),
-            faults=FaultPlan.parse(fault_spec) if fault_spec else None,
-            tracer=tracer,
-        )
-        host_s = time.perf_counter() - t0
         name = f"hier-service-{label}/np{hs_np}"
-        runs[name] = run_metrics(sres.result, program="hier-service")
-        runs[name]["host_s"] = host_s
+        sres, host_s = _timed_run(
+            runs, name, "hier-service", trace,
+            lambda tracer: run_hier_service_raw(
+                hs_np, wl, ORNL_ALTIX,
+                ngroups=hs_groups, mode=HIER_MODE,
+                rate=service_rate, arrival_seed=SERVICE_SEED,
+                service=ServiceConfig(**admission),
+                elastic=ElasticConfig(
+                    redispatch_timeout=HIER_SERVICE_REDISPATCH
+                ),
+                faults=FaultPlan.parse(fault_spec) if fault_spec else None,
+                tracer=tracer,
+            )[0],
+        )
         hs_latency[label] = sres.latency
         if verbose:
             lat = sres.latency
@@ -459,7 +419,6 @@ def total_host_s(doc: dict) -> float:
     """Total wall-clock seconds recorded in a bench document."""
     total = sum(r.get("host_s", 0.0) for r in doc.get("runs", {}).values())
     for entry in doc.get("kernel", {}).values():
-        total += entry.get("scalar_host_s", 0.0)
         total += entry.get("batch_host_s", 0.0)
     return total
 
@@ -467,11 +426,8 @@ def total_host_s(doc: dict) -> float:
 def write_bench(
     path: str | pathlib.Path,
     *, quick: bool = False, trace: bool = True, verbose: bool = False,
-    profile: str | pathlib.Path | None = None,
 ) -> dict:
-    doc = bench_document(
-        quick=quick, trace=trace, verbose=verbose, profile=profile
-    )
+    doc = bench_document(quick=quick, trace=trace, verbose=verbose)
     pathlib.Path(path).write_text(
         json.dumps(doc, indent=2, sort_keys=True) + "\n"
     )
@@ -494,13 +450,9 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--host-budget", type=float, default=None, metavar="S",
                     help="fail (exit 3) if total host time exceeds S "
                          "seconds")
-    ap.add_argument("--profile", default=None, metavar="PATH",
-                    help="cProfile the kernel section, dump stats to "
-                         "PATH and print the top functions")
     ns = ap.parse_args(argv)
     doc = write_bench(
-        ns.out, quick=ns.quick, trace=not ns.no_trace, verbose=True,
-        profile=ns.profile,
+        ns.out, quick=ns.quick, trace=not ns.no_trace, verbose=True
     )
     spent = total_host_s(doc)
     print(f"wrote {ns.out} ({len(doc['runs'])} runs, "

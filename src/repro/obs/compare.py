@@ -32,7 +32,7 @@ COMPARED_SECTIONS = ("phases", "critical_path", "attribution_rank_max",
 #: Wall-clock keys, compared with the (looser) host threshold: host
 #: times are real measurements on whatever machine ran the bench, so
 #: they carry scheduling noise that virtual-time keys do not.
-HOST_KEYS = ("host_s", "scalar_host_s", "batch_host_s")
+HOST_KEYS = ("host_s", "batch_host_s")
 
 
 def _higher_is_better(key: str) -> bool:

@@ -10,7 +10,9 @@ from repro.blast.formatdb import DatabaseIndex, DatabaseVolume
 from repro.blast.hsp import Alignment
 from repro.blast.output import DbStats, HitSummary, ReportWriter
 from repro.costmodel import CostModel
+from repro.parallel.config import FTParams, ParallelConfig
 from repro.parallel.results import AlignmentMeta
+from repro.simmpi.faults import retry_io
 
 
 @dataclass(frozen=True)
@@ -120,6 +122,48 @@ def search_fragment_timed(
         )
     )
     return per_query
+
+
+def reliable_read(ctx, ft: FTParams, path: str, *, charge_bytes: int,
+                  fs=None, what: str | None = None) -> bytes:
+    """One filesystem read, retried through transient I/O errors.
+
+    ``fs`` defaults to the shared filesystem (pass a rank's local disk
+    otherwise).  ``what`` labels the retries in the ``FaultReport`` —
+    and so in every replay fingerprint — as ``read:<path>`` unless given.
+    """
+    fs = ctx.fs if fs is None else fs
+    return retry_io(
+        ctx.engine,
+        lambda: fs.read(path, charge_bytes=charge_bytes),
+        attempts=ft.io_attempts,
+        report=ctx.fault_report,
+        what=what or f"read:{path}",
+    )
+
+
+def reliable_write(ctx, ft: FTParams, path: str, offset: int, buf: bytes, *,
+                   charge_bytes: int, fs=None,
+                   what: str | None = None) -> None:
+    """The write counterpart of :func:`reliable_read`; the default
+    label is ``write:<path>``."""
+    fs = ctx.fs if fs is None else fs
+    retry_io(
+        ctx.engine,
+        lambda: fs.write(path, offset, buf, charge_bytes=charge_bytes),
+        attempts=ft.io_attempts,
+        report=ctx.fault_report,
+        what=what or f"write:{path}",
+    )
+
+
+def write_output(ctx, cfg: ParallelConfig, offset: int, buf: bytes) -> None:
+    """One reliable write into the run's report: charged at the wire
+    size of ``buf``, its retries labelled ``write:output``."""
+    reliable_write(
+        ctx, cfg.ft, cfg.output_path, offset, buf,
+        charge_bytes=cfg.cost.wire_bytes(len(buf)), what="write:output",
+    )
 
 
 def parse_index(data: bytes) -> DatabaseIndex:

@@ -50,7 +50,10 @@ from repro.parallel.common import (
     header_bytes_for,
     parse_index,
     read_queries_bytes,
+    reliable_read,
+    reliable_write,
     search_fragment_timed,
+    write_output,
     writer_for,
 )
 from repro.parallel.checkpoint import CheckpointStore, FailoverTracker
@@ -68,7 +71,7 @@ from repro.parallel.pullrpc import (
 from repro.parallel.results import AlignmentMeta, meta_from_alignment, select_metas
 from repro.simmpi import FileStore, PlatformSpec, ProcContext, RunResult, Status
 from repro.simmpi.comm import ANY_SOURCE, ANY_TAG, TIMEOUT
-from repro.simmpi.faults import FaultPlan, retry_io
+from repro.simmpi.faults import FaultPlan
 from repro.simmpi.launcher import run
 
 TAG_WORKREQ = TAG_TABLE["mpiblast.WORKREQ"]
@@ -375,26 +378,19 @@ def _ft_master(
         # clock, heading off a second spurious succession.
         ping_workers(force=True)
 
-    def rread(path: str, charge: int) -> bytes:
-        return retry_io(
-            sim,
-            lambda: ctx.fs.read(path, charge_bytes=charge),
-            attempts=ft.io_attempts,
-            report=report,
-            what=f"read:{path}",
-        )
-
     # ---- setup: same partitioning as `_master`, retried reads ----------
     if setup is None:
         ctx.compute(cost.init_seconds())
-        qdata = rread(
-            cfg.query_path, cost.wire_bytes(ctx.fs.size(cfg.query_path))
+        qdata = reliable_read(
+            ctx, ft, cfg.query_path,
+            charge_bytes=cost.wire_bytes(ctx.fs.size(cfg.query_path)),
         )
         queries = read_queries_bytes(qdata)
+        xin = f"{cfg.db_name}.xin"
         index = parse_index(
-            rread(
-                f"{cfg.db_name}.xin",
-                cost.db_wire_bytes(ctx.fs.size(f"{cfg.db_name}.xin")),
+            reliable_read(
+                ctx, ft, xin,
+                charge_bytes=cost.db_wire_bytes(ctx.fs.size(xin)),
             )
         )
         info = GlobalDbInfo(index.title, index.nseqs, index.total_letters)
@@ -538,16 +534,7 @@ def _ft_master(
 
             def rwrite(offset: int, buf: bytes) -> None:
                 ping_workers()
-                retry_io(
-                    sim,
-                    lambda: ctx.fs.write(
-                        out, offset, buf,
-                        charge_bytes=cost.wire_bytes(len(buf)),
-                    ),
-                    attempts=ft.io_attempts,
-                    report=report,
-                    what="write:output",
-                )
+                write_output(ctx, cfg, offset, buf)
 
             pre = writer.preamble()
             rwrite(0, pre)
@@ -689,8 +676,6 @@ def _ft_copy_and_search(
 ) -> list[list[Alignment]]:
     """The baseline copy + mmap-search pipeline with transient-I/O retry."""
     cost, ft = cfg.cost, cfg.ft
-    report = ctx.fault_report
-    sim = ctx.engine
     lo, _hi = ranges[frag]
     paths = fragment_paths(cfg.db_name, frag)
     local = ctx.local_disk
@@ -699,28 +684,14 @@ def _ft_copy_and_search(
         for _ext, path in paths.items():
             nbytes = ctx.fs.size(path)
             wire = int(cost.db_wire_bytes(nbytes) * cost.copy_inefficiency)
-            data = retry_io(
-                sim,
-                lambda path=path, wire=wire: ctx.fs.read(
-                    path, charge_bytes=wire
-                ),
-                attempts=ft.io_attempts,
-                report=report,
-                what=f"read:{path}",
-            )
+            data = reliable_read(ctx, ft, path, charge_bytes=wire)
             ctx.engine.sleep(
                 cost.copy_chunk_overhead_seconds(wire, ctx.fs.op_overhead)
             )
             target = f"scratch/r{ctx.rank}/{path}"
             dst = local if local is not None else ctx.fs
-            retry_io(
-                sim,
-                lambda target=target, data=data, wire=wire: dst.write(
-                    target, 0, data, charge_bytes=wire
-                ),
-                attempts=ft.io_attempts,
-                report=report,
-                what=f"write:{target}",
+            reliable_write(
+                ctx, ft, target, 0, data, charge_bytes=wire, fs=dst
             )
             ctx.engine.sleep(
                 cost.copy_chunk_overhead_seconds(wire, dst.op_overhead)
@@ -734,14 +705,8 @@ def _ft_copy_and_search(
             charge = int(
                 cost.db_wire_bytes(src.size(target)) * cost.mmap_inefficiency
             )
-            loaded[ext] = retry_io(
-                sim,
-                lambda src=src, target=target, charge=charge: src.read(
-                    target, charge_bytes=charge
-                ),
-                attempts=ft.io_attempts,
-                report=report,
-                what=f"read:{target}",
+            loaded[ext] = reliable_read(
+                ctx, ft, target, charge_bytes=charge, fs=src
             )
         fidx = parse_index(loaded["xin"])
         volume = DatabaseVolume(fidx, loaded["xhr"], loaded["xsq"])

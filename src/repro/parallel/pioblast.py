@@ -57,7 +57,9 @@ from repro.parallel.common import (
     layout_query_section,
     parse_index,
     read_queries_bytes,
+    reliable_read,
     search_fragment_timed,
+    write_output,
     writer_for,
 )
 from repro.parallel.checkpoint import CheckpointStore, FailoverTracker
@@ -90,7 +92,7 @@ from repro.simmpi import (
     ProcContext,
     RunResult,
 )
-from repro.simmpi.faults import FaultPlan, retry_io
+from repro.simmpi.faults import FaultPlan
 from repro.simmpi.launcher import run
 
 TAG_SELECT = TAG_TABLE["pioblast.SELECT"]
@@ -410,26 +412,14 @@ def _worker(ctx: ProcContext, cfg: ParallelConfig) -> None:
 # ping doubles as the new-master announcement.
 
 
-def _ft_read(ctx: ProcContext, cfg: ParallelConfig, path: str,
-             charge: int) -> bytes:
-    """Master-side shared-fs read with transient-error retry."""
-    return retry_io(
-        ctx.engine,
-        lambda: ctx.fs.read(path, charge_bytes=charge),
-        attempts=cfg.ft.io_attempts,
-        report=ctx.fault_report,
-        what=f"read:{path}",
-    )
-
-
 def _ft_setup(ctx: ProcContext, cfg: ParallelConfig):
     """Read queries + indexes, partition (same logic as `_master`)."""
     cost = cfg.cost
     nworkers = ctx.size - 1
     nfrag = cfg.fragments_for(nworkers)
-    qdata = _ft_read(
-        ctx, cfg, cfg.query_path,
-        cost.wire_bytes(ctx.fs.size(cfg.query_path)),
+    qdata = reliable_read(
+        ctx, cfg.ft, cfg.query_path,
+        charge_bytes=cost.wire_bytes(ctx.fs.size(cfg.query_path)),
     )
     queries = read_queries_bytes(qdata)
     info, frags, index_bytes = partition_database(
@@ -578,15 +568,7 @@ def _ft_master(
         with ctx.phase("output"):
             for off, buf in pieces:
                 ping_workers()
-                retry_io(
-                    sim,
-                    lambda off=off, buf=buf: ctx.fs.write(
-                        out, off, buf, charge_bytes=cost.wire_bytes(len(buf))
-                    ),
-                    attempts=ft.io_attempts,
-                    report=report,
-                    what="write:output",
-                )
+                write_output(ctx, cfg, off, buf)
             # A promoted master writes its own cached blocks in-line: no
             # worker holds them (and re-searching them would waste work).
             for fid in sorted(current_sels):
@@ -594,17 +576,7 @@ def _ft_master(
                     continue
                 for lid, off in current_sels[fid]:
                     ping_workers()
-                    blk = my_blocks[fid][lid]
-                    retry_io(
-                        sim,
-                        lambda off=off, blk=blk: ctx.fs.write(
-                            out, off, blk,
-                            charge_bytes=cost.wire_bytes(len(blk)),
-                        ),
-                        attempts=ft.io_attempts,
-                        report=report,
-                        what="write:output",
-                    )
+                    write_output(ctx, cfg, off, my_blocks[fid][lid])
                 report.record(sim.now, "recover:master-held-write", fid)
         pending = {
             f for f, sels in current_sels.items()

@@ -27,7 +27,12 @@ from dataclasses import dataclass
 
 from repro.blast.engine import BlastSearch
 from repro.blast.formatdb import DatabaseIndex, DatabaseVolume
-from repro.parallel.common import GlobalDbInfo, parse_index, search_fragment_timed
+from repro.parallel.common import (
+    GlobalDbInfo,
+    parse_index,
+    reliable_read,
+    search_fragment_timed,
+)
 from repro.parallel.config import ParallelConfig
 from repro.parallel.fragments import (
     VolumePiece,
@@ -36,7 +41,6 @@ from repro.parallel.fragments import (
 )
 from repro.parallel.results import AlignmentMeta, meta_from_alignment
 from repro.simmpi import FileStore, MPIFile, ProcContext
-from repro.simmpi.faults import retry_io
 
 
 @dataclass(frozen=True)
@@ -142,15 +146,7 @@ def partition_database(
         path = f"{base}.xin"
         charge = cost.db_wire_bytes(ctx.fs.size(path))
         if reliable:
-            data = retry_io(
-                ctx.engine,
-                lambda path=path, charge=charge: ctx.fs.read(
-                    path, charge_bytes=charge
-                ),
-                attempts=cfg.ft.io_attempts,
-                report=ctx.fault_report,
-                what=f"read:{path}",
-            )
+            data = reliable_read(ctx, cfg.ft, path, charge_bytes=charge)
         else:
             data = ctx.fs.read(path, charge_bytes=charge)
         index_bytes[base] = data

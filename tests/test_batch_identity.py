@@ -3,9 +3,10 @@
 Two independent fast paths landed together and both promise *identical*
 output, not just equivalent output:
 
-* the batched search kernel (``SearchParams.batch``) must produce the
-  same alignments, the same statistics counters, and byte-identical
-  rendered reports as the scalar per-subject loop;
+* the wave search kernel (``BlastSearch.search_fragment``, the only
+  production path) must produce the same alignments, the same
+  statistics counters, and byte-identical rendered reports as the
+  scalar per-subject oracle (``repro.blast.reference``);
 * the simmpi scheduler (events drained inline by the parking rank) must
   replay whole simulated runs — makespans, per-rank phase times, output
   files — bit for bit against digests captured from the closure-per-wake
@@ -15,6 +16,7 @@ These tests are the contract that lets every other test in the suite
 run against the fast paths only.
 """
 
+import dataclasses
 import hashlib
 from dataclasses import replace
 
@@ -23,6 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.blast import reference
 from repro.blast.engine import (
     BlastSearch,
     ListDatabase,
@@ -45,13 +48,19 @@ from repro.workloads import (
 # ----------------------------------------------------------------------
 
 
-def run_search(params: SearchParams, records, queries):
-    """One fragment search; returns (results, stats, report bytes)."""
+def run_search(params: SearchParams, records, queries, *, scalar=False):
+    """One fragment search by the wave kernel (or the scalar oracle);
+    returns (results, stats, report bytes)."""
     BlastSearch._GLOBAL_INDEX_MEMO.clear()
     eng = BlastSearch(params)
     db = ListDatabase(records, eng.alphabet)
     stats = SearchStats()
-    results = eng.search_fragment(
+    search = (
+        reference.search_fragment if scalar
+        else BlastSearch.search_fragment
+    )
+    results = search(
+        eng,
         queries,
         db,
         db_letters=db.total_letters,
@@ -87,8 +96,8 @@ def run_search(params: SearchParams, records, queries):
 
 
 def assert_batch_identical(records, queries, **params):
-    scalar = run_search(SearchParams(batch=False, **params), records, queries)
-    batched = run_search(SearchParams(batch=True, **params), records, queries)
+    scalar = run_search(SearchParams(**params), records, queries, scalar=True)
+    batched = run_search(SearchParams(**params), records, queries)
     assert scalar[1] == batched[1], "statistics counters diverged"
     assert scalar[0] == batched[0], "alignments diverged"
     assert scalar[2] == batched[2], "rendered report bytes diverged"
@@ -183,35 +192,17 @@ class TestBatchedKernelIdentity:
         )
         assert_batch_identical(recs, [recs[0]], program="blastp")
 
-    def test_tiny_band_forces_widening(self):
-        # band=1 makes nearly every gapped DP clip its band edge: the
-        # widen-and-retry (and, for long halves, scalar-fallback) paths
-        # must still render byte-identical reports and equal stats.
+    def test_tiny_band_forces_widening(self, monkeypatch):
+        # A half-band of 1 makes nearly every gapped DP clip its band
+        # edge: the widen-and-retry (and, for long halves,
+        # scalar-fallback) paths must still render byte-identical
+        # reports and equal stats.
         recs = synthesize_protein_records(
             SynthSpec(num_sequences=80, mean_length=150,
                       family_fraction=0.6, family_size=5, seed=21)
         )
-        assert_batch_identical(recs, [recs[0], recs[10]],
-                               program="blastp", band=1)
-
-    def test_gapped_batch_escape_hatch(self):
-        # gapped_batch=False keeps the batched scan/ungapped kernel but
-        # routes gapped extensions through the scalar per-subject stage.
-        recs = synthesize_protein_records(
-            SynthSpec(num_sequences=60, mean_length=130,
-                      family_fraction=0.5, family_size=4, seed=22)
-        )
-        scalar = run_search(
-            SearchParams(batch=False, program="blastp"), recs,
-            [recs[0], recs[8]],
-        )
-        hatch = run_search(
-            SearchParams(batch=True, gapped_batch=False,
-                         program="blastp"), recs, [recs[0], recs[8]],
-        )
-        assert scalar[1] == hatch[1]
-        assert scalar[0] == hatch[0]
-        assert scalar[2] == hatch[2]
+        monkeypatch.setattr(BlastSearch, "BAND", 1)
+        assert_batch_identical(recs, [recs[0], recs[10]], program="blastp")
 
     def test_duplicate_subjects_dedup_gapped_work(self):
         # Word-identical subjects produce identical (subject, anchor) DP
@@ -227,11 +218,9 @@ class TestBatchedKernelIdentity:
         recs = recs + recs[:10] + recs[:10]
         queries = [recs[0], recs[4]]
         scalar = run_search(
-            SearchParams(batch=False, program="blastp"), recs, queries
+            SearchParams(program="blastp"), recs, queries, scalar=True
         )
-        batched = run_search(
-            SearchParams(batch=True, program="blastp"), recs, queries
-        )
+        batched = run_search(SearchParams(program="blastp"), recs, queries)
         assert scalar[1] == batched[1]
         assert scalar[0] == batched[0]
         assert scalar[2] == batched[2]
@@ -241,16 +230,55 @@ class TestBatchedKernelIdentity:
         assert scalar[1].gapped_dedup == batched[1].gapped_dedup
 
 
+class TestOneKernelPath:
+    """``search_fragment`` has nothing to select: the scalar kernel is
+    test support, reachable only by importing it."""
+
+    def test_no_source_module_imports_the_oracle(self):
+        import ast
+        import pathlib
+
+        import repro
+        import repro.blast
+
+        offenders = []
+        for path in pathlib.Path(repro.__file__).parent.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    targets = [a.name for a in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    targets = [node.module or ""] + [
+                        a.name for a in node.names
+                    ]
+                else:
+                    continue
+                # no other module of the package is called ``reference``
+                if any(t.split(".")[-1] == "reference" for t in targets):
+                    offenders.append(f"{path}:{node.lineno}")
+        assert offenders == []
+        assert "reference" not in repro.blast.__all__
+
+    @pytest.mark.parametrize(
+        "removed", [dict(batch=False), dict(gapped_batch=False),
+                    dict(band=1)],
+    )
+    def test_removed_knobs_are_not_accepted(self, removed):
+        with pytest.raises(TypeError):
+            SearchParams(**removed)
+        assert len(dataclasses.fields(SearchParams)) == 15
+
+
 # ----------------------------------------------------------------------
 # wave kernel: one pass per stage for all the call's queries
 # ----------------------------------------------------------------------
 
 
-def search_call(eng, queries, db, **kwargs):
+def search_call(eng, queries, db, *, search=BlastSearch.search_fragment,
+                **kwargs):
     """One ``search_fragment`` call; (per-query alignments, stats)."""
     stats = SearchStats()
-    out = eng.search_fragment(
-        queries, db, db_letters=db.total_letters,
+    out = search(
+        eng, queries, db, db_letters=db.total_letters,
         db_num_seqs=db.num_sequences, stats=stats, **kwargs,
     )
     return out, stats
@@ -273,10 +301,9 @@ def assert_wave_identical(program, records, queries, **params):
             f"query {qi} differs from its single-query call"
         )
     assert wave_stats == singles_stats
-    scalar_eng = BlastSearch(
-        SearchParams(program=program, batch=False, **params)
+    scalar, scalar_stats = search_call(
+        eng, queries, db, search=reference.search_fragment, **local
     )
-    scalar, scalar_stats = search_call(scalar_eng, queries, db, **local)
     assert wave == scalar
     assert wave_stats == scalar_stats
     return wave, wave_stats
@@ -320,11 +347,17 @@ class TestWaveIdentity:
         _wave, stats = assert_wave_identical("blastp", recs, queries)
         assert stats.gapped_dedup > 0
 
-    @pytest.mark.parametrize("batch", [True, False])
-    def test_empty_wave(self, batch):
-        eng = BlastSearch(SearchParams(batch=batch))
+    @pytest.mark.parametrize("wave", [True, False])
+    def test_empty_wave(self, wave):
+        # no queries: nothing returned, nothing counted — by the wave
+        # kernel and by the oracle
+        eng = BlastSearch(SearchParams())
         db = ListDatabase([SeqRecord("s", "MKVLAWYRND")], eng.alphabet)
-        out, stats = search_call(eng, [], db)
+        search = (
+            BlastSearch.search_fragment if wave
+            else reference.search_fragment
+        )
+        out, stats = search_call(eng, [], db, search=search)
         assert out == [] and stats == SearchStats()
 
     def test_two_hit_pair_never_spans_two_queries(self):
@@ -619,6 +652,262 @@ GOLDEN_HIER_REPLAY = {
 }
 
 
+#: The fault-scenario corpus (ROADMAP item 1): every FT driver — flat
+#: pio / mpi, hier replicate / shard, the elastic service — under crash,
+#: drop, ``ioerr`` and slow-disk plans, ``name -> (driver, nprocs,
+#: faults, options, sha256)``.  The ``ioerr`` plans are timed so that
+#: ``recover:io-retry`` is recorded through every ``reliable_read`` /
+#: ``reliable_write`` / ``write_output`` call site of the protocol
+#: modules.  ``lab=True`` runs under the laboratory cost model, whose
+#: FT timeouts are seconds rather than thousands of seconds, so a crash
+#: costs a fraction of a host second to sit out; other options are
+#: ``ParallelConfig`` fields.
+#: Digests taken at commit 5f2f1d6 (the parent of the change that
+#: replaced the protocol modules' inline ``retry_io`` wrappers).
+FAULT_CORPUS = {
+    "pio/ioerr-queries": (
+        "pioblast", 6,
+        "ioerr=queries@0n2",
+        dict(),
+        "6edc32f9d52c45be3cf4b3c3c2bcfc43ac5a9e3ce767f73ec90f92fe94cf2953",
+    ),
+    "pio/ioerr-index": (
+        "pioblast", 6,
+        "ioerr=nr.xin@0n2",
+        dict(),
+        "1c6184a4377c0cf6f7af9e9add7084fea6f929b7f92526ed8d65f0cc0543a2b2",
+    ),
+    "pio/ioerr-output": (
+        "pioblast", 6,
+        "ioerr=results@0n3",
+        dict(),
+        "0897053776ea9c4d9357121524d31780beefdc0cf8567d712515bcec1be0e37b",
+    ),
+    "pio/slowdisk": (
+        "pioblast", 6,
+        "slowdisk=4x20@0",
+        dict(),
+        "5ddc5bd3b19f23b623bdd555e38f940c1b2666ea7b9608e1fbcc19bf88a8b548",
+    ),
+    "pio/drop-request": (
+        "pioblast", 6,
+        "drop=*>0:40n3",
+        dict(),
+        "f15a63dc663e6d2e54614aad213cadb69e088493da80b2bc7df4d7fec3aec436",
+    ),
+    "pio/kill-worker": (
+        "pioblast", 6,
+        "kill=2@0.02",
+        dict(lab=True),
+        "c8c4d5b365e59d032b22f28a7fb284c4193b57a815229b3b902e1716e4dbf13c",
+    ),
+    "pio/kill-master-ioerr-output": (
+        "pioblast", 6,
+        "kill=0@0.03,ioerr=results@0n3,ioerr=results@2.14n2",
+        dict(lab=True, checkpoint_interval=0.01),
+        "1c51751adb9806d343c130ccd5df1dd7f2dab49150b93c3e20800d591d36308d",
+    ),
+    "pio/mixed": (
+        "pioblast", 8,
+        "seed=3,kill=3@0.02,drop=0>*:41n2,ioerr=@0.01n2",
+        dict(lab=True),
+        "d16fd4fb9eeb2a8a49207368ab6e39b1e1f50526e7b1c971aaed16637907f585",
+    ),
+    "mpi/drop-request": (
+        "mpiblast", 6,
+        "drop=*>0:16n3",
+        dict(),
+        "ae46b573ee768e70ee3fc5c1df59d7803a1ea34e5fcf4054653dabbb07c8f040",
+    ),
+    "mpi/ioerr-setup": (
+        "mpiblast", 6,
+        "ioerr=queries@0n2,ioerr=nr.xin@0n1",
+        dict(),
+        "073c9cf5351daa2b2aeb687d0aab9751e9fec0e5d950aa1d49744716e707ae17",
+    ),
+    "mpi/ioerr-copy-read": (
+        "mpiblast", 6,
+        "ioerr=nr.frag@0n4",
+        dict(),
+        "953d0f10a6db81756742ea06148b66faa33274578316050956166431babdd73c",
+    ),
+    "mpi/ioerr-scratch": (
+        "mpiblast", 6,
+        "ioerr=scratch/@0n3,ioerr=scratch/@9.7n4",
+        dict(),
+        "ead3aab95e1d874982567b5dd2f86ec85690aa1b6e69f54bfe161f7cf26894ec",
+    ),
+    "mpi/ioerr-output": (
+        "mpiblast", 6,
+        "ioerr=results@0n3",
+        dict(),
+        "020992c642989cab7ceaf36b47a2acf8d4ef7ba21ab7c0f6600daa51b66ab021",
+    ),
+    "mpi/slowdisk": (
+        "mpiblast", 6,
+        "slowdisk=4x30@0",
+        dict(),
+        "120c4c5031fa040efa4e642a3a9ea4a270c1be4cb66c2da7ceb2990d4abd9e68",
+    ),
+    "mpi/kill-worker": (
+        "mpiblast", 6,
+        "kill=2@0.02",
+        dict(lab=True),
+        "a2216707180bf16a9f1cce4546a8dd74d06819c444c8a331dd865fe01e156f52",
+    ),
+    "mpi/kill-master": (
+        "mpiblast", 6,
+        "kill=0@0.06",
+        dict(lab=True, checkpoint_interval=0.01),
+        "b21d4cd51b43a9d2c634e77ec29e4dafcb2f83bac3dfaa43444013d52e1d83af",
+    ),
+    "hier-replicate/drop-request": (
+        "hier-replicate", 13,
+        "drop=*>0:80n3",
+        dict(),
+        "8b02bc85a03a9e5bccc9a8f8d9efba42587d3f2caa7275c33bc0b72798b2ec6f",
+    ),
+    "hier-replicate/ioerr-queries": (
+        "hier-replicate", 13,
+        "ioerr=queries@0n2",
+        dict(),
+        "9e03d992574aecb8a6c10205df69cc90c6405ded653f8fb7871597ba2dde8f4c",
+    ),
+    "hier-replicate/ioerr-index": (
+        "hier-replicate", 13,
+        "ioerr=nr.xin@0n2",
+        dict(),
+        "b8de78cf55dc686175ecbc975e58d6342e8d3a17f955093c15e696670684aa89",
+    ),
+    "hier-replicate/ioerr-output": (
+        "hier-replicate", 13,
+        "ioerr=results@0n4,ioerr=results@61.2n3",
+        dict(),
+        "6c16e03754604eff877d126340a2fcff28dcb1654a65848273f627bec797a745",
+    ),
+    "hier-replicate/ioerr-marker": (
+        "hier-replicate", 13,
+        "ioerr=_ckpt/hier.done@0n2",
+        dict(),
+        "089f519f7c0bf86b05c8bed177556466922e45d825053078ef72b512489667fa",
+    ),
+    "hier-replicate/crash-submaster": (
+        "hier-replicate", 13,
+        "crash=submaster:g1@0.3",
+        dict(lab=True),
+        "23ffb071aa12d3e920bb341e9403ae2b1ed8c5d99f887f6bff0ad7996f037013",
+    ),
+    "hier-replicate/kill-member": (
+        "hier-replicate", 13,
+        "kill=6@0.3",
+        dict(lab=True),
+        "0faf86abb9d8b19416308061eea62b924adff32489aecc976ba4f0693b4a06db",
+    ),
+    "hier-shard/ioerr-output": (
+        "hier-shard", 13,
+        "ioerr=results@0n5",
+        dict(),
+        "813707cba009805c02a7ca86ea6bea1409323f254bee0435570e928e4176cd3e",
+    ),
+    "hier-shard/slowdisk": (
+        "hier-shard", 13,
+        "slowdisk=3x40@10",
+        dict(),
+        "16a476e29330c6cb874c7748a67d8fba19c916d6e016cdd8975d4c471cc939b6",
+    ),
+    "hier-shard/drop-group-request": (
+        "hier-shard", 13,
+        "drop=*>*:90n4",
+        dict(),
+        "48dd4884bea2fda12e81ef1ffc2883a838b59c7420601e9265658ad9b76257ca",
+    ),
+    "hier-shard/crash-coordinator": (
+        "hier-shard", 13,
+        "crash=coordinator@1.0",
+        dict(lab=True),
+        "26b1692ee390763a6d8e8d498c5934675c0335aa3b4443375a5942a2321c6393",
+    ),
+    "hier-shard/crash-submaster-ioerr-output": (
+        "hier-shard", 13,
+        "crash=submaster:g2@1.5,ioerr=results@0n3",
+        dict(lab=True),
+        "edf7f501e76d94deb172c2d662710bd26261b79eb2e8b7a28d1115e2f361ae81",
+    ),
+    "elastic-replicate/group-kill-ioerr-output": (
+        "elastic-replicate", 17,
+        "crash=group:g1@3,ioerr=results@0n2",
+        dict(lab=True),
+        "32f2daec27ccb124d7292a644e2b7fffa4ac9cff8dcaf2f0c9711e30db6baa97",
+    ),
+    "elastic-replicate/crash-coordinator": (
+        "elastic-replicate", 17,
+        "crash=coordinator@3",
+        dict(lab=True),
+        "54768c9279cfd192e3ba4746a92e261689bb91ecca528008d0a7ebceae3c93b4",
+    ),
+    "elastic-replicate/ioerr-marker": (
+        "elastic-replicate", 17,
+        "ioerr=_ckpt/hier.done@0n2",
+        dict(lab=True),
+        "3e142ad22deda7b08344872bb45322769d43853c79dd63748109ea30f749d79b",
+    ),
+    "elastic-replicate/drop-request": (
+        "elastic-replicate", 17,
+        "drop=*>0:80n3",
+        dict(lab=True),
+        "7a3c1813a6db5a9f9a12f9509cfb47c4a7452fa54f419f16076412015872f353",
+    ),
+    "elastic-shard/group-kill-ioerr-probe": (
+        "elastic-shard", 17,
+        "crash=group:g1@3,ioerr=nr.x@3.5n2",
+        dict(lab=True),
+        "ce0682d2b822c7cc1c1a285e66395c0f58960e615a10b9e6a8db9b445465ae98",
+    ),
+    "elastic-shard/kill-submaster-slowdisk": (
+        "elastic-shard", 17,
+        "kill=7@2,slowdisk=2x5@1",
+        dict(lab=True),
+        "60c9990d08e1a3f60952a74c28571cde9248066ce64b6910cd67aac7b87adf77",
+    ),
+}
+
+
+def run_corpus_fingerprint(driver, nprocs, faults, *, lab=False, **overrides):
+    """One corpus scenario: the dense fingerprint (makespan, per-rank
+    phase seconds, every file's bytes) plus ``FaultReport.as_tuple()``."""
+    from repro.costmodel import CostModel
+    from repro.experiments.common import (
+        run_hier_raw,
+        run_hier_service_raw,
+        run_program_raw,
+    )
+    from repro.simmpi.faults import FaultPlan
+
+    wl = _replay_workload()
+    if lab:
+        wl = replace(wl, cost=CostModel())
+    common = dict(faults=FaultPlan.parse(faults),
+                  config_overrides=overrides or None)
+    kind, _, mode = driver.partition("-")
+    if kind == "hier":
+        hres, store, _cfg = run_hier_raw(
+            nprocs, wl, ngroups=3, mode=mode, **common
+        )
+        result = hres.result
+    elif kind == "elastic":
+        hres, store, _cfg = run_hier_service_raw(
+            nprocs, wl, ngroups=3, mode=mode, rate=2.0, **common
+        )
+        result = hres.result
+    else:
+        _b, result, store, _cfg = run_program_raw(
+            driver, nprocs, wl, **common
+        )
+    fp = _dense(result, store)
+    fp["fault_report"] = result.fault_report.as_tuple()
+    return fp
+
+
 class TestSchedulerReplayIdentity:
     @pytest.mark.parametrize("program", ["mpiblast", "pioblast"])
     def test_driver_replays_bit_for_bit(self, program):
@@ -647,6 +936,13 @@ class TestSchedulerReplayIdentity:
         )
         fp = run_fingerprint("pioblast", 8, faults=plan)
         assert fingerprint_digest(fp) == GOLDEN_REPLAY["pioblast-np8-chaos"]
+
+    @pytest.mark.parametrize("name", sorted(FAULT_CORPUS))
+    def test_fault_corpus_replays_bit_for_bit(self, name):
+        driver, nprocs, faults, options, golden = FAULT_CORPUS[name]
+        fp = run_corpus_fingerprint(driver, nprocs, faults, **options)
+        assert fp["fault_report"][0], "the plan injected nothing"
+        assert fingerprint_digest(fp) == golden
 
 
 class TestSchedulerDrainUnits:

@@ -152,8 +152,7 @@ class TestBenchHostBudget:
         doc = {
             "meta": {"quick": True},
             "runs": {"pioblast/np4": {"makespan": 1.0, "host_s": 6.0}},
-            "kernel": {"blastn/100": {"scalar_host_s": 3.0,
-                                      "batch_host_s": 1.0}},
+            "kernel": {"blastn/100": {"batch_host_s": 4.0}},
         }
         monkeypatch.setattr(
             "repro.obs.bench.write_bench",
@@ -166,7 +165,7 @@ class TestBenchHostBudget:
                            "--host-budget", "60"]) == 0
 
     def test_over_budget_exits_3(self, fake_bench, capsys):
-        # Total host time is 6 + 3 + 1 = 10s.
+        # Total host time is 6 + 4 = 10s.
         assert bench_main(["--out", fake_bench,
                            "--host-budget", "5"]) == 3
         assert "HOST BUDGET EXCEEDED" in capsys.readouterr().out
