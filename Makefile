@@ -16,6 +16,12 @@
 #                     per-pair values, medians, quartiles, wins and
 #                     failures of every end-to-end metric — what a
 #                     performance claim is made from (~8 min a workload)
+#   make cohort-census W=<workload>
+#                   - where the gapped cohort's rows are on one
+#                     bench/workloads.py workload (tools/cohort_census.py):
+#                     per band, cohort calls / halves / clipped / rows /
+#                     seconds; rows are a pure function of the seed, and
+#                     CI gates table1-np32 on them (--rows-at-most)
 #   make chaos      - tier 2: randomized fault-injection sweeps over fixed
 #                     seeds (slower; exercises FaultPlan.random + the
 #                     exhaustive kill-subset enumeration)
@@ -47,7 +53,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test bench-test bench-smoke bench-pairs chaos docs-check report bench-json perf-smoke \
+.PHONY: test bench-test bench-smoke bench-pairs cohort-census chaos docs-check report bench-json perf-smoke \
 	service-smoke hier-smoke hier-service-smoke
 
 test:
@@ -69,6 +75,9 @@ SEEDS ?= 101..110
 bench-pairs:
 	$(PYTHON) tools/bench_pairs.py --parent $(PARENT) --workload $(W) \
 		--seeds $(SEEDS)
+
+cohort-census:
+	$(PYTHON) tools/cohort_census.py --workload $(W)
 
 chaos:
 	$(PYTHON) -m pytest -m chaos -q

@@ -104,8 +104,8 @@ class SearchStats:
     oracle, ``reference.py`` in this package, memoize identically), so
     they participate in the bit-identity equality the property suite
     asserts.  The ``gapped_widenings`` / ``gapped_fallbacks`` /
-    ``gapped_peak_cells`` health counters describe the banded engine
-    only and are excluded from equality.
+    ``gapped_peak_cells`` / ``gapped_rows`` health counters describe the
+    banded engine only and are excluded from equality.
     """
 
     queries: int = 0
@@ -120,6 +120,7 @@ class SearchStats:
     gapped_widenings: int = field(default=0, compare=False)
     gapped_fallbacks: int = field(default=0, compare=False)
     gapped_peak_cells: int = field(default=0, compare=False)
+    gapped_rows: int = field(default=0, compare=False)
 
     def merge(self, other: "SearchStats") -> None:
         self.queries += other.queries
@@ -136,6 +137,7 @@ class SearchStats:
         self.gapped_peak_cells = max(
             self.gapped_peak_cells, other.gapped_peak_cells
         )
+        self.gapped_rows += other.gapped_rows
 
 
 class SequenceDatabase(Protocol):
@@ -797,6 +799,7 @@ class BlastSearch:
                     stats.gapped_peak_cells = max(
                         stats.gapped_peak_cells, bst.peak_cells
                     )
+                    stats.gapped_rows += bst.rows
                 for st in waiting:
                     st.gapped.append(hsp_from_extension(st.si, exts[st.slot]))
             pending = waiting

@@ -19,21 +19,24 @@ origins — and that max is a running ``np.maximum.accumulate``.
 
 ``extend_gapped_batch`` is the vectorized gapped engine: many gapped
 extensions evaluated at once, each restricted to a diagonal band of
-width ``2·band+1`` around its seed, with all live wavefronts advanced
-in lockstep (one ndarray op per DP step for the whole batch).  The band
-is *score-safe*: each stored row carries one ghost column past each
-band edge, computed exactly as the full DP would; if a ghost cell is
-ever still live after X-drop masking, the optimal path might leave the
-band, so that alignment is retried with a doubled band (and falls back
-to the scalar DP once the band covers the whole matrix).  When no ghost
-cell is ever live, every out-of-band cell of the full DP is provably
-X-drop dead, so the banded scores, traceback, and ops are bit-identical
-to :func:`extend_gapped` — the property suite asserts exactly that.
+width ``2·band+1`` around its seed, with all live alignments advanced
+row by row in lockstep (one ndarray op per DP step for the whole
+batch).  The band is *score-safe*: each stored row carries one ghost
+column past each band edge, computed exactly as the full DP would; if a
+ghost cell is ever still live after X-drop masking, the optimal path
+might leave the band, so that alignment continues at a doubled band —
+from the clipping row on when its cohort is small (the rows above it
+are exact at any band), from row 0 in a retry pass otherwise (falling
+back to the scalar DP once the band covers the whole matrix).  When no
+ghost cell is ever live, every out-of-band cell of the full DP is
+provably X-drop dead, so the banded scores, traceback, and ops are
+bit-identical to :func:`extend_gapped` — the property suite asserts
+exactly that.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -456,31 +459,74 @@ class GappedBatchStats:
     """Work/health counters for one or more batched gapped calls.
 
     ``peak_cells`` is the high-water mark of *allocated* banded history
-    cells (H+E+F) across the lockstep batch — the number the memory-
-    hygiene test bounds: retiring and compacting finished wavefronts
-    must keep it near the live alignments' need, not the naive
-    ``n_alignments × longest_alignment`` rectangle.
+    cells (H and F; E is not kept) across the lockstep batch — the
+    number the memory-hygiene test bounds: retiring and compacting
+    finished wavefronts must keep it near the live alignments' need,
+    not the naive ``n_alignments × longest_alignment`` rectangle.
+    ``rows`` is what the no-restart rule bounds: a cohort that widens
+    where it stands runs the clipping row twice and no other.
     """
 
     halves: int = 0  # half-extension DPs executed (2 per alignment)
-    widenings: int = 0  # band-doubling retries after a ghost-cell hit
+    widenings: int = 0  # clipped halves, widened in place or retried
     fallbacks: int = 0  # halves that ran the scalar reference DP
     peak_cells: int = 0  # peak allocated banded history cells
+    rows: int = 0  # lockstep rows executed, all passes
+    #: (row, query-half length) of every clip, for tools/cohort_census.py
+    clips: list[tuple[int, int]] = field(default_factory=list)
 
     def merge(self, other: "GappedBatchStats") -> None:
         self.halves += other.halves
         self.widenings += other.widenings
         self.fallbacks += other.fallbacks
         self.peak_cells = max(self.peak_cells, other.peak_cells)
+        self.rows += other.rows
+        self.clips += other.clips
+
+
+def _e_row(
+    Hh: np.ndarray,
+    Fh: np.ndarray,
+    i: int,
+    qh: np.ndarray,
+    sh: np.ndarray,
+    matext: np.ndarray,
+    go: int,
+    ge: int,
+    off: int,
+) -> list[int]:
+    """Row ``i`` of one slot's E (gap-in-query) lane, from its H and F.
+
+    The cohort keeps no E history: a row's E is a function of the
+    previous row's H and its own F — the same int32 steps as the row
+    loop of :func:`_run_band_cohort` — and the traceback asks for it
+    only on the rows where a gap opens or runs.  Cells that were dead in
+    the cohort may come out as a different dead value; no live cell
+    compares equal to either.
+    """
+    W = Hh.shape[1]
+    ns = len(sh)
+    d = np.arange(W, dtype=np.int32)
+    j = d + np.int32(i - off)
+    inside = (j >= 1) & (j <= ns)
+    if i == 0:
+        return np.where(inside, -(go + ge * j), _NEG32).tolist()
+    codes = sh[np.minimum(np.maximum(j - 1, 0), ns - 1)]
+    sc = np.where(inside, matext[qh[i - 1], codes], _SENT_SCORE)
+    t = np.maximum(Hh[i - 1] + sc, Fh[i]) + ge * d
+    np.maximum.accumulate(t, out=t)
+    cost = go + ge * d[1:] - _SENT_SCORE * (j[1:] > ns)
+    return [int(_NEG32), *(t[:-1] - cost).tolist()]
 
 
 def _traceback_banded(
     Hh: np.ndarray,
-    Eh: np.ndarray,
     Fh: np.ndarray,
     qh: np.ndarray,
     sh: np.ndarray,
-    matrix: np.ndarray,
+    matrix: list[list[int]],
+    matext: np.ndarray,
+    go: int,
     ge: int,
     off: int,
     bi: int,
@@ -490,41 +536,52 @@ def _traceback_banded(
 
     Decision-for-decision the traceback of :func:`_extend_half`; under
     the no-ghost-live invariant every cell it can visit holds the same
-    value as the full DP matrix, so the ops come out identical.
+    value as the full DP matrix, so the ops come out identical.  It
+    touches a cell or two per row, so it reads them as Python ints
+    (``ndarray.item``; ``matrix`` is ``matext`` as a nested list)
+    rather than as NumPy scalars, and E a row at a time from
+    :func:`_e_row`.
     """
     ops_rev: list[str] = []
     i, j = bi, bj
     state = "H"
     W = Hh.shape[1]
+    H, F = Hh.item, Fh.item
+    neg = int(_NEG32)
+    ql, sl = qh[:bi].tolist(), sh[:bj].tolist()
+    e_at, e_row = -1, []
+
+    def E(i: int, d: int) -> int:
+        nonlocal e_at, e_row
+        if e_at != i:
+            e_at, e_row = i, _e_row(Hh, Fh, i, qh, sh, matext, go, ge, off)
+        return e_row[d]
+
     while i > 0 or j > 0:
         d = j - i + off
         if state == "H":
-            h = Hh[i, d]
-            if (
-                i > 0
-                and j > 0
-                and Hh[i - 1, d] > _NEG32
-                and h == Hh[i - 1, d] + matrix[qh[i - 1], sh[j - 1]]
-            ):
+            h = H(i, d)
+            hp = H(i - 1, d) if i > 0 and j > 0 else neg
+            if hp > neg and h == hp + matrix[ql[i - 1]][sl[j - 1]]:
                 ops_rev.append("M")
                 i -= 1
                 j -= 1
-            elif j > 0 and h == Eh[i, d]:
+            elif j > 0 and h == E(i, d):
                 state = "E"
-            elif i > 0 and h == Fh[i, d]:
+            elif i > 0 and h == F(i, d):
                 state = "F"
             else:  # pragma: no cover - would indicate a DP bug
                 raise AssertionError(f"banded traceback stuck at ({i},{j})")
         elif state == "E":
             ops_rev.append("I")
-            extending = j >= 2 and d >= 1 and Eh[i, d] == Eh[i, d - 1] - ge
+            extending = j >= 2 and d >= 1 and E(i, d) == E(i, d - 1) - ge
             j -= 1
             if not extending:
                 state = "H"
         else:  # state == 'F'
             ops_rev.append("D")
             extending = (
-                i >= 2 and d + 1 < W and Fh[i, d] == Fh[i - 1, d + 1] - ge
+                i >= 2 and d + 1 < W and F(i, d) == F(i - 1, d + 1) - ge
             )
             i -= 1
             if not extending:
@@ -532,17 +589,127 @@ def _traceback_banded(
     return "".join(reversed(ops_rev))
 
 
-#: Initial rows allocated per banded history; doubled on demand.
-_BAND_INIT_ROWS = 8
+#: A history chunk holds about this many cells per H / F plane, and
+#: at least ``_CHUNK_MIN_ROWS`` rows: a small cohort's whole half fits in
+#: one chunk, a large cohort never holds more than a chunk of rows it may
+#: not need.
+_CHUNK_CELLS = 1 << 16
+_CHUNK_MIN_ROWS = 8
 #: Compact the lockstep batch when live slots drop below this fraction.
 _COMPACT_FRACTION = 0.5
+#: Cells of substitution scores and E-costs one pair of gathers fetches:
+#: a small cohort gets many rows per dispatch, a large one (whose rows
+#: already outweigh their dispatches) one, and the three block buffers
+#: stay this size whatever the cohort.
+_BLOCK_CELLS = 1 << 13
+#: A clipped cohort widens where it stands while ``live slots x new band
+#: width`` stays under this many cells — the size at which a row's ufunc
+#: dispatches still outweigh its cells, so running every slot at twice
+#: the width from here on costs less than a second pass, from row 0, for
+#: the clipped ones.  Larger cohorts send only their clipped slots to
+#: the retry pass.
+_WIDEN_CELLS = 2200
 #: Dead-cell sentinel for the int32 banded state.  Large enough that no
 #: real score reaches it, small enough that sentinel arithmetic
 #: (``_NEG32 + _SENT_SCORE`` at worst) stays inside int32.
 _NEG32 = np.int32(-(1 << 30))
 #: Substitution score against the out-of-range sentinel code: any diag
 #: move that reads past a subject's real letters is astronomically dead.
+#: Its negation is the E-cost of a column past the subject's end.
 _SENT_SCORE = np.int32(-(1 << 28))
+
+
+def _band_layout(subjects, band: int, go: int, ge: int, sz: int):
+    """Everything a cohort derives from its band alone.
+
+    Band column ``d`` of row ``i`` is DP cell ``j = i + d - off``;
+    columns ``0`` and ``W - 1`` are the ghosts.  Subject codes are
+    concatenated with ``W + 2`` sentinel codes around every subject, so
+    the sliding-window gather needs no bounds masks: the window never
+    reaches further than ``W`` past either end of a live subject before
+    the slot retires (rows a block gathers beyond that feed dead cells
+    only).  ``sbase + r`` is the ``sflat`` index of row ``r``'s column 0.
+    """
+    W = 2 * band + 3
+    off = band + 1
+    dar = np.arange(W, dtype=np.int32)[:, None]
+    gedar = ge * dar
+    ecost = go + gedar[1:]
+    pad = np.full(W + 2, sz, dtype=np.int32)
+    chunks: list[np.ndarray] = []
+    soff = np.empty(len(subjects), np.int32)
+    pos = 0
+    for k, s in enumerate(subjects):
+        chunks.append(pad)
+        pos += len(pad)
+        soff[k] = pos
+        chunks.append(np.asarray(s, dtype=np.int32))
+        pos += len(s)
+    chunks.append(pad)
+    sflat = np.concatenate(chunks)
+    sbase = soff - np.int32(off + 1)
+    return W, off, dar, gedar, ecost, sflat, sbase
+
+
+def _compact(chunks: list, keep: np.ndarray) -> list:
+    """``keep``'s slots of the full chunks.  Neighbours of one band
+    layout become one chunk (minus the row each repeats from its
+    predecessor), so their number follows the widenings, not the rows.
+    Consumes ``chunks``: each old chunk is released as soon as it is
+    copied, so one old copy at most sits next to the new ones."""
+    groups: list[tuple[int, int, list]] = []
+    for r0, coff, X in chunks:
+        if groups and groups[-1][1] == coff:
+            groups[-1][2].append(X[:, 1:])
+        else:
+            groups.append((r0, coff, [X]))
+    chunks.clear()
+    out = []
+    for r0, coff, parts in groups:
+        rows = sum(X.shape[1] for X in parts)
+        g = np.empty((2, rows, parts[0].shape[2], len(keep)), dtype=np.int32)
+        at = 0
+        while parts:
+            X = parts.pop(0)
+            for dst, src in zip(g, X):
+                # mode="clip": the default buffers the whole output
+                np.take(src, keep, axis=2, out=dst[at : at + X.shape[1]],
+                        mode="clip")
+            at += X.shape[1]
+        out.append((r0, coff, g))
+    return out
+
+
+def _new_chunk(rows: int, W: int, L: int) -> np.ndarray:
+    """An uninitialised ``(H|F, rows, W, slots)`` chunk.  F's last band
+    column, which no row computes, is filled here, once, not per row."""
+    g = np.empty((2, rows, W, L), dtype=np.int32)
+    g[1, :, W - 1] = _NEG32
+    return g
+
+
+def _next_chunk(last: np.ndarray, rows: int, W: int) -> np.ndarray:
+    """A fresh chunk whose row 0 repeats ``last``, the previous chunk's
+    final ``(H|F, W, slots)`` row — centred, the new columns dead,
+    when the band has widened.  No earlier row is copied."""
+    Wo = last.shape[1]
+    g = _new_chunk(rows, W, last.shape[2])
+    shift = (W - Wo) // 2
+    if shift:
+        g[:, 0] = _NEG32
+    g[:, 0, shift : shift + Wo] = last
+    return g
+
+
+def _slot_history(chunks, k: int, n: int, W: int, off: int) -> np.ndarray:
+    """Slot ``k``'s H and F rows ``0 .. n-1`` in the current band layout,
+    pasted together from its ``(first row, off, chunk)`` pieces."""
+    hf = np.full((2, n, W), _NEG32, dtype=np.int32)
+    for r0, coff, X in chunks:
+        lo = off - coff
+        m = min(X.shape[1], n - r0)
+        hf[:, r0 : r0 + m, lo : lo + X.shape[2]] = X[:, :m, :, k]
+    return hf
 
 
 def _run_band_cohort(
@@ -557,53 +724,53 @@ def _run_band_cohort(
     """Lockstep banded DP over a cohort of half-extension problems.
 
     Returns, per problem, its :class:`_HalfExtension` — or ``None`` if
-    a ghost cell went live (band too narrow; the caller widens and
-    retries).  Every problem must have non-empty query and subject.
+    a ghost cell went live in a cohort too large to widen where it
+    stands (the caller retries those at twice the band).  Every problem
+    must have non-empty query and subject.
 
-    Hot-loop layout: all DP state is int32 (scores are bounded far
-    inside it); histories are ``(rows, slots, W)`` so each wavefront row
-    is a contiguous ``(L, W)`` view computed in place with ``out=``
-    ufuncs; subject codes are concatenated with ``W+2`` sentinel codes
-    around every subject so the sliding-window gather needs no bounds
-    masks — out-of-range reads hit the sentinel matrix row and come out
-    astronomically dead on their own.
+    Two rules shape the loop.  *A computed row is never recomputed*: no
+    ghost cell was live before the clipping row ``r``, so every cell
+    outside the band in rows ``< r`` is dead in the full DP and those
+    rows are exact at any wider band.  A small cohort therefore widens
+    where it stands: row ``r - 1`` is copied into a ``2 x band`` chunk
+    (old columns centred, the rest dead), everything
+    :func:`_band_layout` derives from the band is rebuilt, and row ``r``
+    runs again.  *A row does the recurrence and nothing else*:
+    substitution scores and E-costs — "past the subject's end" folded in
+    as a cost no score survives — come from one pair of gathers per
+    ``_BLOCK_CELLS`` cells into reused buffers; retired slots are dead
+    lanes (all ``_NEG32``, kept so by the X-drop mask), which lets the
+    ghost and done tests be one reduction each with no ``active`` mask;
+    best cells are recovered from the stored rows when a slot finishes.
+
+    All DP state is int32 (scores are bounded far inside it).  H and F
+    are kept for the traceback, in chunks of ``(rows, W, slots)``: a
+    wavefront row is a contiguous ``(W, L)`` view computed in place with
+    ``out=`` ufuncs, and its neighbour columns ``[1:]`` / ``[:-1]`` are
+    contiguous too.  A full chunk is kept as it is and the next one
+    starts with a copy of its last row, so growing and widening copy one
+    row, and only compaction (which releases retired slots' cells)
+    copies history.  E is one scratch row: the traceback recomputes the
+    few rows of it that it reads (:func:`_e_row`).
     """
     A = len(probs)
-    W = 2 * band + 3
-    off = band + 1
     open_cost = np.int32(go + ge)
     ge32 = np.int32(ge)
+    xd32 = np.int32(x_drop)
+    big = -_SENT_SCORE
     nq = np.fromiter((len(p[0]) for p in probs), np.int64, count=A)
     ns = np.fromiter((len(p[1]) for p in probs), np.int64, count=A)
-    qflat = np.concatenate(
-        [np.asarray(p[0], dtype=np.int32) for p in probs]
-    )
-    # Subject codes with W+2 sentinels between/around subjects: the
-    # window never reaches further than W past either end of a live
-    # subject before the slot retires, so every gather index lands on a
-    # real letter or a sentinel.
     sz = matrix.shape[0]
-    sent_pad = np.full(W + 2, sz, dtype=np.int32)
-    schunks: list[np.ndarray] = []
-    soff = np.empty(A, np.int64)
-    pos = 0
-    for k, p in enumerate(probs):
-        schunks.append(sent_pad)
-        pos += len(sent_pad)
-        soff[k] = pos
-        schunks.append(np.asarray(p[1], dtype=np.int32))
-        pos += len(p[1])
-    schunks.append(sent_pad)
-    sflat = np.concatenate(schunks)
-    qoff = np.concatenate(([0], np.cumsum(nq)[:-1]))
-    qlast = qoff + nq - 1
     matext = np.full((sz + 1, sz + 1), _SENT_SCORE, dtype=np.int32)
     matext[:sz, :sz] = matrix
     matflat = np.ascontiguousarray(matext).ravel()
-    mat = np.ascontiguousarray(matrix, dtype=np.int64)
-    dar = np.arange(W, dtype=np.int64)
-    gedar = (ge * dar).astype(np.int32)[None, :]
-    ecost = (go + ge * dar[1:]).astype(np.int32)[None, :]
+    matl = matext.tolist()  # the traceback's view of it
+    # Query codes as row offsets into ``matflat``.
+    qrow = np.concatenate(
+        [np.asarray(p[0], dtype=np.int32) for p in probs]
+    ) * np.int32(sz + 1)
+    qoff = np.concatenate(([0], np.cumsum(nq)[:-1]))
+    qlast = qoff + nq - 1
     #: Best possible per-step gain; bounds what any escaped path can
     #: still earn (value + maxpos*min(remaining q, remaining s) is
     #: non-increasing along every DP path).
@@ -612,157 +779,197 @@ def _run_band_cohort(
     out: list[_HalfExtension | None] = [None] * A
 
     # Slot state (slot -> original problem index via ``orig``).  Retired
-    # slots go inactive immediately and are *compacted away* (history
-    # pads released) once live slots fall below _COMPACT_FRACTION, so
-    # dead lanes never cost more than a constant factor in compute or
-    # memory while one straggler finishes.
+    # slots are made dead in place and *compacted away* (history pads
+    # released) once live slots fall below _COMPACT_FRACTION, so dead
+    # lanes never cost more than a constant factor in compute or memory
+    # while one straggler finishes.
     orig = np.arange(A)
     active = np.ones(A, dtype=bool)
-    cap = _BAND_INIT_ROWS
-    # Rows >= 1 are fully overwritten in place before being read, so
-    # histories start uninitialised; only row 0 needs explicit values.
-    Hh = np.empty((cap, A, W), dtype=np.int32)
-    Eh = np.empty((cap, A, W), dtype=np.int32)
-    Fh = np.empty((cap, A, W), dtype=np.int32)
     best = np.zeros(A, dtype=np.int32)
-    best_i = np.zeros(A, dtype=np.int64)
-    best_j = np.zeros(A, dtype=np.int64)
-    #: Rightmost in-range band column (``j <= ns``); walks left one
-    #: column per row as the window slides.
-    hi_d = ns - 1 + off
-    #: Sliding gather index into ``sflat``; advanced in place each row.
-    sidx = soff[:, None] + (dar - off)[None, :]
+    W, off, dar, gedar, ecost, sflat, sbase = _band_layout(
+        [p[1] for p in probs], band, go, ge, sz
+    )
+    #: Closed chunks, ``(first row, off, chunk)``; the open chunk's row
+    #: ``i`` is DP row ``r = r0 + i`` and it holds ``cap`` rows.
+    chunks: list[tuple] = []
+    r0 = 0
+    cap = min(int(nq.max()) + 1, max(_CHUNK_MIN_ROWS, _CHUNK_CELLS // (A * W)))
+    # Rows >= 1 are fully overwritten in place before being read, so
+    # histories start uninitialised but for row 0.
+    HF = _new_chunk(cap, W, A)
+    Hh, Fh = HF
+    bstats.peak_cells = max(bstats.peak_cells, HF.size)
 
     def alloc_scratch(L: int):
+        nblk = max(1, min(_BLOCK_CELLS // (L * W), int(nq.max())))
+        brows = np.arange(nblk, dtype=np.int32)[:, None]
+        # Subject codes, then matrix indices, then (the scores read)
+        # E-costs; and the scores.
+        SC, SS = (np.empty((nblk, W, L), dtype=np.int32) for _ in range(2))
+        T = np.empty((W, L), dtype=np.int32)
+        # E is scratch, not history (the traceback recomputes the rows
+        # it needs, _e_row); its first band column is never computed.
+        E = np.full((W, L), _NEG32, dtype=np.int32)
         return (
-            np.empty((L, W), dtype=np.int32),  # diag
-            np.empty((L, W), dtype=np.int32),  # tmp
-            np.empty((L, W), dtype=np.int32),  # subject codes
-            np.empty((L, W), dtype=np.int32),  # matrix gather index
-            np.empty((L, W), dtype=np.int32),  # substitution scores
-            np.empty((L, W), dtype=bool),      # mask buffer
-            np.empty(L, dtype=np.int32),       # row max
+            brows,
+            brows[:, :, None] + dar + sbase,  # gather index of rows 0..
+            SC, SC[:, 1:], SS,
+            T, T[: W - 1], E, E[1:],
+            np.empty((W, L), dtype=bool),  # x-drop mask
+            np.empty(L, dtype=np.int32),  # row max
+            np.empty(L, dtype=np.int32),  # x-drop threshold
+            np.empty(L, dtype=bool),  # row below threshold
         )
 
-    D, T, SC, MI, SS, MB, RB = alloc_scratch(A)
+    brows, IX, SC, EC, SS, T, Tl, E, E1, MB, RB, thr, DN = alloc_scratch(A)
+    ix_row = 0  # the row ``IX[0]`` indexes
 
     def finish(slots: np.ndarray) -> None:
+        pieces = [*chunks, (r0, off, HF)]
         for k in slots.tolist():
             o = int(orig[k])
             qh, sh = probs[o]
+            # The best cell is never masked, and the first row / column
+            # holding it is where the scalar DP's strict ``>`` put it.
+            Hk, Fk = _slot_history(pieces, k, r + 1, W, off)
+            bi = int(Hk.max(axis=1).argmax())
+            bj = bi + int(Hk[bi].argmax()) - off
             ops = _traceback_banded(
-                Hh[:, k, :], Eh[:, k, :], Fh[:, k, :], qh, sh, mat, ge,
-                off, int(best_i[k]), int(best_j[k]),
+                Hk, Fk, qh, sh, matl, matext, go, ge, off, bi, bj
             )
-            out[o] = _HalfExtension(
-                int(best[k]), int(best_i[k]), int(best_j[k]), ops
-            )
+            out[o] = _HalfExtension(int(best[k]), bi, bj, ops)
 
     # Row 0: leading gap in the query, masked against best=0.
     j0 = dar - off
-    valid0 = (j0[None, :] >= 0) & (j0[None, :] <= ns[:, None])
-    gap0 = (-(go + ge * j0[None, :])).astype(np.int32)
-    H = np.where(j0[None, :] == 0, np.int32(0), gap0)
-    H = np.where(valid0, H, _NEG32)
-    H = np.where(H < best[:, None] - np.int32(x_drop), _NEG32, H)
-    Hh[0] = H
-    Eh[0] = np.where((j0[None, :] >= 1) & valid0, gap0, _NEG32)
-    Fh[0].fill(_NEG32)
-
+    valid0 = (j0 >= 0) & (j0 <= ns)
+    gap0 = -(go + ge * j0)
+    H = np.where(valid0 & (gap0 >= -xd32), gap0, _NEG32)
+    H[off] = 0
+    Fh[0] = _NEG32
     # Row-0 ghost check: a live upper ghost means even the first row's
-    # leading-gap reach escapes the band — clipped, retry wider.
-    ghost0 = (Hh[0, :, 0] > _NEG32) | (Hh[0, :, W - 1] > _NEG32)
+    # leading-gap reach escapes the band — nothing is computed yet, so
+    # these go straight to the retry pass.
+    ghost0 = H[W - 1] > _NEG32
+    H[:, ghost0] = _NEG32
+    Hh[0] = H
     active &= ~ghost0
+    bstats.clips += [(0, int(n)) for n in nq[ghost0]]
 
-    def regrow(old: np.ndarray, keep, rows: int) -> np.ndarray:
-        """Copy of ``old`` with ``rows`` rows and only ``keep``'s slots."""
-        if keep is None:
-            g = np.empty((rows,) + old.shape[1:], dtype=np.int32)
-            g[: len(old)] = old
-        else:
-            g = np.empty((rows, len(keep), W), dtype=np.int32)
-            # mode="clip": the default buffers the whole output
-            np.take(old, keep, axis=1, out=g[: len(old)], mode="clip")
-        return g
-
-    xd32 = np.int32(x_drop)
     n_live = int(active.sum())
-    r = 1
+    n_dead = A - n_live
+    widen = compact = False
+    packed_at = _CHUNK_MIN_ROWS  # the row retired slots were last released on
+    blk_end = 1  # first row the gathered block does not cover
+    if n_live:
+        first_end, last_end = int(nq[active].min()), int(nq[active].max())
+    r = i = 1
     while n_live:
         L = len(orig)
-        # Release retired slots' history once fewer than
-        # _COMPACT_FRACTION are live — and always when the history must
-        # grow, since that copies it anyway.  It doubles, but never past
-        # the last row a live slot can reach.
-        compact = n_live < (_COMPACT_FRACTION * L if r < cap else L)
-        if compact or r >= cap:
-            keep = np.flatnonzero(active) if compact else None
-            if r >= cap:
-                cap = min(cap * 2, int(nq[active].max()) + 1)
-            # Last row's views would keep the old histories alive; one
-            # history at a time, so one old copy at most sits next to
-            # the new ones.
-            H = E = F = Hp = Fp = None
-            Hh = regrow(Hh, keep, cap)
-            Eh = regrow(Eh, keep, cap)
-            Fh = regrow(Fh, keep, cap)
-        if compact:
-            orig, nq, ns, qoff, qlast = (
-                orig[keep], nq[keep], ns[keep], qoff[keep], qlast[keep]
+        if widen or compact or i >= cap:
+            # Close the open chunk (last row's views would keep a
+            # replaced chunk alive) and start the next from its last
+            # row; nothing else is copied unless retired slots are
+            # released: once fewer than _COMPACT_FRACTION are live, on
+            # widening (which would double their dead lanes too), and
+            # whenever the history has doubled since the last time.
+            H = F = Hp = Fp = Fl = Hh = Fh = None
+            chunks.append((r0, off, HF[:, :i]))
+            HF = None
+            if n_live < L and (widen or compact or r >= 2 * packed_at):
+                packed_at = r
+                keep = np.flatnonzero(active)
+                orig, nq, ns, qoff, qlast, best, sbase = (
+                    a[keep]
+                    for a in (orig, nq, ns, qoff, qlast, best, sbase)
+                )
+                chunks = _compact(chunks, keep)
+                L = n_live
+                n_dead = 0
+                active = np.ones(L, dtype=bool)
+            if widen:
+                # Rows < r are exact at any band, so only row r runs
+                # again.  A band >= max(nq, ns) cannot clip, so this
+                # stops by construction.
+                band *= 2
+                W, off, dar, gedar, ecost, sflat, sbase = _band_layout(
+                    [probs[o][1] for o in orig.tolist()], band, go, ge, sz
+                )
+            r0, i = r - 1, 1
+            cap = 1 + min(
+                max(_CHUNK_MIN_ROWS, _CHUNK_CELLS // (L * W)),
+                last_end - r + 1,
             )
-            best, best_i, best_j = best[keep], best_i[keep], best_j[keep]
-            hi_d = hi_d[keep]
-            sidx = np.ascontiguousarray(sidx[keep])
-            L = n_live
-            active = np.ones(L, dtype=bool)
-            D, T, SC, MI, SS, MB, RB = alloc_scratch(L)
-        bstats.peak_cells = max(bstats.peak_cells, 3 * L * cap * W)
-        if r > 1:
-            sidx += 1
-            hi_d -= 1
-        Hp = Hh[r - 1]
-        Fp = Fh[r - 1]
-        H = Hh[r]
-        E = Eh[r]
-        F = Fh[r]
-        # Substitution scores via two flat gathers: subject codes from
-        # the sliding window, then the (query row x subject code) cell
-        # of the sentinel-extended matrix.  mode='clip' keeps retired
-        # slots' runaway indices harmless.
-        qcode = qflat[np.minimum(qoff + r - 1, qlast)]
-        np.take(sflat, sidx, out=SC, mode="clip")
-        np.add(SC, (qcode * np.int32(sz + 1))[:, None], out=MI)
-        np.take(matflat, MI, out=SS, mode="clip")
-        np.add(Hp, SS, out=D)
-        # F/diag predecessors sit one band column to the right in the
-        # previous row (the window slides one subject position per row).
-        np.subtract(Fp[:, 1:], ge32, out=F[:, : W - 1])
-        np.subtract(Hp[:, 1:], open_cost, out=T[:, : W - 1])
-        np.maximum(F[:, : W - 1], T[:, : W - 1], out=F[:, : W - 1])
-        F[:, W - 1] = _NEG32
-        np.maximum(D, F, out=H)  # H0
+            HF = _next_chunk(chunks[-1][2][:, -1], cap, W)
+            Hh, Fh = HF
+            if widen or len(RB) != L:
+                (brows, IX, SC, EC, SS, T, Tl, E, E1, MB, RB, thr,
+                 DN) = alloc_scratch(L)
+                ix_row, blk_end = 0, r
+            bstats.peak_cells = max(
+                bstats.peak_cells,
+                HF.size + sum(X.size for _c0, _coff, X in chunks),
+            )
+            widen = compact = False
+        if r >= blk_end:
+            # One block of rows: subject codes from the sliding window,
+            # then the (query row x subject code) cell of the sentinel-
+            # extended matrix.  mode='clip' keeps retired slots' runaway
+            # indices harmless.  The code buffer is free again once the
+            # scores are read and takes the E-costs: open/extend by
+            # column, ``big`` for columns past the subject's end (E can
+            # leak into them with live-looking values; the full DP has
+            # no such cells, and D and F there are dead on their own).
+            nb = min(len(brows), last_end - r + 1)
+            br = brows[:nb]
+            np.add(IX, np.int32(r - ix_row), out=IX)
+            ix_row = r
+            np.take(sflat, IX[:nb], out=SC[:nb], mode="clip")
+            qr = qrow[np.minimum(qoff + (r - 1 + br), qlast)]
+            np.add(SC[:nb], qr[:, None], out=SC[:nb])
+            np.take(matflat, SC[:nb], out=SS[:nb], mode="clip")
+            hi = (ns + (off - r) - br).astype(np.int32)
+            np.greater(dar[1:], hi[:, None], out=EC[:nb])
+            np.multiply(EC[:nb], big, out=EC[:nb])
+            np.add(EC[:nb], ecost, out=EC[:nb])
+            blk_r0, blk_end = r, r + nb
+        bstats.rows += 1
+        Hp = Hh[i - 1]
+        Fp = Fh[i - 1]
+        H = Hh[i]
+        F = Fh[i]
+        Fl = F[: W - 1]
+        np.add(Hp, SS[r - blk_r0], out=H)
+        # F/diag predecessors sit one band column up in the previous
+        # row (the window slides one subject position per row).
+        np.subtract(Fp[1:], ge32, out=Fl)
+        np.subtract(Hp[1:], open_cost, out=Tl)
+        np.maximum(Fl, Tl, out=Fl)
+        np.maximum(H, F, out=H)  # H0
         # E from the in-row prefix max of H0 + ge*d (the open/extend
         # recurrence collapsed into one accumulate).
         np.add(H, gedar, out=T)
-        np.maximum.accumulate(T, axis=1, out=T)
-        E[:, 0] = _NEG32
-        np.subtract(T[:, : W - 1], ecost, out=E[:, 1:])
+        np.maximum.accumulate(T, axis=0, out=T)
+        np.subtract(Tl, EC[r - blk_r0], out=E1)
         np.maximum(H, E, out=H)
-        # Clamp columns past the subject end (E can leak into them with
-        # live-looking values; the full DP has no such cells).
-        np.greater(dar[None, :], hi_d[:, None], out=MB)
-        np.copyto(H, _NEG32, where=MB)
-        np.maximum.reduce(H, axis=1, out=RB)
-        imp = active & (RB > best)
-        if imp.any():
-            best[imp] = RB[imp]
-            best_i[imp] = r
-            best_j[imp] = r + H[imp].argmax(axis=1) - off
-        np.less(H, (best - xd32)[:, None], out=MB)
-        np.copyto(H, _NEG32, where=MB)
-        glow = H[:, 0] > _NEG32
-        gup = H[:, W - 1] > _NEG32
-        ghost = active & (glow | gup)
+        np.maximum.reduce(H, axis=0, out=RB)
+        np.maximum(best, RB, out=best)
+        np.subtract(best, xd32, out=thr)
+        np.less(H, thr, out=MB)
+        np.putmask(H, MB, _NEG32)
+        np.less(RB, thr, out=DN)
+        # Dead lanes are below threshold on every row, so a count other
+        # than theirs means a live slot just dropped out.
+        if (
+            r < first_end
+            and np.count_nonzero(DN) == n_dead
+            and np.maximum.reduce(H[:: W - 1], axis=None) <= _NEG32
+        ):
+            r += 1
+            i += 1
+            continue
+        glow = active & (H[0] > _NEG32)
+        gup = active & (H[W - 1] > _NEG32)
+        ghost = glow | gup
         if ghost.any():
             # Safe-ghost rule: a live ghost whose optimistic bound
             # (value plus the best score the remaining letters could
@@ -779,17 +986,39 @@ def _run_band_cohort(
                 np.minimum(nq - r, ns - (r + off)), 0
             )
             b64 = best.astype(np.int64)
-            safe_low = glow & (H[:, 0] + pot_low < b64)
-            safe_up = gup & (H[:, W - 1] + pot_up < b64)
-            H[safe_low, 0] = _NEG32
-            H[safe_up, W - 1] = _NEG32
-            ghost = active & ((glow & ~safe_low) | (gup & ~safe_up))
-        done = active & ~ghost & ((RB < best - xd32) | (r >= nq))
-        if ghost.any() or done.any():
-            finish(np.flatnonzero(done))
-            active &= ~(ghost | done)
-            n_live = int(active.sum())
+            safe_low = glow & (H[0] + pot_low < b64)
+            safe_up = gup & (H[W - 1] + pot_up < b64)
+            H[0, safe_low] = _NEG32
+            H[W - 1, safe_up] = _NEG32
+            ghost = (glow & ~safe_low) | (gup & ~safe_up)
+        done = active & ~ghost & (DN | (r >= nq))
+        finish(np.flatnonzero(done))
+        active &= ~done
+        n_clipped = int(ghost.sum())
+        n_live = int(active.sum())
+        if n_clipped:
+            bstats.clips += [(r, int(n)) for n in nq[ghost]]
+            if n_live * (4 * band + 3) <= _WIDEN_CELLS:
+                # One widening decision: a cohort this small widens
+                # where it stands, a larger one sends its clipped slots
+                # to the retry pass.
+                bstats.widenings += n_clipped
+                widen = True
+                continue
+            active &= ~ghost
+            n_live -= n_clipped
+        # Dead in place: nothing a retired slot's lane computes from
+        # here on survives the X-drop mask.
+        retired = done | ghost
+        H[:, retired] = _NEG32
+        F[:, retired] = _NEG32
+        n_dead = len(orig) - n_live
+        if n_live:
+            first_end = int(nq[active].min())
+            last_end = int(nq[active].max())
+            compact = n_live < _COMPACT_FRACTION * len(orig)
         r += 1
+        i += 1
     return out
 
 
@@ -805,11 +1034,13 @@ def _extend_half_batch(
 ) -> list[_HalfExtension]:
     """All half-extensions, banded-batched with widening retries.
 
-    Each half runs at ``band`` first; halves whose ghost columns go
-    live retry with the band doubled, and fall back to the scalar
-    :func:`_extend_half` once the band would cover the whole DP matrix
-    (at which point banding cannot help).  Results equal the scalar DP
-    bit for bit.
+    Each half runs at ``band`` first.  A half whose ghost columns go
+    live is widened where it stands when its cohort is small
+    (:func:`_run_band_cohort`); out of a larger cohort it comes back
+    clipped and retries here with the band doubled, falling back to the
+    scalar :func:`_extend_half` once that band would cover the whole DP
+    matrix (at which point banding cannot help).  Results equal the
+    scalar DP bit for bit.
     """
     n = len(halves)
     out: list[_HalfExtension | None] = [None] * n
@@ -878,9 +1109,10 @@ def extend_gapped_batch(
     ``extend_gapped(q[k], subjects[k], anchors_q[k], anchors_s[k], ...)``
     bit for bit: same spans, same score, same ops string.  Each
     extension is two banded half-extensions (forward and backward from
-    the anchor) evaluated in one lockstep wavefront batch; band-edge
-    hits widen and retry per half (see :func:`_extend_half_batch`), so
-    the band is a pure performance knob, never a correctness one.
+    the anchor) evaluated in one lockstep row-by-row batch; a half that
+    touches the band edge is widened, in place or in a retry pass (see
+    :func:`_extend_half_batch`), so ``band`` decides where the work is
+    done, never the result.
     """
     n = len(subjects)
     qs = [q] * n if isinstance(q, np.ndarray) else q

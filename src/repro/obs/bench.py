@@ -181,7 +181,7 @@ def kernel_scenarios(
     seconds (``stages``: scan / ungapped / gapped / render) and the
     gapped-DP work/health counters (``gapped_extensions``,
     ``gapped_dedup``, ``gapped_widenings``, ``gapped_fallbacks``,
-    ``gapped_peak_cells``) — see OBSERVABILITY.md §6.
+    ``gapped_peak_cells``, ``gapped_rows``) — see OBSERVABILITY.md §6.
     """
     out: dict[str, dict] = {}
     for program, nseqs, nqueries in scenarios:
@@ -222,6 +222,7 @@ def kernel_scenarios(
             "gapped_widenings": stats.gapped_widenings,
             "gapped_fallbacks": stats.gapped_fallbacks,
             "gapped_peak_cells": stats.gapped_peak_cells,
+            "gapped_rows": stats.gapped_rows,
         }
         if verbose:
             print(f"kernel {name}: {host_s:.2f}s")
