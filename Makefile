@@ -22,6 +22,16 @@
 #                     per band, cohort calls / halves / clipped / rows /
 #                     seconds; rows are a pure function of the seed, and
 #                     CI gates table1-np32 on them (--rows-at-most)
+#   make park-census W=<workload>
+#                   - what the simulator's message path does on one
+#                     bench/workloads.py workload (tools/park_census.py):
+#                     parks and baton hand-offs by parker label, messages
+#                     by tag and pull-RPC kind, payload_nbytes entries per
+#                     message, hand-offs x measured lock ping-pong next to
+#                     the host seconds; all counts are pure functions of
+#                     the seed and CI gates ft-hier-kill on them.
+#                     `python tools/park_census.py --poll-bench` is the
+#                     layer's micro-benchmark (us and calls per message)
 #   make chaos      - tier 2: randomized fault-injection sweeps over fixed
 #                     seeds (slower; exercises FaultPlan.random + the
 #                     exhaustive kill-subset enumeration)
@@ -53,7 +63,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test bench-test bench-smoke bench-pairs cohort-census chaos docs-check report bench-json perf-smoke \
+.PHONY: test bench-test bench-smoke bench-pairs cohort-census park-census chaos docs-check report bench-json perf-smoke \
 	service-smoke hier-smoke hier-service-smoke
 
 test:
@@ -78,6 +88,9 @@ bench-pairs:
 
 cohort-census:
 	$(PYTHON) tools/cohort_census.py --workload $(W)
+
+park-census:
+	$(PYTHON) tools/park_census.py --workload $(W)
 
 chaos:
 	$(PYTHON) -m pytest -m chaos -q

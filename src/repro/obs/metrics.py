@@ -45,6 +45,11 @@ class Histogram:
             self.max = value
         if value <= 0:
             exp = _EXP_LO
+        elif type(value) is int:
+            # ceil(log2(v)) of a positive int, without floats (sizes)
+            exp = (value - 1).bit_length()
+            if exp > _EXP_HI:
+                exp = _EXP_HI
         else:
             exp = min(max(math.ceil(math.log2(value)), _EXP_LO), _EXP_HI)
         self.buckets[exp] = self.buckets.get(exp, 0) + 1
@@ -62,12 +67,15 @@ class Histogram:
 class MetricsRegistry:
     """Counters/gauges/histograms for ``nranks`` ranks plus a global bucket."""
 
-    __slots__ = ("nranks", "_counters", "_gauges", "_hists")
+    __slots__ = ("nranks", "counters", "_gauges", "_hists")
 
     def __init__(self, nranks: int) -> None:
         self.nranks = nranks
-        # index nranks is the global (rank=None) bucket
-        self._counters: list[dict[str, float]] = [
+        #: ``counters[rank]`` is that rank's counter dict (index
+        #: ``nranks``: the global bucket).  Per-message code updates it
+        #: in place — ``c[k] = c.get(k, 0.0) + v``, what :meth:`inc`
+        #: does — instead of paying a call per counter.
+        self.counters: list[dict[str, float]] = [
             {} for _ in range(nranks + 1)
         ]
         self._gauges: list[dict[str, float]] = [{} for _ in range(nranks + 1)]
@@ -80,7 +88,7 @@ class MetricsRegistry:
 
     # -- hot-path updates -------------------------------------------------
     def inc(self, rank: int | None, name: str, value: float = 1.0) -> None:
-        c = self._counters[self._slot(rank)]
+        c = self.counters[self._slot(rank)]
         c[name] = c.get(name, 0.0) + value
 
     def set_gauge(self, rank: int | None, name: str, value: float) -> None:
@@ -95,15 +103,15 @@ class MetricsRegistry:
 
     # -- reads ------------------------------------------------------------
     def counter(self, rank: int | None, name: str) -> float:
-        return self._counters[self._slot(rank)].get(name, 0.0)
+        return self.counters[self._slot(rank)].get(name, 0.0)
 
     def counter_total(self, name: str) -> float:
         """Sum of a counter over all ranks (excluding the global bucket)."""
-        return sum(c.get(name, 0.0) for c in self._counters[: self.nranks])
+        return sum(c.get(name, 0.0) for c in self.counters[: self.nranks])
 
     def names(self) -> list[str]:
         seen: set[str] = set()
-        for c in self._counters:
+        for c in self.counters:
             seen.update(c)
         for g in self._gauges:
             seen.update(g)
@@ -122,7 +130,7 @@ class MetricsRegistry:
         for r in range(self.nranks):
             per_rank.append(
                 {
-                    "counters": dict(sorted(self._counters[r].items())),
+                    "counters": dict(sorted(self.counters[r].items())),
                     "gauges": dict(sorted(self._gauges[r].items())),
                     "histograms": {
                         k: h.snapshot()
@@ -131,14 +139,14 @@ class MetricsRegistry:
                 }
             )
         totals: dict[str, float] = {}
-        for c in self._counters[: self.nranks]:
+        for c in self.counters[: self.nranks]:
             for k, v in c.items():
                 totals[k] = totals.get(k, 0.0) + v
         return {
             "per_rank": per_rank,
             "global": {
                 "counters": dict(
-                    sorted(self._counters[self.nranks].items())
+                    sorted(self.counters[self.nranks].items())
                 ),
                 "gauges": dict(sorted(self._gauges[self.nranks].items())),
                 "histograms": {

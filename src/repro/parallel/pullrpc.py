@@ -191,6 +191,7 @@ class PullClient:
         req_tag, reply_tag, ping_tag = self.tags
         extra = self.extra
         recv = comm.recv_with_timeout
+        st = Status()  # one envelope, refilled by every receive
         request = self._new_request(kind, data)
         for _attempt in range(self.ft.req_max_attempts):
             if fo.promoted:
@@ -209,7 +210,6 @@ class PullClient:
                     if self._silent():
                         return ("done", None)
                     break  # resend (possibly to a new candidate)
-                st = Status()
                 msg = recv(
                     source=ANY_SOURCE, tag=ANY_TAG,
                     timeout=remaining, status=st,
@@ -395,8 +395,8 @@ class PullServer:
         tick = self.ft.master_tick
         req_tag, ping_tag = self.tags.req, self.tags.ping
         recv = comm.recv_with_timeout
+        st = Status()  # one envelope, refilled by every receive
         while True:
-            st = Status()
             t0 = engine.now
             msg = recv(
                 source=ANY_SOURCE, tag=ANY_TAG, timeout=tick, status=st

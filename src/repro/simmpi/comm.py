@@ -46,7 +46,7 @@ class _Timeout:
 TIMEOUT = _Timeout()
 
 
-@dataclass
+@dataclass(slots=True)
 class Status:
     """Filled in by ``recv``/``probe`` with message envelope details."""
 
@@ -78,11 +78,12 @@ class _PendingRecv:
 
 
 class Request:
-    """Handle for a non-blocking operation."""
+    """Handle for a non-blocking operation; without a ``wait_fn`` it is
+    complete from the start and ``wait()`` never writes to it."""
 
-    def __init__(self, wait_fn: Callable[[], Any]):
+    def __init__(self, wait_fn: Callable[[], Any] | None = None):
         self._wait_fn = wait_fn
-        self._done = False
+        self._done = wait_fn is None
         self._value: Any = None
 
     def wait(self) -> Any:
@@ -90,6 +91,10 @@ class Request:
             self._value = self._wait_fn()
             self._done = True
         return self._value
+
+
+#: what every ``isend`` returns: the model buffers the payload at once
+_SENT = Request()
 
 
 def _traced_coll(fn: Callable) -> Callable:
@@ -100,11 +105,12 @@ def _traced_coll(fn: Callable) -> Callable:
     sums ``wait`` spans, so nesting never double-counts time.
     """
     op = fn.__name__
+    counter = f"coll.{op}"
 
     @functools.wraps(fn)
     def wrapper(self: "Communicator", *args: Any, **kwargs: Any) -> Any:
         if self.metrics is not None:
-            self.metrics.inc(self.rank, f"coll.{op}")
+            self.metrics.inc(self.rank, counter)
         tr = self.tracer
         if tr is None:
             return fn(self, *args, **kwargs)
@@ -181,13 +187,12 @@ class Communicator:
     def _fault_check(
         self, rank: int, dest: int, tag: int, size: int
     ) -> tuple[bool, float]:
-        """Consult the fault layer: ``(dropped, extra_arrival_delay)``.
+        """Consult the attached fault layer: ``(dropped,
+        extra_arrival_delay)``.
 
         The extra delay folds in both per-message delay faults and the
         transient congestion multiplier on the wire time.
         """
-        if self.faults is None:
-            return False, 0.0
         now = self.engine.now
         dropped, extra = self.faults.on_send(rank, dest, tag, size, now)
         slowdown = self.faults.net_factor(now)
@@ -197,60 +202,70 @@ class Communicator:
             )
         return dropped, extra
 
-    def _record_send(
-        self, rank: int, dest: int, tag: int, size: int, dropped: bool
-    ) -> tuple[int, float]:
-        """Observability bookkeeping for one injection; returns the
-        message id and injection time threaded into the envelope."""
-        self._msg_uid += 1
-        now = self.engine.now
-        if self.metrics is not None:
-            self.metrics.inc(rank, "msgs_sent")
-            self.metrics.inc(rank, "bytes_sent", size)
-            self.metrics.observe(rank, "msg_nbytes", size)
-            if dropped:
-                self.metrics.inc(rank, "msgs_dropped")
-        if self.tracer is not None:
-            self.tracer.instant(
-                EV_SEND, rank, now, "send",
-                dest, tag, size, self._msg_uid, dropped,
-            )
-        return self._msg_uid, now
-
     def _record_recv(self, rank: int, msg: _Message) -> None:
-        if self.metrics is not None:
-            self.metrics.inc(rank, "msgs_recv")
-            self.metrics.inc(rank, "bytes_recv", msg.nbytes)
+        m = self.metrics
+        if m is not None:
+            c = m.counters[rank]
+            c["msgs_recv"] = c.get("msgs_recv", 0.0) + 1.0
+            c["bytes_recv"] = c.get("bytes_recv", 0.0) + msg.nbytes
         if self.tracer is not None:
             self.tracer.instant(
                 EV_RECV, rank, self.engine.now, "recv",
                 msg.source, msg.tag, msg.nbytes, msg.mid, msg.sent_at,
             )
 
-    def _send_internal(
-        self, obj: Any, dest: int, tag: int, nbytes: int | None = None
-    ) -> None:
+    def _inject(
+        self, obj: Any, dest: int, tag: int, nbytes: int | None
+    ) -> tuple[int, float, _Message | None]:
+        """What every send starts with: size the payload (once — an
+        explicit ``nbytes`` wins), charge the sender's software
+        overhead, consult the fault layer, count and trace the
+        injection.  Returns the size, the arrival time and the message
+        envelope — ``None`` when the fault layer dropped it on the wire."""
         size = payload_nbytes(obj) if nbytes is None else int(nbytes)
         net, eng = self.network, self.engine
-        # The calling rank is resolved once per call and passed down.
         rank = eng.current_rank()
         self.messages_sent += 1
         self.bytes_sent += size
-        # Sender-side software overhead.
         eng.sleep(net.overhead)
-        dropped, extra = self._fault_check(rank, dest, tag, size)
-        mid, sent_at = self._record_send(rank, dest, tag, size, dropped)
-        arrival = eng.now + net.delivery_time(size) + extra
+        dropped, extra = False, 0.0
+        if self.faults is not None:
+            dropped, extra = self._fault_check(rank, dest, tag, size)
+        # The message id and injection time ride in the envelope: they
+        # link the receiver's ``comm.recv`` event back to this send.
+        mid = self._msg_uid = self._msg_uid + 1
+        now = eng.now
+        m = self.metrics
+        if m is not None:
+            c = m.counters[rank]
+            c["msgs_sent"] = c.get("msgs_sent", 0.0) + 1.0
+            c["bytes_sent"] = c.get("bytes_sent", 0.0) + size
+            m.observe(rank, "msg_nbytes", size)
+            if dropped:
+                c["msgs_dropped"] = c.get("msgs_dropped", 0.0) + 1.0
+        if self.tracer is not None:
+            self.tracer.instant(
+                EV_SEND, rank, now, "send", dest, tag, size, mid, dropped,
+            )
+        arrival = now + net.delivery_time(size) + extra
         if dropped:
+            return size, arrival, None
+        return size, arrival, _Message(rank, tag, obj, size, None, mid, now)
+
+    def _send_internal(
+        self, obj: Any, dest: int, tag: int, nbytes: int | None = None
+    ) -> None:
+        size, arrival, msg = self._inject(obj, dest, tag, nbytes)
+        eng = self.engine
+        eager = self.network.is_eager(size)
+        if msg is None:
             # The sender pays the usual injection cost but the payload
             # evaporates on the wire.  A rendezvous sender still blocks
             # for the drain time (the NIC does not know the packets are
             # being eaten downstream).
-            if not net.is_eager(size):
+            if not eager:
                 eng.sleep_until(arrival)
-            return
-        msg = _Message(rank, tag, obj, size, None, mid, sent_at)
-        if net.is_eager(size):
+        elif eager:
             self._deliver_at(arrival, dest, msg)
         else:
             # Rendezvous: sender stays busy until the payload drains.
@@ -265,21 +280,10 @@ class Communicator:
         self._check_rank(dest, "dest")
         if tag < 0:
             raise SimError("user tags must be non-negative")
-        size = payload_nbytes(obj) if nbytes is None else int(nbytes)
-        rank = self.engine.current_rank()
-        self.messages_sent += 1
-        self.bytes_sent += size
-        self.engine.sleep(self.network.overhead)
-        dropped, extra = self._fault_check(rank, dest, tag, size)
-        mid, sent_at = self._record_send(rank, dest, tag, size, dropped)
-        if not dropped:
-            arrival = (
-                self.engine.now + self.network.delivery_time(size) + extra
-            )
-            self._deliver_at(
-                arrival, dest, _Message(rank, tag, obj, size, None, mid, sent_at)
-            )
-        return Request(lambda: None)
+        _size, arrival, msg = self._inject(obj, dest, tag, nbytes)
+        if msg is not None:
+            self._deliver_at(arrival, dest, msg)
+        return _SENT
 
     def _deliver_at(self, t: float, dest: int, msg: _Message) -> None:
         chan = (msg.source, dest)
@@ -294,15 +298,19 @@ class Communicator:
     def _deliver(self, dest: int, msg: _Message) -> None:
         """(inline-safe event) ``msg`` arrives at ``dest``."""
         ep = self._endpoints[dest]
-        # Wake the earliest-posted matching pending receive, if any.
+        # Wake the earliest-posted matching pending receive, if any
+        # (``_matches``, spelled out: this runs once per message).
+        source, tag = msg.source, msg.tag
         for i, pr in enumerate(ep.pending):
-            if _matches(msg, pr.source, pr.tag):
+            if (pr.source == source or pr.source == ANY_SOURCE) and (
+                pr.tag == tag or pr.tag == ANY_TAG
+            ):
                 del ep.pending[i]
-                if pr.consume:
-                    self._complete_rendezvous(msg)
-                else:
+                if not pr.consume:
                     # probe: leave the message queued, wake the prober
                     ep.queued.append(msg)
+                elif msg.sender_parker is not None:
+                    self._complete_rendezvous(msg)
                 self.engine.unpark_at(pr.parker, self.engine.now, msg)
                 return
         ep.queued.append(msg)
@@ -349,7 +357,10 @@ class Communicator:
         eng = self.engine
         rank = eng.current_rank()
         ep = self._endpoints[rank]
-        msg = self._match_queued(ep, source, tag, consume=True)
+        msg = (
+            self._match_queued(ep, source, tag, consume=True)
+            if ep.queued else None
+        )
         if msg is None:
             parker = eng.make_parker(
                 ("recv_timeout(src=%s, tag=%s)", source, tag)
@@ -465,13 +476,18 @@ class Communicator:
         self._coll_seq[r] += 1
         return tag
 
-    def _sendc(self, obj: Any, dest: int, tag: int) -> None:
-        self._send_internal(obj, dest, tag)
+    # The tree collectives move one immutable payload over many edges,
+    # so its wire size travels with it: whoever first sends it sizes it,
+    # relays forward the ``nbytes`` they received (``None``: size here).
+    def _sendc(
+        self, obj: Any, dest: int, tag: int, nbytes: int | None = None
+    ) -> None:
+        self._send_internal(obj, dest, tag, nbytes)
 
-    def _recvc(self, source: int, tag: int) -> Any:
+    def _recvc(self, source: int, tag: int) -> _Message:
         msg = self._wait_message(source, tag, consume=True)
         self.engine.sleep(self.network.overhead)
-        return msg.payload
+        return msg
 
     @_traced_coll
     def bcast(self, obj: Any, root: int = 0) -> Any:
@@ -483,18 +499,22 @@ class Communicator:
         # Standard binomial tree: climb mask until this rank's lowest set
         # bit, receiving from the parent there; then fan out to children
         # at every lower bit position.
+        nbytes = None
         mask = 1
         while mask < size:
             if rel & mask:
                 parent = (rel - mask + root) % size
-                obj = self._recvc(parent, tag)
+                got = self._recvc(parent, tag)
+                obj, nbytes = got.payload, got.nbytes
                 break
             mask <<= 1
         mask >>= 1
         while mask > 0:
             if rel + mask < size:
                 child = (rel + mask + root) % size
-                self._sendc(obj, child, tag)
+                if nbytes is None:
+                    nbytes = payload_nbytes(obj)
+                self._sendc(obj, child, tag, nbytes)
             mask >>= 1
         return obj
 
@@ -506,18 +526,26 @@ class Communicator:
         size, me = self.size, self.rank
         rel = (me - root) % size
         # Binomial-tree gather: collect from children, forward to parent.
+        # The keys are disjoint ranks, so the merged dict's wire size is
+        # this rank's own ``{me: obj}`` plus each child dict's beyond the
+        # 16-byte container header they share.
         mine: dict[int, Any] = {me: obj}
+        merged_nbytes = 0
         mask = 1
         while mask < size:
             if rel & mask:
                 parent = (rel - mask + root) % size
-                self._sendc(mine, parent, tag)
+                self._sendc(
+                    mine, parent, tag,
+                    payload_nbytes({me: obj}) + merged_nbytes,
+                )
                 break
             child_rel = rel + mask
             if child_rel < size:
                 child = (child_rel + root) % size
-                got: dict[int, Any] = self._recvc(child, tag)
-                mine.update(got)
+                got = self._recvc(child, tag)
+                mine.update(got.payload)
+                merged_nbytes += got.nbytes - 16
             mask <<= 1
         if me == root:
             return [mine[r] for r in range(size)]
@@ -561,7 +589,7 @@ class Communicator:
                 if r != root:
                     self._sendc(objs[r], r, tag)
             return objs[root]
-        return self._recvc(root, tag)
+        return self._recvc(root, tag).payload
 
     scatterv = scatter
 

@@ -282,29 +282,58 @@ class Engine:
             and self._cancelled_pending * 2
             > len(self._queue) + len(self._ready)
         ):
-            self._queue = [e for e in self._queue if e[2].state is _PENDING]
-            heapq.heapify(self._queue)
-            self._ready = deque(
-                e for e in self._ready if e[2].state is _PENDING
-            )
+            # In place: a rank may be in the middle of _interpret (an
+            # inline action cancels), and its loop holds these objects.
+            q, rdy = self._queue, self._ready
+            q[:] = [e for e in q if e[2].state is _PENDING]
+            heapq.heapify(q)
+            live = [e for e in rdy if e[2].state is _PENDING]
+            rdy.clear()
+            rdy.extend(live)
             self._cancelled_pending = 0
 
-    def _pop_event(self, scheduler: bool) -> _Event | None:
-        """Pop the globally next live event and advance the clock to it.
+    def _interpret(self, parker: "Parker | None") -> "_RankThread | None":
+        """Pop and interpret events, in order, until a rank must resume.
+
+        This is the one place events are interpreted.  The scheduler
+        thread calls it with ``parker=None``; a rank about to block on
+        ``parker`` calls it to *drain* the queue on its own thread: it
+        holds the baton and the next steps are fully determined, so
+        nothing else can execute in between and the simulation is
+        bit-identical to the scheduler thread doing it.
 
         The next event is the smaller of the two queue heads by
         ``(time, seq)`` — ready entries were scheduled at what was then
-        the current time, so the merge reproduces the pure-heap order.
-        Returns ``None`` when both queues are empty, or — for a draining
-        rank (``scheduler=False``) — when the head is scheduler-only,
-        which is left in place.
+        the current time, so the merge reproduces the pure-heap order;
+        popping it advances the clock to it.  Cancelled entries are
+        skipped.  An action is called (inline-safe ones typically
+        enqueue the very wake that ends a drain).  A wake addressed to
+        a killed rank is dropped, a double wake is an error, and a wake
+        whose owner is not parked on it is pre-posted: the owner picks
+        the value up when it parks.  The loop stops when
+
+        * a wake resumes a rank — returned as the hand-over target
+          (``park`` passes the baton to it directly: one context
+          switch, no scheduler thread);
+        * the draining rank's own ``parker`` was woken — ``None``, and
+          ``park`` returns without blocking (a ``sleep`` whose wake is
+          globally next costs no OS context switch at all);
+        * both queues are empty, or — for a draining rank — the head is
+          scheduler-only, which is left in place: ``None``, the baton
+          goes back to the scheduler thread.
         """
-        q, rdy = self._queue, self._ready
-        while q or rdy:
+        q, rdy = self._queue, self._ready  # compacted in place (cancel)
+        while True:
             from_ready = bool(rdy) and (not q or rdy[0] < q[0])
-            t, _seq, ev = rdy[0] if from_ready else q[0]
+            if from_ready:
+                t, _seq, ev = rdy[0]
+            elif q:
+                t, _seq, ev = q[0]
+            else:
+                return None
             live = ev.state is _PENDING
-            if live and ev.kind is _SCHED and not scheduler:
+            kind = ev.kind
+            if live and kind is _SCHED and parker is not None:
                 return None
             if from_ready:
                 rdy.popleft()
@@ -317,29 +346,25 @@ class Engine:
             ev.state = _FIRED
             if t > self.now:
                 self.now = t
-            return ev
-        return None
-
-    def _fire(self, ev: _Event) -> _RankThread | None:
-        """Interpret a popped event; returns the rank to resume, if any.
-
-        Wakes addressed to killed ranks are dropped, double wakes are an
-        error, and the owner is only resumed if it is currently parked
-        on this parker (otherwise the value is pre-posted and the owner
-        picks it up when it parks).
-        """
-        if ev.kind is not _WAKE:
-            ev.target(*ev.payload)
-            return None
-        parker = ev.target
-        owner = parker.owner
-        if owner.killed:
-            return None
-        if parker.woken:
-            raise SimError("parker woken twice")
-        parker.woken = True
-        parker.value = ev.payload
-        return owner if owner.waiting_on is parker else None
+            if kind is not _WAKE:
+                ev.target(*ev.payload)
+                # Scheduler-only actions start and kill ranks; a rank
+                # that failed meanwhile aborts the run here.
+                if kind is _SCHED and self._failures:
+                    raise self._failures[0]
+                continue
+            woken = ev.target
+            owner = woken.owner
+            if owner.killed:
+                continue
+            if woken.woken:
+                raise SimError("parker woken twice")
+            woken.woken = True
+            woken.value = ev.payload
+            if owner.waiting_on is woken:
+                return owner
+            if woken is parker:
+                return None
 
     # ------------------------------------------------------------------
     # blocking primitives (called from rank threads)
@@ -357,7 +382,9 @@ class Engine:
 
     def park(self, parker: Parker) -> Any:
         """Block on ``parker`` until it is woken; returns the wake value."""
-        rt = self._me()
+        rt = self._active
+        if rt is None:
+            raise SimError("blocking primitive called outside a rank thread")
         if parker.owner is not rt:
             raise SimError("cannot park on another thread's parker")
         if rt.killed:
@@ -369,7 +396,7 @@ class Engine:
         # would had the rank been blocked while it passed.
         t0 = self.now
         try:
-            target = self._drain_events(parker)
+            target = self._interpret(parker)
         except BaseException as exc:  # noqa: BLE001 - re-raised by run()
             # An event failed while this rank was interpreting it: that
             # aborts the run, exactly as on the scheduler thread — it is
@@ -395,11 +422,13 @@ class Engine:
         # Virtual time only passes while ranks are parked, so these
         # spans tile a rank's lifetime — the totality the critical-path
         # attribution in repro.obs relies on.
-        if self.metrics is not None and self.now > t0:
-            self.metrics.inc(rt.rank, "wait_s", self.now - t0)
+        now = self.now
+        if self.metrics is not None and now > t0:
+            c = self.metrics.counters[rt.rank]
+            c["wait_s"] = c.get("wait_s", 0.0) + (now - t0)
         if self.tracer is not None:
             self.tracer.span(
-                EV_WAIT, rt.rank, t0, self.now,
+                EV_WAIT, rt.rank, t0, now,
                 render_label(parker.label) or "unlabelled",
             )
         if rt.killed:
@@ -408,38 +437,6 @@ class Engine:
             raise SimError("spurious wakeup without unpark")
         return parker.value
 
-    def _drain_events(self, parker: Parker) -> "_RankThread | None":
-        """Interpret due events inline, on the parking rank's thread.
-
-        The caller is about to block on ``parker``, so it holds the
-        baton and the next steps are fully determined: pop the globally
-        next event, advance the clock to it, interpret it.  This loop
-        does exactly that, here; nothing else can execute in between, so
-        the simulation is bit-identical to the scheduler thread doing
-        it.  It stops when
-
-        * the caller's own ``parker`` has been woken — ``park`` returns
-          without blocking (a ``sleep`` whose wake is globally next
-          costs no OS context switch at all);
-        * a wake resumes some other rank — returned as the hand-over
-          target; ``park`` passes the baton to it directly (one context
-          switch, no scheduler thread);
-        * the head is scheduler-only or the queue is empty — ``None``:
-          the baton goes back to the scheduler thread.
-
-        Pre-posted wakes, wakes for killed ranks and inline-safe actions
-        (deliveries, timeouts — which typically enqueue the very wake
-        that ends the drain) are executed and the loop keeps going.
-        """
-        pop, fire = self._pop_event, self._fire
-        while True:
-            ev = pop(False)
-            if ev is None:
-                return None
-            target = fire(ev)
-            if target is not None or parker.woken:
-                return target
-
     def sleep(self, dt: float) -> None:
         """Advance this rank's virtual time by ``dt`` seconds."""
         if dt < 0:
@@ -447,8 +444,22 @@ class Engine:
         self.sleep_until(self.now + dt)
 
     def sleep_until(self, t: float) -> None:
-        p = self.make_parker("sleep")
-        self.unpark_at(p, t)
+        """Block until virtual time ``t``: a fresh parker and its own
+        wake, built here (what ``make_parker`` + ``unpark_at`` would
+        do, without the three calls — most parks are sleeps)."""
+        rt = self._active
+        if rt is None:
+            raise SimError("blocking primitive called outside a rank thread")
+        now = self.now
+        if t < now - 1e-12:
+            raise SimError(f"cannot schedule in the past ({t} < {now})")
+        p = Parker(rt, "sleep")
+        seq = self._seq
+        self._seq = seq + 1
+        if t > now:
+            heapq.heappush(self._queue, (t, seq, _Event(_WAKE, p, None)))
+        else:
+            self._ready.append((now, seq, _Event(_WAKE, p, None)))
         self.park(p)
 
     def unpark_at(self, parker: Parker, t: float, value: Any = None) -> None:
@@ -523,12 +534,10 @@ class Engine:
             # Scheduler-only: starting a rank hands it the baton.
             self.schedule(0.0, self._run_thread, rt)
         while True:
-            ev = self._pop_event(True)
-            if ev is None:
+            target = self._interpret(None)
+            if target is None:
                 break
-            target = self._fire(ev)
-            if target is not None:
-                self._run_thread(target)
+            self._run_thread(target)
             if self._failures:
                 raise self._failures[0]
         blocked = [rt.rank for rt in self._ranks if rt.state == "blocked"]

@@ -24,39 +24,65 @@ from dataclasses import dataclass
 import numpy as np
 
 
+#: wire size of the exact types control traffic is made of; anything not
+#: here (subclasses included) is sized by the general chain below
+_LEAF_NBYTES = {type(None): 0, bool: 1, int: 8, float: 8}
+
+
 def payload_nbytes(obj: object) -> int:
-    """Best-effort wire size of ``obj`` in bytes (deterministic)."""
-    if obj is None:
-        return 0
-    meth = getattr(obj, "payload_nbytes", None)
-    if callable(meth):
-        return int(meth())
-    if isinstance(obj, (bytes, bytearray, memoryview)):
-        return len(obj)
-    if isinstance(obj, str):
-        return len(obj.encode("utf-8", "surrogateescape"))
-    if isinstance(obj, np.ndarray):
-        return int(obj.nbytes)
-    if isinstance(obj, bool):
-        return 1
-    if isinstance(obj, int):
-        return 8
-    if isinstance(obj, float):
-        return 8
-    if isinstance(obj, (tuple, list, set, frozenset)):
-        return 16 + sum(payload_nbytes(x) for x in obj)
-    if isinstance(obj, dict):
-        return 16 + sum(
-            payload_nbytes(k) + payload_nbytes(v) for k, v in obj.items()
-        )
-    # dataclasses and similar plain records
-    d = getattr(obj, "__dict__", None)
-    if d is not None:
-        return 16 + sum(payload_nbytes(v) for v in d.values())
-    slots = getattr(type(obj), "__slots__", None)
-    if slots is not None:
-        return 16 + sum(payload_nbytes(getattr(obj, s)) for s in slots)
-    return len(pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL))
+    """Best-effort wire size of ``obj`` in bytes (deterministic).
+
+    One entry per payload: containers are walked from a work list, not
+    by recursion, and the exact-``type()`` branches at the top give the
+    integers the ``isinstance`` chain under them would (a bare ``int``,
+    an ASCII ``str``, a plain ``tuple`` have no ``payload_nbytes``
+    method and reach the same arm there).  A size is a sum over the
+    leaves, so the order they are visited in does not matter.
+    """
+    total = 0
+    todo = [obj]
+    while todo:
+        obj = todo.pop()
+        t = type(obj)
+        n = _LEAF_NBYTES.get(t)
+        if n is not None:
+            total += n
+            continue
+        if t is tuple or t is list:
+            total += 16
+            todo.extend(obj)
+            continue
+        if t is bytes or (t is str and obj.isascii()):
+            total += len(obj)
+            continue
+        meth = getattr(obj, "payload_nbytes", None)
+        if callable(meth):
+            total += int(meth())
+        elif isinstance(obj, (bytes, bytearray, memoryview)):
+            total += len(obj)
+        elif isinstance(obj, str):
+            total += len(obj.encode("utf-8", "surrogateescape"))
+        elif isinstance(obj, np.ndarray):
+            total += int(obj.nbytes)
+        elif isinstance(obj, (int, float)):  # subclasses: an IntEnum
+            total += 8
+        elif isinstance(obj, (tuple, list, set, frozenset)):
+            total += 16
+            todo.extend(obj)
+        elif isinstance(obj, dict):
+            total += 16
+            todo.extend(obj)
+            todo.extend(obj.values())
+        elif (d := getattr(obj, "__dict__", None)) is not None:
+            # dataclasses and similar plain records
+            total += 16
+            todo.extend(d.values())
+        elif (slots := getattr(t, "__slots__", None)) is not None:
+            total += 16
+            todo.extend(getattr(obj, s) for s in slots)
+        else:
+            total += len(pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL))
+    return total
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ import operator
 import pytest
 
 from repro.obs import Tracer, chrome_trace
+from repro.obs.events import EV_SEND
 from repro.simmpi import NetworkModel, PlatformSpec, run
 from repro.simmpi.comm import ANY_SOURCE, ANY_TAG, TIMEOUT, Status
 from repro.simmpi.engine import _CANCELLED, Engine, SimError
@@ -89,6 +90,23 @@ class TestPointToPoint:
                 assert req.wait() == "x"
 
         launch(2, prog)
+
+    def test_isend_requests_are_one_completed_object(self):
+        """Every isend is complete on return, so they share one
+        ``Request``; waiting on it must leave it as it was."""
+        def prog(ctx):
+            if ctx.rank == 1:
+                return [ctx.comm.recv(source=0, tag=0) for _ in range(2)]
+            first = ctx.comm.isend("x", dest=1, tag=0)
+            second = ctx.comm.isend("y", dest=1, tag=0)
+            before = (first._wait_fn, first._done, first._value)
+            t = ctx.engine.now
+            assert first.wait() is None and second.wait() is None
+            assert (first._wait_fn, first._done, first._value) == before
+            return first is second, ctx.engine.now - t
+
+        res = launch(2, prog)
+        assert res.rank_results == [(True, 0.0), ["x", "y"]]
 
     def test_probe_leaves_message(self):
         def prog(ctx):
@@ -255,6 +273,81 @@ class TestCollectives:
 # deadline can be made to coincide with an arrival to the last bit.
 EXACT = PlatformSpec(network=NetworkModel(
     latency=0.5, bandwidth=float("inf"), overhead=0.0))
+
+
+class TestCollectivesCarryTheirSize:
+    """A tree collective sizes a payload where it first goes on the
+    wire and hands ``nbytes`` down the tree.  The sizes are a fixed
+    point: every edge must carry what ``payload_nbytes`` of the object
+    on that edge says."""
+
+    PAYLOAD = (7, [b"abcd", ("q1", 2.5)], {"k": None})
+    OPS = {
+        "bcast": lambda comm, root, x: comm.bcast(x, root=root),
+        "gather": lambda comm, root, x: comm.gather(
+            (comm.rank, x), root=root),
+        "allgather": lambda comm, root, x: comm.allgather((comm.rank, x)),
+        "reduce": lambda comm, root, x: comm.reduce(
+            [comm.rank], op=operator.add, root=root),
+        "barrier": lambda comm, root, x: comm.barrier(),
+    }
+
+    def _run(self, n, root, op):
+        def prog(ctx):
+            x = self.PAYLOAD if ctx.rank == root else None
+            return self.OPS[op](ctx.comm, root, x)
+
+        tracer = Tracer()
+        return run(n, prog, FAST, tracer=tracer), tracer
+
+    @pytest.mark.parametrize("op", sorted(OPS))
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 33])
+    def test_every_edge_is_sized_as_what_it_carries(
+        self, n, op, monkeypatch
+    ):
+        import repro.simmpi.comm as comm_module
+        from repro.simmpi.network import payload_nbytes
+
+        for root in {0, n - 1}:
+            carried = {}
+            sized = []
+            sendc = comm_module.Communicator._sendc
+
+            def recording(self, obj, dest, tag, nbytes=None):
+                # dicts on gather edges are merged in place later on:
+                # size them now, as the sender sees them
+                carried[self.rank, dest, tag] = payload_nbytes(obj)
+                return sendc(self, obj, dest, tag, nbytes)
+
+            def counting(obj):
+                sized.append(obj)
+                return payload_nbytes(obj)
+
+            with monkeypatch.context() as m:
+                m.setattr(comm_module.Communicator, "_sendc", recording)
+                m.setattr(comm_module, "payload_nbytes", counting)
+                res, tracer = self._run(n, root, op)
+            sends = {
+                (e.rank, e.args[0], e.args[1]): e.args[2]
+                for e in tracer.by_kind(EV_SEND)
+            }
+            assert sends == carried
+            assert len(sends) == res.messages_sent
+            # once where the payload first goes on the wire, never per edge
+            gathers = op in ("gather", "allgather", "reduce", "barrier")
+            bcasts = op in ("bcast", "allgather", "barrier")
+            assert len(sized) == (n - 1) * gathers + (n > 1) * bcasts
+
+            with monkeypatch.context() as m:
+                m.setattr(
+                    comm_module.Communicator, "_sendc",
+                    lambda self, obj, dest, tag, nbytes=None:
+                        self._send_internal(obj, dest, tag),
+                )
+                per_edge, _ = self._run(n, root, op)
+            assert res.makespan == per_edge.makespan
+            assert res.bytes_sent == per_edge.bytes_sent
+            assert res.rank_results == per_edge.rank_results
 
 
 class TestDeliveryAndTimeoutEvents:

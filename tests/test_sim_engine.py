@@ -351,6 +351,139 @@ class TestEventKinds:
         eng.run()
 
 
+class TestOneInterpretationLoop:
+    """``Engine._interpret`` serves the scheduler thread and every
+    draining rank; these are the places where a fused loop can differ
+    from popping and firing one event per call."""
+
+    @staticmethod
+    def _compaction_run(schedule_canceller):
+        """Rank 0 queues 200 no-op timeouts; an action at t=1 queues
+        three same-instant events, then cancels enough of the timeouts
+        for ``cancel`` to compact both queues; rank 1 is parked across
+        t=1.  Returns (which thread cancelled, what fired when, clock)."""
+        eng = Engine()
+        fired, ran_on = [], []
+
+        def canceller(doomed, ready_doomed):
+            ran_on.append(threading.current_thread().name)
+            now = [eng.schedule_inline(eng.now, fired.append, ("now", k))
+                   for k in range(3)]
+            eng.cancel(now[ready_doomed])
+            for ev in doomed:
+                eng.cancel(ev)
+            assert eng._cancelled_pending < len(doomed)  # compacted
+
+        def rank0():
+            timeouts = [
+                eng.schedule_inline(2.0 + (k * 7 % 200) / 100.0,
+                                    fired.append, ("late", k))
+                for k in range(200)
+            ]
+            schedule_canceller(eng)(1.0, canceller, timeouts[:150], 1)
+            eng.sleep(5.0)
+            fired.append(("rank0", eng.now))
+
+        def rank1():
+            eng.sleep(0.5)
+            eng.sleep(3.0)  # drains t=1 .. t=3.5 on its way to block
+            fired.append(("rank1", eng.now))
+            eng.sleep(10.0)
+
+        eng.spawn(rank0, 0)
+        eng.spawn(rank1, 1)
+        end = run_bounded(eng)
+        return ran_on, fired, end
+
+    def test_compaction_during_another_ranks_drain(self):
+        """``cancel`` compacts the queues while a rank is inside the
+        loop that pops them: the loop must see the compacted queues (a
+        stale list would spin, or fire cancelled events), and order and
+        clock must equal the scheduler thread doing the same thing."""
+        inline = self._compaction_run(lambda eng: eng.schedule_inline)
+        sched = self._compaction_run(lambda eng: eng.schedule)
+        assert inline[0] == ["simrank-1"]
+        assert sched[0][0] not in ("simrank-0", "simrank-1")
+        assert inline[1:] == sched[1:]
+        _ran_on, fired, end = inline
+        assert end == 13.5
+        assert [f for f in fired if f[0] == "now"] == [("now", 0), ("now", 2)]
+        late = [k for what, k in fired if what == "late"]
+        assert sorted(late) == list(range(150, 200))
+        assert late == sorted(late, key=lambda k: (k * 7 % 200, k))
+
+    def test_rank_killed_inside_sleep_until_unwinds(self):
+        eng = Engine()
+        unwound = []
+
+        def victim():
+            try:
+                eng.sleep_until(5.0)
+            except RankKilled as exc:
+                unwound.append((exc.rank, eng.now))
+                raise
+            unwound.append("survived")
+
+        eng.spawn(victim, 0)
+        eng.spawn(lambda: eng.sleep_until(3.0), 1)
+        eng.kill_rank_at(0, 1.0)
+        assert run_bounded(eng) == 5.0  # the dropped wake still pops
+        assert unwound == [(0, 1.0)]
+        assert eng.dead_ranks == {0}
+
+    def test_sleep_into_the_past_queues_nothing(self):
+        eng = Engine()
+        seen = {}
+
+        def prog():
+            eng.sleep(1.0)
+            before = (len(eng._queue), len(eng._ready), eng._seq)
+            with pytest.raises(SimError, match="cannot schedule in the past"):
+                eng.sleep_until(0.5)
+            seen["untouched"] = before == (
+                len(eng._queue), len(eng._ready), eng._seq
+            )
+            eng.sleep_until(eng.now)  # the present is not the past
+            seen["t"] = eng.now
+
+        eng.spawn(prog, 0)
+        run_bounded(eng)
+        assert seen == {"untouched": True, "t": 1.0}
+
+    def test_sleep_outside_a_rank_thread_rejected(self):
+        with pytest.raises(SimError, match="outside a rank thread"):
+            Engine().sleep_until(1.0)
+
+    def test_wake_pre_posted_by_another_ranks_drain(self):
+        """The owner is parked on a *different* parker when its wake
+        fires in somebody else's drain: the value waits, and the later
+        ``park`` returns it at once — no event queued, no time passed."""
+        eng = Engine()
+        got = {}
+        fired_on = []
+
+        def prog():
+            p = eng.make_parker("mine")
+            eng.unpark_at(p, 1.0, "posted")
+            eng.sleep(2.0)
+            seq = eng._seq
+            got["v"], got["t"] = eng.park(p), eng.now
+            got["queued"] = eng._seq - seq
+
+        def other():
+            eng.sleep(0.5)
+            eng.schedule_inline(
+                1.0, lambda: fired_on.append(threading.current_thread().name)
+            )
+            eng.sleep(1.0)  # drains t=1.0: rank 0's wake, then the action
+
+        eng.spawn(prog, 0)
+        eng.spawn(other, 1)
+        run_bounded(eng)
+        assert fired_on == ["simrank-1"]
+        assert got == {"v": "posted", "t": 2.0, "queued": 0}
+
+
 class TestBatonInvariants:
     def test_exactly_one_thread_runs_under_stress(self):
         """More rank threads than cores, interpreter switches forced
