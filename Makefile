@@ -28,8 +28,10 @@
 #                     parks and baton hand-offs by parker label, messages
 #                     by tag and pull-RPC kind, payload_nbytes entries per
 #                     message, hand-offs x measured lock ping-pong next to
-#                     the host seconds; all counts are pure functions of
-#                     the seed and CI gates ft-hier-kill on them.
+#                     the host seconds, and the requests group sub-masters
+#                     held (long-polled) with how each hold ended; all
+#                     counts are pure functions of the seed and CI gates
+#                     ft-hier-kill and service-groupkill on them.
 #                     `python tools/park_census.py --poll-bench` is the
 #                     layer's micro-benchmark (us and calls per message)
 #   make chaos      - tier 2: randomized fault-injection sweeps over fixed

@@ -22,11 +22,16 @@ Group protocol (worker driven)::
     ``work``   None                      -> ("adopt", {fid: pieces})
                                           | ("search", (batch_no, jobs, fids))
                                           | ("fetch", (batch_no, jobs, reqs))
-                                          | ("wait", dt) | ("done", None)
+                                          | ("wait", 0) | ("done", None)
     ``metas``  (batch_no, {fid: metas})  -> ("ok", None)
     ``blocks`` (batch_no, [((fid, lid), block)...]) -> ("ok", None)
   sub-master -> worker  (seq, body) on TAG_GRP_REPLY; own rank on
   TAG_GRP_PING (heartbeat + new-sub-master announcement).
+
+An idle ``work`` request is long-polled: the sub-master holds it
+(:meth:`~repro.parallel.pullrpc.PullServer.sweep`) and answers it in
+the loop iteration that first has work for that member, or ``("wait",
+0)`` — poll again now — when the hold expires after ``req_timeout / 2``.
 
 Every command is self-contained (``jobs`` carries the query records),
 and workers cache one batch of rendered blocks per fragment — a fetch
@@ -287,6 +292,7 @@ def run_group_master(
             return
         alive.discard(w)
         dead.add(w)
+        server.drop(w)
         report.record(sim.now, "detect:worker-dead", gid, w, why)
         for fid, (sw, _dl) in list(search_out.items()):
             if sw == w:
@@ -634,7 +640,7 @@ def run_group_master(
                     set(reqs), now + ft.search_timeout + ft.write_timeout
                 )
                 return ("fetch", (tgt.no, tgt.jobs, reqs))
-        return ("wait", ft.poll_backoff)
+        return None  # held: the loop's sweep answers it when there is work
 
     def handle(w: int, kind: str, data: Any):
         if kind == "hello":
@@ -687,6 +693,9 @@ def run_group_master(
     status = "submaster"
     while True:
         advance()
+        # Held member polls first: whatever advance() (or the last
+        # iteration's replies) just made available reaches them now.
+        server.sweep(handle)
         # -- coordinator client step --
         if coord.request is None and not done_flag:
             if outbox:
@@ -694,10 +703,19 @@ def run_group_master(
             elif sim.now >= next_poll:
                 coord.send("work", (gid, 1 + len(alive)))
                 next_poll = sim.now + ft.poll_backoff
+        # Held members send nothing, so only this receive's timeout
+        # wakes the loop for its next due action.
         st = Status()
         t0 = sim.now
+        timeout = ft.master_tick
+        if coord.request is None and not done_flag:
+            timeout = min(timeout, next_poll - t0)
+        expiry = server.next_expiry()
+        if expiry is not None:
+            timeout = min(timeout, expiry - t0)
         msg = comm.recv_with_timeout(
-            source=ANY_SOURCE, tag=ANY_TAG, timeout=ft.master_tick, status=st
+            source=ANY_SOURCE, tag=ANY_TAG, timeout=max(0.0, timeout),
+            status=st,
         )
         dt = sim.now - t0
         if coord.request is not None and not busy_locally():

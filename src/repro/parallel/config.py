@@ -27,7 +27,9 @@ class FTParams:
     req_timeout: float = 0.25
     #: RPC resend budget before a worker concludes it is orphaned
     req_max_attempts: int = 200
-    #: idle-poll backoff the master hands to workers with nothing to do
+    #: idle-poll backoff a master hands to workers with nothing to do
+    #: (a group sub-master holds idle member polls instead, and paces
+    #: only its own coordinator polls with it)
     poll_backoff: float = 0.1
     #: master's receive-timeout granularity (death checks run each tick)
     master_tick: float = 0.25
@@ -60,9 +62,14 @@ class FTParams:
         linearly — a long receive timeout is free on the healthy path,
         since the receive returns as soon as the reply arrives.  Chatter
         knobs (``poll_backoff``, ``master_tick``, ``linger``) are capped
-        at 10x so a genuinely dead worker's detection wait does not
-        flood the event queue with polls, while bounding the idle time
-        the scaling adds to a fault-free run.
+        at 10x, bounding the idle time the scaling adds to a fault-free
+        run; the roles that still answer idle polls ``wait`` (the flat
+        FT masters, both coordinators) poll that much less during a
+        genuinely dead peer's detection wait.  A group sub-master holds
+        an idle member's poll instead (``PullServer.sweep``) for
+        ``req_timeout / 2``, which scales with the patience knobs, so
+        it stays inside the member's resend deadline and far inside
+        ``search_timeout`` under every cost model.
         """
         if factor <= 1.0:
             return self

@@ -329,12 +329,28 @@ class Heartbeat:
                 isend(master, dest=r, tag=tag)
 
 
+#: What a held request is answered when its hold expires: "ask again
+#: now" — the client re-polls at once and is held afresh.
+HOLD_EXPIRED = ("wait", 0)
+
+
 class PullServer:
     """Reply dedupe plus the serve-loop skeleton of a pull-RPC master.
 
     ``succession`` orders the ranks that may hold this role; a ping
     from a rank *later* in it than this one means the fleet moved on,
     and :meth:`serve` steps down.
+
+    A handler with nothing to give may return None instead of a body:
+    the request is then *held* (long-polled) under its client — at most
+    one per client, since a client has one outstanding request — and
+    the role's loop re-offers it with :meth:`sweep` until the handler
+    has a body, or answers :data:`HOLD_EXPIRED` after ``req_timeout /
+    2``.  That expiry sits inside the client's resend deadline
+    (``req_timeout``) and far inside any silence threshold the server
+    applies to its clients (``search_timeout``); ``FTParams.scaled``
+    stretches all of them by one factor, so it does under every cost
+    model.  Only a role whose loop sweeps may hold (see FAULTS.md §3).
     """
 
     def __init__(self, ctx, ft, tags: Tags, succession: Sequence[int]) -> None:
@@ -343,6 +359,8 @@ class PullServer:
         self.tags = tags
         self.succession = succession
         self._answered: dict[int, tuple[int, Any]] = {}
+        #: client -> (its held request, virtual time the hold expires)
+        self._held: dict[int, tuple[tuple[int, int, str, Any], float]] = {}
         #: virtual seconds spent blocked in :meth:`serve`'s receive
         self.waited = 0.0
 
@@ -353,12 +371,55 @@ class PullServer:
     ) -> None:
         """Answer ``request`` exactly once: an already-answered ``seq``
         gets the cached reply again (``handle`` is not re-invoked), so
-        a dropped request *or* reply is healed by the client's resend."""
+        a dropped request *or* reply is healed by the client's resend.
+        A request the handler answers None is held instead; a resend of
+        a held ``seq`` keeps that one hold."""
         w, seq, kind, data = request
         answer = self._answered.get(w)
-        if answer is None or answer[0] != seq:
-            answer = self._answered[w] = (seq, handle(w, kind, data))
+        if answer is not None and answer[0] == seq:
+            self.ctx.comm.isend(answer, dest=w, tag=self.tags.reply)
+            return
+        held = self._held.get(w)
+        if held is not None and held[0][1] == seq:
+            return
+        body = handle(w, kind, data)
+        if body is None:
+            expiry = self.ctx.engine.now + self.ft.req_timeout / 2
+            self._held[w] = (request, expiry)
+        else:
+            self._release(w, seq, body)
+
+    def _release(self, w: int, seq: int, body: Any) -> None:
+        """Answer (and cache) ``seq`` of client ``w``."""
+        self._held.pop(w, None)
+        answer = self._answered[w] = (seq, body)
         self.ctx.comm.isend(answer, dest=w, tag=self.tags.reply)
+
+    def sweep(self, handle: Callable[[int, str, Any], Any]) -> None:
+        """Re-offer every held request to ``handle``, in client rank
+        order; answer each as soon as it has a body, or with
+        :data:`HOLD_EXPIRED` once its hold ran out."""
+        if not self._held:
+            return
+        now = self.ctx.engine.now
+        for w in sorted(self._held):
+            (_w, seq, kind, data), expiry = self._held[w]
+            body = handle(w, kind, data)
+            if body is None:
+                if now < expiry:
+                    continue
+                body = HOLD_EXPIRED
+            self._release(w, seq, body)
+
+    def next_expiry(self) -> float | None:
+        """When the earliest hold runs out (None: nothing is held)."""
+        if not self._held:
+            return None
+        return min(expiry for _request, expiry in self._held.values())
+
+    def drop(self, w: int) -> None:
+        """Client ``w`` was declared dead: it gets no answer."""
+        self._held.pop(w, None)
 
     def outranked_by(self, announcer: int) -> bool:
         s, me = self.succession, self.ctx.rank

@@ -639,16 +639,18 @@ GOLDEN_REPLAY = {
 
 
 #: The same, for the roles ``GOLDEN_REPLAY`` misses — sub-master,
-#: coordinator, elastic coordinator — each through a failover, taken at
-#: commit 17ee023 (before the pull-RPC protocol moved into
-#: ``repro.parallel.pullrpc``).
+#: coordinator, elastic coordinator — each through a failover.
+#: Re-captured (twice, equal) by the change whose parent is 3a6d929,
+#: which made group sub-masters hold idle member polls instead of
+#: answering ``wait``: the hier timeline moved, the flat goldens above
+#: did not.
 GOLDEN_HIER_REPLAY = {
     "crash=submaster:g1@20":
-        "1045e1b71efad2e07fc870f4b0b56a753d50842f553937f988b42e271f5ebf90",
+        "02f7516a77defc7dfb32c6acb091da502b1493a90c8ac989f6423551c4077a8d",
     "crash=coordinator@20":
-        "b38d2dea7b955a49e1b712a5a31ad33bbf6e7a1fb5da00ab6ca17a334b6f5ed7",
+        "a8e59efde707dd86bdd97b8f853a214089ba276a90f79fe437f14b3e106e4ce2",
     "crash=group:g1@40":
-        "0fb5d3aecdee7dd12410cde42b33604daed69f956ab6657ce3ff4306d7649b78",
+        "ee4c127af2390682ffa4640a7c07b95f52d74943037643da729a9e39d6104d5f",
 }
 
 
@@ -662,8 +664,10 @@ GOLDEN_HIER_REPLAY = {
 #: FT timeouts are seconds rather than thousands of seconds, so a crash
 #: costs a fraction of a host second to sit out; other options are
 #: ``ParallelConfig`` fields.
-#: Digests taken at commit 5f2f1d6 (the parent of the change that
-#: replaced the protocol modules' inline ``retry_io`` wrappers).
+#: Flat digests taken at commit 5f2f1d6 (the parent of the change that
+#: replaced the protocol modules' inline ``retry_io`` wrappers); hier
+#: and elastic digests re-captured with the held member polls, as
+#: ``GOLDEN_HIER_REPLAY``.
 FAULT_CORPUS = {
     "pio/ioerr-queries": (
         "pioblast", 6,
@@ -765,109 +769,109 @@ FAULT_CORPUS = {
         "hier-replicate", 13,
         "drop=*>0:80n3",
         dict(),
-        "8b02bc85a03a9e5bccc9a8f8d9efba42587d3f2caa7275c33bc0b72798b2ec6f",
+        "5427c9c2ff6b0eb8640dd769096a76b0e59fb011b3e02d0d8ba584421de9067d",
     ),
     "hier-replicate/ioerr-queries": (
         "hier-replicate", 13,
         "ioerr=queries@0n2",
         dict(),
-        "9e03d992574aecb8a6c10205df69cc90c6405ded653f8fb7871597ba2dde8f4c",
+        "467ffe54786a74aafddff4f39492b705dcde4707148fb6291981ab9fbfd284c8",
     ),
     "hier-replicate/ioerr-index": (
         "hier-replicate", 13,
         "ioerr=nr.xin@0n2",
         dict(),
-        "b8de78cf55dc686175ecbc975e58d6342e8d3a17f955093c15e696670684aa89",
+        "4bcc8d7d9a2023ceb9d3f686d7b953177d4967f3bbad2e62700ddf9b85c520ef",
     ),
     "hier-replicate/ioerr-output": (
         "hier-replicate", 13,
         "ioerr=results@0n4,ioerr=results@61.2n3",
         dict(),
-        "6c16e03754604eff877d126340a2fcff28dcb1654a65848273f627bec797a745",
+        "b88fa42cf6b27937a2b3dccf07a900c257b088c9fc0a4819d7f9bd470eeb1c9b",
     ),
     "hier-replicate/ioerr-marker": (
         "hier-replicate", 13,
         "ioerr=_ckpt/hier.done@0n2",
         dict(),
-        "089f519f7c0bf86b05c8bed177556466922e45d825053078ef72b512489667fa",
+        "da428ae6227f7e948cdc52c35818b513f113328e0135e3ebde313f6f088ec2a3",
     ),
     "hier-replicate/crash-submaster": (
         "hier-replicate", 13,
         "crash=submaster:g1@0.3",
         dict(lab=True),
-        "23ffb071aa12d3e920bb341e9403ae2b1ed8c5d99f887f6bff0ad7996f037013",
+        "78a4f77b29352b5b61ccd2ee45ee3ece0b88b2a70cff219b695e1b343e1f3127",
     ),
     "hier-replicate/kill-member": (
         "hier-replicate", 13,
         "kill=6@0.3",
         dict(lab=True),
-        "0faf86abb9d8b19416308061eea62b924adff32489aecc976ba4f0693b4a06db",
+        "e953805eb1057074fc8be0e539b12c7e8b977488f9f495cb431159f8481da5ce",
     ),
     "hier-shard/ioerr-output": (
         "hier-shard", 13,
         "ioerr=results@0n5",
         dict(),
-        "813707cba009805c02a7ca86ea6bea1409323f254bee0435570e928e4176cd3e",
+        "393de19b750bd10c484d0b1f126cb8286dfe3358df3f85304da23fb25fc9d670",
     ),
     "hier-shard/slowdisk": (
         "hier-shard", 13,
         "slowdisk=3x40@10",
         dict(),
-        "16a476e29330c6cb874c7748a67d8fba19c916d6e016cdd8975d4c471cc939b6",
+        "241d2d42dc02c3f10dc5740b8fc73b39d6d461808283ef1011ebe67460a799b2",
     ),
     "hier-shard/drop-group-request": (
         "hier-shard", 13,
         "drop=*>*:90n4",
         dict(),
-        "48dd4884bea2fda12e81ef1ffc2883a838b59c7420601e9265658ad9b76257ca",
+        "67d6cad97fea9a4a338148542f4d046f4e21d5f890df1e306c5cf7665388c315",
     ),
     "hier-shard/crash-coordinator": (
         "hier-shard", 13,
         "crash=coordinator@1.0",
         dict(lab=True),
-        "26b1692ee390763a6d8e8d498c5934675c0335aa3b4443375a5942a2321c6393",
+        "f10b0bb91e419126dd317bf7154002c0eaae22c57b462c804adf69eccfe5bda6",
     ),
     "hier-shard/crash-submaster-ioerr-output": (
         "hier-shard", 13,
         "crash=submaster:g2@1.5,ioerr=results@0n3",
         dict(lab=True),
-        "edf7f501e76d94deb172c2d662710bd26261b79eb2e8b7a28d1115e2f361ae81",
+        "38447d3ee95dd03a6f92f2bf4fd2e7c730d2120d6b29091a6818117965e76763",
     ),
     "elastic-replicate/group-kill-ioerr-output": (
         "elastic-replicate", 17,
         "crash=group:g1@3,ioerr=results@0n2",
         dict(lab=True),
-        "32f2daec27ccb124d7292a644e2b7fffa4ac9cff8dcaf2f0c9711e30db6baa97",
+        "51f3d5ef3338f41df03987aa3eb58483c432513177c7d3867becbf9af2f29634",
     ),
     "elastic-replicate/crash-coordinator": (
         "elastic-replicate", 17,
         "crash=coordinator@3",
         dict(lab=True),
-        "54768c9279cfd192e3ba4746a92e261689bb91ecca528008d0a7ebceae3c93b4",
+        "0b21406db153c7d1af551771653ac9819fca981515078822dee5422f79cfbe1d",
     ),
     "elastic-replicate/ioerr-marker": (
         "elastic-replicate", 17,
         "ioerr=_ckpt/hier.done@0n2",
         dict(lab=True),
-        "3e142ad22deda7b08344872bb45322769d43853c79dd63748109ea30f749d79b",
+        "1dc04d86d679ca6ed2ca2fcd3bb344231988110e383434f285c6bcd246e11134",
     ),
     "elastic-replicate/drop-request": (
         "elastic-replicate", 17,
         "drop=*>0:80n3",
         dict(lab=True),
-        "7a3c1813a6db5a9f9a12f9509cfb47c4a7452fa54f419f16076412015872f353",
+        "753756b7ac171a7f1db179a8081073091bb4203d3dd3e2480a43f6f4bcbcf9ea",
     ),
     "elastic-shard/group-kill-ioerr-probe": (
         "elastic-shard", 17,
         "crash=group:g1@3,ioerr=nr.x@3.5n2",
         dict(lab=True),
-        "ce0682d2b822c7cc1c1a285e66395c0f58960e615a10b9e6a8db9b445465ae98",
+        "d37fab156655fe5b9556e295679b344c7d7ac02463d4552a592c4cef25a9870a",
     ),
     "elastic-shard/kill-submaster-slowdisk": (
         "elastic-shard", 17,
         "kill=7@2,slowdisk=2x5@1",
         dict(lab=True),
-        "60c9990d08e1a3f60952a74c28571cde9248066ce64b6910cd67aac7b87adf77",
+        "fc9996ddfa2dddb13b631ea2fc0f5ca30c40d0cddaf23e6407182cd3a799c917",
     ),
 }
 

@@ -186,6 +186,14 @@ class TestOracleIdentity:
         assert section["ngroups"] == 3
         assert "group_coord_wait_share_max" in section
 
+    @pytest.mark.parametrize("mode", ["replicate", "shard"])
+    def test_held_members_are_not_declared_dead(self, staged, mode):
+        """An idle member's poll is held by its sub-master and sends
+        nothing meanwhile; the hold expires long before the silence
+        threshold, so a fault-free run never suspects a live member."""
+        hres, _store, _cfg = _run(staged, mode=mode)
+        assert "detect:worker-dead" not in _events(hres)
+
 
 # ----------------------------------------------------------------------
 # failover domains (one kill each, small cluster)
@@ -205,7 +213,10 @@ class TestFailover:
     def test_coordinator_kill_promotes_submaster(
         self, staged, serial_reference
     ):
-        hres, store, cfg = _run(staged, faults="crash=coordinator@0.5")
+        # Crash before the coordinator's last command: fault-free, this
+        # run hands out its writes at 0.2 / 0.3 s and "done" at 0.4 s,
+        # then lingers to 1.65 s — a crash after 0.4 s needs nobody.
+        hres, store, cfg = _run(staged, faults="crash=coordinator@0.2")
         assert store.read(cfg.output_path) == serial_reference
         assert "recover:promote-coordinator" in _events(hres)
 

@@ -27,6 +27,8 @@ CENSUS = park_census.Census(
         ("groupmaster.GRP_PING", ""): 40,
     },
     sizing_calls=520,
+    held=30,
+    hold_ends={"work": 12, "expired": 10, "done": 5, "client dead": 1},
     host_s=2.5,
 )
 
@@ -53,6 +55,14 @@ def test_messages_table_accounts_for_every_message():
         ["(send", "/", "collectives)", "-", "10"],
         ["total", "400"],
     ]
+
+
+def test_held_line_accounts_for_every_hold():
+    lines = park_census.report(CENSUS, pingpong_us=4.0).splitlines()
+    assert lines[-3] == (
+        "held: 30 requests; ended: work 12, expired 10, done 5, "
+        "client dead 1, open when their server stopped 2"
+    )
 
 
 def test_sizing_and_hand_off_floor_lines():

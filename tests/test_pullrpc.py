@@ -14,6 +14,7 @@ from repro.parallel import pullrpc
 from repro.parallel.checkpoint import FailoverTracker
 from repro.parallel.config import FTParams
 from repro.parallel.pullrpc import (
+    HOLD_EXPIRED,
     TAG_TABLE,
     Heartbeat,
     Orphaned,
@@ -24,7 +25,7 @@ from repro.parallel.pullrpc import (
 )
 from repro.simmpi import FileStore, NetworkModel, PlatformSpec, run
 from repro.simmpi.comm import TIMEOUT, Status
-from repro.simmpi.faults import FaultPlan, MessageDropFault
+from repro.simmpi.faults import CrashFault, FaultPlan, MessageDropFault
 
 FAST = PlatformSpec(
     network=NetworkModel(latency=1e-6, bandwidth=1e9, overhead=1e-7)
@@ -55,6 +56,43 @@ def serve(ctx, handle, *, until, succession=(0, 1, 2, 3)):
         on_idle=lambda now: now >= until,
         on_request=handle,
     )
+
+
+def sweep_serve(ctx, handle, *, until, seen=None, tick=None):
+    """A long-polling server loop shaped like the group sub-master's:
+    sweep the held requests, then receive for at most ``master_tick``
+    or until the earliest hold expires.  ``seen`` collects ``(client,
+    seq, now)`` of every request that arrives; ``tick(server, now)``
+    runs after every receive."""
+    comm, sim = ctx.comm, ctx.engine
+    server = PullServer(ctx, FT, T, (0,))
+    st = Status()
+    while sim.now < until:
+        server.sweep(handle)
+        timeout = FT.master_tick
+        expiry = server.next_expiry()
+        if expiry is not None:
+            timeout = min(timeout, expiry - sim.now)
+        msg = comm.recv_with_timeout(timeout=max(0.0, timeout), status=st)
+        if tick is not None:
+            tick(server, sim.now)
+        if msg is TIMEOUT or st.tag != T.req:
+            continue
+        if seen is not None:
+            seen.append((msg[0], msg[1], round(sim.now, 2)))
+        server.serve_request(msg, handle)
+    return server
+
+
+def replies(ctx, window=2.0):
+    """``(body, now)`` of every reply that arrives until ``window``
+    virtual seconds pass without one."""
+    got = []
+    while True:
+        msg = ctx.comm.recv_with_timeout(tag=T.reply, timeout=window)
+        if msg is TIMEOUT:
+            return got
+        got.append((msg, round(ctx.engine.now, 2)))
 
 
 # ----------------------------------------------------------------------
@@ -348,6 +386,222 @@ def test_nonblocking_send_resend_match():
     # rank 0 saw only the overdue resend; the ping moved the third copy
     assert seen[0] == [(1, 1.0)]
     assert seen[1] == [(1, 1.5)]
+
+
+# ----------------------------------------------------------------------
+# server: held requests (long poll)
+# ----------------------------------------------------------------------
+class TestHold:
+    def test_answered_by_the_sweep_that_first_has_work(self):
+        work, offered = [], []
+
+        def prog(ctx):
+            sim = ctx.engine
+            if ctx.rank == 0:
+                server = PullServer(ctx, FT, T, (0,))
+
+                def handle(w, kind, data):
+                    offered.append(round(sim.now, 2))
+                    return ("search", work.pop()) if work else None
+
+                server.serve_request(ctx.comm.recv(tag=T.req), handle)
+                sim.sleep(0.1)
+                server.sweep(handle)  # nothing yet: stays held
+                sim.sleep(0.1)
+                work.append(7)
+                server.sweep(handle)
+                return server.next_expiry()
+            return client(ctx).call("work"), sim.now
+
+        res = launch(2, prog)
+        assert res.rank_results[0] is None  # nothing held any more
+        body, t = res.rank_results[1]
+        assert body == ("search", 7)
+        assert t == pytest.approx(0.2, abs=0.01)
+        assert offered == [0.0, 0.1, 0.2]
+
+    def test_expired_hold_answers_wait_before_the_resend_deadline(self):
+        seen = []
+
+        def prog(ctx):
+            if ctx.rank == 0:
+                sweep_serve(ctx, lambda w, k, d: None, until=2.0, seen=seen)
+                return None
+            return client(ctx).call("work"), ctx.engine.now
+
+        body, t = launch(2, prog).rank_results[1]
+        assert body == HOLD_EXPIRED == ("wait", 0)
+        assert t == pytest.approx(FT.req_timeout / 2, abs=0.01)
+        assert t < FT.req_timeout
+        assert seen == [(1, 1, 0.0)]  # never resent
+
+    def test_resent_held_seq_gets_exactly_one_answer(self):
+        """The resend keeps the one hold it found — expiry included: the
+        answer comes when the first copy's hold runs out."""
+        def prog(ctx):
+            comm, sim = ctx.comm, ctx.engine
+            if ctx.rank == 0:
+                sweep_serve(ctx, lambda w, k, d: None, until=3.0)
+                return None
+            request = (1, 1, "work", None)
+            comm.isend(request, dest=0, tag=T.req)
+            sim.sleep(0.2)
+            comm.isend(request, dest=0, tag=T.req)  # same seq again
+            return replies(ctx)
+
+        got = launch(2, prog).rank_results[1]
+        assert got == [((1, HOLD_EXPIRED), FT.req_timeout / 2)]
+
+    def test_dropped_held_answer_is_healed_from_the_cache(self):
+        answers = []
+
+        def prog(ctx):
+            sim = ctx.engine
+            if ctx.rank == 0:
+                def handle(w, kind, data):
+                    if sim.now < 0.2:
+                        return None
+                    answers.append(w)
+                    return ("go", len(answers))
+
+                sweep_serve(ctx, handle, until=3.0)
+                return None
+            return client(ctx).call("work"), sim.now
+
+        drop = MessageDropFault(source=0, dest=1, tag=T.reply, count=1)
+        body, t = launch(2, prog, drops=[drop]).rank_results[1]
+        assert body == ("go", 1)  # the cached answer, not a second one
+        assert answers == [1]
+        assert t == pytest.approx(FT.req_timeout, abs=0.01)
+
+    def test_dead_client_gets_no_work_and_is_declared_silent(self):
+        """Rank 1 dies while held; rank 2 stays alive and re-polls.  The
+        expired hold's answer to rank 1 goes nowhere, no work is ever
+        offered to it, and only rank 1 goes silent: a held live client
+        is heard from once per expiry, far inside the silence
+        threshold (``failover_silence`` here, ``search_timeout`` in the
+        group sub-master)."""
+        silent = FT.failover_silence
+        offered, declared, seen = [], [], []
+
+        def prog(ctx):
+            sim = ctx.engine
+            if ctx.rank == 0:
+                def handle(w, kind, data):
+                    offered.append((w, round(sim.now, 2)))
+                    return ("go", None) if sim.now >= 1.0 else None
+
+                def tick(server, now):
+                    last_seen = {w: t for w, _seq, t in seen}
+                    for w, t in sorted(last_seen.items()):
+                        if w not in dict(declared) and now - t > silent:
+                            declared.append((w, round(now, 2)))
+                            server.drop(w)
+
+                # Rank 2 stops polling once served at 1.0: stop before
+                # its own silence could be mistaken for a death.
+                sweep_serve(ctx, handle, until=silent + FT.master_tick,
+                            seen=seen, tick=tick)
+                return None
+            c = client(ctx)
+            while True:
+                kind, _data = c.call("work")
+                if kind == "go":
+                    return sim.now
+
+        crash = CrashFault(rank=1, time=0.1)
+        res = run(3, prog, FAST, faults=FaultPlan(events=(crash,)))
+        assert [w for w, _t in declared] == [1]
+        assert declared[0][1] == pytest.approx(silent, abs=FT.master_tick)
+        assert max(t for w, t in offered if w == 1) <= FT.req_timeout / 2
+        assert res.rank_results[2] == pytest.approx(1.0, abs=0.01)
+
+    def test_dropped_client_is_not_answered_until_it_resends(self):
+        """``drop`` forgets the hold; the client's resend is handled
+        afresh (it is not in the reply cache)."""
+        ready = []
+
+        def prog(ctx):
+            sim = ctx.engine
+            if ctx.rank == 0:
+                server = PullServer(ctx, FT, T, (0,))
+
+                def handle(w, kind, data):
+                    return ("go", None) if ready else None
+
+                server.serve_request(ctx.comm.recv(tag=T.req), handle)
+                server.drop(1)
+                dropped = server.next_expiry()
+                sim.sleep(0.1)
+                ready.append(True)
+                server.sweep(handle)  # would answer, but nothing is held
+                server.serve_request(ctx.comm.recv(tag=T.req), handle)
+                return dropped
+            return client(ctx).call("work"), sim.now
+
+        res = launch(2, prog)
+        assert res.rank_results[0] is None
+        body, t = res.rank_results[1]
+        assert body == ("go", None)
+        assert t == pytest.approx(FT.req_timeout, abs=0.01)
+
+    def test_sweep_offers_held_requests_in_rank_order(self):
+        offered, units = [], [1]
+
+        def prog(ctx):
+            sim = ctx.engine
+            if ctx.rank == 0:
+                server = PullServer(ctx, FT, T, (0,))
+
+                def handle(w, kind, data):
+                    offered.append(w)
+                    if sim.now < 0.5 or not units:
+                        return None
+                    return ("unit", units.pop())
+
+                for _ in range(3):
+                    server.serve_request(ctx.comm.recv(tag=T.req), handle)
+                sim.sleep(0.5 - sim.now)
+                del offered[:]
+                server.sweep(handle)
+                order = offered[:]
+                sim.sleep(FT.req_timeout / 2)
+                server.sweep(handle)  # the other two expire
+                return order
+            sim.sleep(0.1 * (4 - ctx.rank))  # rank 3 asks first
+            return client(ctx).call("work")
+
+        res = launch(4, prog)
+        assert res.rank_results[0] == [1, 2, 3]
+        assert res.rank_results[1] == ("unit", 1)  # lowest rank wins
+        assert res.rank_results[2] == res.rank_results[3] == HOLD_EXPIRED
+
+    def test_done_releases_every_hold(self):
+        done = []
+
+        def prog(ctx):
+            sim = ctx.engine
+            if ctx.rank == 0:
+                def handle(w, kind, data):
+                    return ("done", None) if done else None
+
+                def tick(server, now):
+                    if now >= 0.3 and not done:
+                        done.append(now)
+
+                server = sweep_serve(ctx, handle, until=1.0, tick=tick)
+                return server.next_expiry()
+            sim.sleep(0.05 * ctx.rank)
+            return client(ctx).call("work"), round(sim.now, 2)
+
+        res = launch(4, prog)
+        assert res.rank_results[0] is None
+        times = set()
+        for rank in (1, 2, 3):
+            body, t = res.rank_results[rank]
+            assert body == ("done", None)
+            times.add(t)
+        assert len(times) == 1 and times.pop() < FT.req_timeout / 2
 
 
 # ----------------------------------------------------------------------

@@ -5,13 +5,15 @@
 
 Runs the workload's timed region (``bench/workloads.py``, imported
 read-only) in this process with counting wrappers on ``Engine.park``,
-the baton locks, ``payload_nbytes`` and ``Communicator.isend`` and
-prints: parks by parker label and how many of them gave the baton away
-(the rest found their own wake next in the queue), messages by tag and
-pull-RPC kind, ``payload_nbytes`` entries per message, and the floor
-under the run's host seconds that thread switching alone sets —
-baton hand-offs times the cost of one lock ping-pong between two
-threads, measured here on the CPU the run is pinned to.
+the baton locks, ``payload_nbytes``, ``Communicator.isend`` and the
+``PullServer`` methods that hold and answer requests, and prints: parks
+by parker label and how many of them gave the baton away (the rest
+found their own wake next in the queue), messages by tag and pull-RPC
+kind, requests held (long-polled) and how each hold ended,
+``payload_nbytes`` entries per message, and the floor under the run's
+host seconds that thread switching alone sets — baton hand-offs times
+the cost of one lock ping-pong between two threads, measured here on
+the CPU the run is pinned to.
 
 Parks, hand-offs and messages are pure functions of the seed, so
 ``--expect-parks`` / ``--expect-messages`` (exit 1 on any other value)
@@ -23,8 +25,9 @@ count instead of a timer.
     python3 tools/park_census.py --poll-bench
 
 is the layer's micro-benchmark: one pull-RPC server and seven clients
-polling it in lockstep (``work`` -> ``wait``, the conversation that
-makes up four fifths of ``ft-hier-kill``'s messages) through
+polling it in lockstep (``work`` -> ``wait``: how the flat FT masters
+still answer idle workers, and four fifths of ``ft-hier-kill``'s
+messages until group sub-masters began holding idle polls) through
 ``simmpi.launcher.run``, no BLAST, no wrappers; prints host
 microseconds per message, to be read next to the ping-pong cost, and
 the function calls one message takes.
@@ -74,6 +77,11 @@ class Census:
     #: (tag name, pull-RPC kind or "") -> messages injected by ``isend``
     by_kind: dict[tuple[str, str], int] = field(default_factory=dict)
     sizing_calls: int = 0
+    #: requests a ``PullServer`` held (long-polled) ...
+    held: int = 0
+    #: ... and how the holds ended: "work" / "expired" / "done" /
+    #: "client dead" (the rest were open when their server stopped)
+    hold_ends: dict[str, int] = field(default_factory=dict)
     host_s: float = 0.0
 
     @property
@@ -109,7 +117,15 @@ def census(workload: str, seed: int) -> Census:
     import repro.simmpi.comm as comm
     import repro.simmpi.engine as engine
     import repro.simmpi.network as network
-    from repro.parallel.pullrpc import GROUP, HIER, MPI_FT, PIO_FT, TAG_TABLE
+    from repro.parallel.pullrpc import (
+        GROUP,
+        HIER,
+        HOLD_EXPIRED,
+        MPI_FT,
+        PIO_FT,
+        TAG_TABLE,
+        PullServer,
+    )
     from workloads import WORKLOADS
 
     out = Census()
@@ -118,6 +134,9 @@ def census(workload: str, seed: int) -> Census:
     reply_tags = {c.reply for c in (MPI_FT, PIO_FT, HIER, GROUP)}
     park, isend = engine.Engine.park, comm.Communicator.isend
     sizer, held_lock = network.payload_nbytes, engine._held_lock
+    serve, release, drop = (
+        PullServer.serve_request, PullServer._release, PullServer.drop
+    )
 
     def counted_park(eng, parker):
         label = engine.render_label(parker.label) or "unlabelled"
@@ -144,6 +163,28 @@ def census(workload: str, seed: int) -> Census:
         out.sizing_calls += 1
         return sizer(obj)
 
+    def counted_serve(server, request, handle):
+        before = server._held.get(request[0])
+        serve(server, request, handle)
+        after = server._held.get(request[0])
+        if after is not None and after is not before:
+            out.held += 1
+
+    def counted_release(server, w, seq, body):
+        held = server._held.get(w)
+        if held is not None and held[0][1] == seq:
+            if body is HOLD_EXPIRED:
+                end = "expired"
+            else:
+                end = "done" if body[0] == "done" else "work"
+            _bump(out.hold_ends, end)
+        return release(server, w, seq, body)
+
+    def counted_drop(server, w):
+        if w in server._held:
+            _bump(out.hold_ends, "client dead")
+        return drop(server, w)
+
     wl = WORKLOADS[workload](seed)
     wl.setup()
     engine.Engine.park = counted_park
@@ -151,6 +192,8 @@ def census(workload: str, seed: int) -> Census:
     comm.Communicator.isend = counted_isend
     # A recursive sizer looks itself up in its own module: both names.
     network.payload_nbytes = comm.payload_nbytes = counted_sizer
+    PullServer.serve_request = counted_serve
+    PullServer._release, PullServer.drop = counted_release, counted_drop
     t0 = time.perf_counter()
     try:
         wl.run()
@@ -160,6 +203,8 @@ def census(workload: str, seed: int) -> Census:
         engine._held_lock = held_lock
         comm.Communicator.isend = isend
         network.payload_nbytes = comm.payload_nbytes = sizer
+        PullServer.serve_request = serve
+        PullServer._release, PullServer.drop = release, drop
     out.messages = sum(r.messages_sent for r in wl.run_results())
     return out
 
@@ -212,6 +257,14 @@ def report(c: Census, pingpong_us: float) -> str:
     )
     lines.append(f"{'total':<24} {'':<10} {c.messages:>9d}")
     lines.append("")
+    ends = [(e, c.hold_ends.get(e, 0))
+            for e in ("work", "expired", "done", "client dead")]
+    open_at_exit = c.held - sum(n for _e, n in ends)
+    lines.append(
+        f"held: {c.held} requests; ended: "
+        + ", ".join(f"{e} {n}" for e, n in ends)
+        + f", open when their server stopped {open_at_exit}"
+    )
     per_msg = c.sizing_calls / c.messages if c.messages else 0.0
     lines.append(
         f"payload_nbytes entries: {c.sizing_calls} for {c.messages} "
