@@ -67,7 +67,7 @@ from repro.parallel.common import (
     writer_for,
 )
 from repro.parallel.config import ParallelConfig
-from repro.parallel.pullrpc import HIER, Heartbeat, PullServer
+from repro.parallel.pullrpc import HIER, Heartbeat, LivenessTable, PullServer
 from repro.parallel.results import select_metas
 from repro.parallel.warmdb import partition_database
 from repro.simmpi import ProcContext
@@ -219,8 +219,7 @@ def run_coordinator(
     assigned: dict[Any, tuple[int, float]] = {}
     write_assigned: dict[Any, tuple[int, float]] = {}
     written: set[Any] = set()
-    group_last = {g.gid: sim.now for g in topo.groups}
-    dead_groups: set[int] = set()
+    live = LivenessTable((g.gid for g in topo.groups), sim.now)
     layout: dict[Any, Any] | None = None  # key -> (jobs, writes) per group cmd
     write_producer: dict[Any, int] = {}
     merge_acc = 0.0
@@ -256,44 +255,35 @@ def run_coordinator(
         """Every search obligation the run still owes, dead groups
         excluded (their absence is the degraded path)."""
         if mode == "replicate":
-            if len(dead_groups) == topo.ngroups:
+            if len(live.dead) == topo.ngroups:
                 return [b for b, _ in batches if b in results]
             return [b for b, _ in batches]
         return [
             (b, g.gid)
             for b, _ in batches
             for g in topo.groups
-            if g.gid not in dead_groups or (b, g.gid) in results
+            if g.gid not in live.dead or (b, g.gid) in results
         ]
 
     def search_complete() -> bool:
         return all(k in results for k in search_keys())
 
     def mark_degraded() -> None:
-        if mode == "shard" and dead_groups:
+        if mode == "shard" and live.dead:
             missing = sorted(
-                fid for gid in dead_groups for fid in topo.frag_ids(gid)
+                fid for gid in live.dead for fid in topo.frag_ids(gid)
             )
             if missing and not report.missing_fragments:
                 report.degraded = True
                 report.missing_fragments = missing
                 report.record(sim.now, "detect:degraded", tuple(missing))
-        if mode == "replicate" and len(dead_groups) == topo.ngroups:
+        if mode == "replicate" and len(live.dead) == topo.ngroups:
             missing = [b for b, _ in batches if b not in results]
             if missing and not report.degraded:
                 report.degraded = True
                 report.record(
                     sim.now, "detect:degraded", ("batches", tuple(missing))
                 )
-
-    def check_group_deaths() -> None:
-        now = sim.now
-        for gid in sorted(group_last):
-            if gid in dead_groups:
-                continue
-            if now - group_last[gid] > group_budget:
-                dead_groups.add(gid)
-                report.record(sim.now, "detect:group-dead", gid)
 
     # ---- layout -------------------------------------------------------
     def compute_layout() -> None:
@@ -381,7 +371,7 @@ def run_coordinator(
         # Drop write obligations nobody can honour (dead shard groups).
         for key in list(layout):
             gid = key[1] if mode == "shard" else None
-            if gid is not None and gid in dead_groups:
+            if gid is not None and gid in live.dead:
                 del layout[key]
                 write_assigned.pop(key, None)
                 report.record(sim.now, "detect:unwritable", key)
@@ -492,7 +482,8 @@ def run_coordinator(
     def on_tick(request, now: float) -> None:
         nonlocal done_since
         ping_submasters()
-        check_group_deaths()
+        for gid, _quiet in live.sweep(sim.now, group_budget):
+            report.record(sim.now, "detect:group-dead", gid)
         ckpt.maybe_save(ckpt_state)
         if request is None:
             return
@@ -500,9 +491,7 @@ def run_coordinator(
         r, _seq, _kind, data = request
         gid = data[0]
         submaster_of[gid] = r
-        group_last[gid] = now
-        if gid in dead_groups and layout is None:
-            dead_groups.discard(gid)
+        if live.heard(gid, now, revive=layout is None):
             report.record(sim.now, "recover:group-revive", gid)
 
     def on_idle(now: float) -> bool:

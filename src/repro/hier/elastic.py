@@ -77,7 +77,7 @@ from repro.parallel.common import (
     writer_for,
 )
 from repro.parallel.config import FTParams, ParallelConfig
-from repro.parallel.pullrpc import HIER, Heartbeat, PullServer
+from repro.parallel.pullrpc import HIER, Heartbeat, LivenessTable, PullServer
 from repro.parallel.results import dedupe_candidates, select_metas
 from repro.parallel.warmdb import partition_database
 from repro.service.arrivals import QueryJob
@@ -257,7 +257,9 @@ def _serve_coordinator(
     ).beat
 
     # ---- group lifecycle state ----------------------------------------
-    # latent -> (joining) -> active -> draining -> left, plus dead/revive.
+    # latent -> (joining) -> active -> draining -> left, plus dead/revive;
+    # ``live`` watches exactly the joining, active and draining groups
+    # (it holds a latent group as dead until its first poll revives it).
     states: dict[int, str] = {
         g.gid: ("latent" if g.gid in topo.latent else "active")
         for g in topo.groups
@@ -266,9 +268,10 @@ def _serve_coordinator(
         g.gid: (set(topo.frag_ids(g.gid)) if mode == "shard" else set())
         for g in topo.groups
     }
-    group_last = {
-        g.gid: sim.now for g in topo.groups if g.gid not in topo.latent
-    }
+    live = LivenessTable(
+        (g.gid for g in topo.groups if g.gid not in topo.latent), sim.now,
+        dead=topo.latent,
+    )
     join_t0: dict[int, float] = {}
     drain_started: set[int] = set()
     draining_since: dict[int, float] = {}
@@ -633,10 +636,10 @@ def _serve_coordinator(
             for w in waves.values():
                 force_wave(w)
 
-    def revive(gid: int) -> None:
+    def readmit(gid: int) -> None:
         states[gid] = "active"
         drain_started.discard(gid)
-        group_last[gid] = sim.now
+        live.revive(gid, sim.now)  # restamped after the poll's stamp
         report.record(sim.now, "recover:group-revive", gid)
         if mode == "shard":
             # A successor sub-master re-derives only the launch-time
@@ -645,14 +648,6 @@ def _serve_coordinator(
             covered_by[gid] = set(topo.frag_ids(gid))
             cure_fids(set(covered_by[gid]))
             unstall_waves(set(covered_by[gid]))
-
-    def check_group_deaths() -> None:
-        now = sim.now
-        for gid in sorted(group_last):
-            if states[gid] not in ("active", "joining", "draining"):
-                continue
-            if now - group_last[gid] > group_budget:
-                die(gid)
 
     # ---- drain ---------------------------------------------------------
     def drains_tick() -> None:
@@ -682,9 +677,7 @@ def _serve_coordinator(
                     pending_load.setdefault(target, set()).update(solo)
 
     def try_release_drain(gid: int) -> bool:
-        if any(a[0] == gid for a in assigned.values()):
-            return False
-        if gid in pending_load:
+        if gid in pending_load or any(a[0] == gid for a in assigned.values()):
             return False
         done = len(sections) + len(shed_qids) >= total and not waves
         if not done:
@@ -698,6 +691,7 @@ def _serve_coordinator(
             ):
                 return False  # still the only holder of a live slice
         states[gid] = "left"
+        live.retire(gid)
         covered_by[gid] = set()
         report.record(sim.now, "recover:group-drain", gid)
         regroup_span(
@@ -899,7 +893,8 @@ def _serve_coordinator(
         nonlocal done_since
         ping_submasters()
         admit_arrivals()
-        check_group_deaths()
+        for gid, _quiet in live.sweep(sim.now, group_budget):
+            die(gid)
         drains_tick()
         recovery_tick()
         compose_waves()
@@ -911,14 +906,13 @@ def _serve_coordinator(
         r, _seq, _kind, data = request
         gid = data[0]
         submaster_of[gid] = r
-        group_last[gid] = now
         if finished:
             done_since = now
         state = states.get(gid)
-        if state == "latent":
+        if live.heard(gid, now, revive=state == "latent"):
             group_join(gid)
         elif state == "dead":
-            revive(gid)
+            readmit(gid)
 
     def on_idle(now: float) -> bool:
         return (

@@ -78,6 +78,7 @@ from repro.parallel.pullrpc import (
     GROUP,
     HIER,
     Heartbeat,
+    LivenessTable,
     Orphaned,
     Promoted,
     PullClient,
@@ -221,24 +222,25 @@ def run_group_master(
     # Members before this rank in succession order are presumed dead
     # (we out-waited each of them); the standard silence sweep below
     # re-detects reality.
-    alive = set(members[my_pos + 1:])
-    dead = set(members[:my_pos])
+    live = LivenessTable(
+        members[my_pos + 1:], sim.now, dead=members[:my_pos]
+    )
     workers_order = list(group.workers)
     holder: dict[int, int] = {}
     for i, fid in enumerate(sorted(my_fids)):
         holder[fid] = workers_order[i % len(workers_order)]
 
     def rehome(fid: int) -> None:
-        holder[fid] = min(alive) if alive else me
+        holder[fid] = min(live.alive) if live.alive else me
         report.record(sim.now, "recover:adopt-fragment", gid, fid, holder[fid])
 
     for fid in sorted(my_fids):
-        if holder[fid] in dead:
+        if holder[fid] in live.dead:
             rehome(fid)
     # Survivors are assumed to hold their initial assignment; adoption
     # commands (idempotent on the worker side) heal any difference.
     holds: dict[int, set[int]] = {
-        w: {f for f in my_fids if holder[f] == w} for w in alive
+        w: {f for f in my_fids if holder[f] == w} for w in live.alive
     }
 
     # In-line serving state (the sub-master as its own worker).
@@ -269,7 +271,6 @@ def run_group_master(
     written_local: dict[int, int] = {}  # b -> coordinator epoch
     search_out: dict[int, tuple[int, float]] = {}  # fid -> (worker, deadline)
     fetch_out: dict[int, tuple[set, float]] = {}   # worker -> (reqs, deadline)
-    last_seen: dict[int, float] = {w: sim.now for w in alive}
     wait_acc = coord_wait_acc = search_acc = merge_acc = 0.0
 
     if promoted:
@@ -287,11 +288,8 @@ def run_group_master(
         }
 
     # ---- worker liveness ----------------------------------------------
-    def declare_dead(w: int, why: str) -> None:
-        if w not in alive:
-            return
-        alive.discard(w)
-        dead.add(w)
+    def worker_lost(w: int, why: str) -> None:
+        """Recover from ``w``, which the table has just declared dead."""
         server.drop(w)
         report.record(sim.now, "detect:worker-dead", gid, w, why)
         for fid, (sw, _dl) in list(search_out.items()):
@@ -301,27 +299,6 @@ def run_group_master(
         for fid in sorted(my_fids):
             if holder[fid] == w:
                 rehome(fid)
-
-    def revive(w: int) -> None:
-        if w not in dead:
-            return
-        dead.discard(w)
-        alive.add(w)
-        last_seen[w] = sim.now
-        holds.setdefault(w, set())
-        report.record(sim.now, "recover:revive", gid, w)
-
-    def check_deaths() -> None:
-        now = sim.now
-        for fid, (w, dl) in list(search_out.items()):
-            if now > dl:
-                declare_dead(w, "search-timeout")
-        for w, (_reqs, dl) in list(fetch_out.items()):
-            if now > dl:
-                declare_dead(w, "fetch-timeout")
-        for w in sorted(alive):
-            if now - last_seen.get(w, now) > ft.search_timeout:
-                declare_dead(w, "silent")
 
     # ---- in-line fragment serving -------------------------------------
     def inline_fresh(fid: int, batch_no: int, jobs) -> None:
@@ -568,7 +545,7 @@ def run_group_master(
         if kind == "load":
             fresh_fids = tuple(f for f in data if f not in my_fids)
             if fresh_fids:
-                targets = sorted(alive) or [me]
+                targets = sorted(live.alive) or [me]
                 for i, f in enumerate(fresh_fids):
                     my_fids.add(f)
                     frag_pieces[f] = all_frags[f]
@@ -701,7 +678,7 @@ def run_group_master(
             if outbox:
                 coord.send(*outbox.pop(0))
             elif sim.now >= next_poll:
-                coord.send("work", (gid, 1 + len(alive)))
+                coord.send("work", (gid, 1 + len(live.alive)))
                 next_poll = sim.now + ft.poll_backoff
         # Held members send nothing, so only this receive's timeout
         # wakes the loop for its next due action.
@@ -724,7 +701,16 @@ def run_group_master(
             wait_acc += dt
         now = sim.now
         ping_members()
-        check_deaths()
+        # Per-obligation deadlines first, then the silence sweep.
+        t = sim.now
+        for w, dl in list(search_out.values()):
+            if t > dl and live.declare_dead(w):
+                worker_lost(w, "search-timeout")
+        for w, (_reqs, dl) in list(fetch_out.items()):
+            if t > dl and live.declare_dead(w):
+                worker_lost(w, "fetch-timeout")
+        for w, _quiet in live.sweep(t, ft.search_timeout):
+            worker_lost(w, "silent")
         ckpt.maybe_save(ckpt_state)
         # Coordinator-tracker upkeep runs every iteration: worker
         # traffic keeps the receive from timing out, but coordinator
@@ -740,14 +726,17 @@ def run_group_master(
                     (
                         w
                         for w in members[my_pos + 1:]
-                        if w not in dead
+                        if w not in live.dead
                     ),
                     None,
                 )
                 if successor is not None:
                     hb.name(
                         successor,
-                        [w for w in members[my_pos + 1:] if w not in dead],
+                        [
+                            w for w in members[my_pos + 1:]
+                            if w not in live.dead
+                        ],
                     )
                 status = "promote-coordinator"
                 break
@@ -789,9 +778,9 @@ def run_group_master(
         if st.tag != TAG_GRP_REQ:
             continue
         w = msg[0]
-        if w in dead:
-            revive(w)
-        last_seen[w] = now
+        if live.heard(w, now):
+            holds.setdefault(w, set())
+            report.record(sim.now, "recover:revive", gid, w)
         server.serve_request(msg, handle)
 
     g = f"hier.group.g{gid}."

@@ -12,9 +12,10 @@
 - :mod:`repro.parallel.queryseg` — the earlier-generation baseline
   (query segmentation, §2.1): split the query set, search the whole
   database on every worker.
-- :mod:`repro.parallel.pruning`, :mod:`repro.parallel.loadbalance` —
-  the paper's §5 future-work features, implemented: early score
-  broadcast for local pruning, and adaptive partition granularity.
+- :mod:`repro.parallel.pruning` and pioBLAST's work-queue mode
+  (``ParallelConfig.adaptive_granularity``) — the paper's §5
+  future-work features, implemented: early score broadcast for local
+  pruning, and more virtual fragments than workers.
 
 All drivers produce byte-identical output files for the same inputs
 (the paper's own correctness claim for pioBLAST vs mpiBLAST).

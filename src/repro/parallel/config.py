@@ -110,7 +110,6 @@ class ParallelConfig:
     num_fragments: int = 0  # 0 → natural partitioning (nworkers)
     # Ablation switches (pioBLAST techniques; all on = the paper's pio).
     parallel_input: bool = True
-    result_caching: bool = True
     collective_output: bool = True
     # §5 extensions.
     early_score_pruning: bool = False

@@ -63,6 +63,7 @@ from repro.parallel.pullrpc import (
     MPI_FT,
     TAG_TABLE,
     Heartbeat,
+    LivenessTable,
     Orphaned,
     Promoted,
     PullClient,
@@ -407,9 +408,7 @@ def _ft_master(
     # ---- scheduler state ------------------------------------------------
     # A promoted master starts every other rank as presumed-alive with a
     # fresh liveness window; the death sweep then re-detects the dead.
-    alive: set[int] = {r for r in range(1, ctx.size) if r != me}
-    dead: set[int] = set()
-    last_seen: dict[int, float] = {w: sim.now for w in alive}
+    live = LivenessTable((r for r in range(1, ctx.size) if r != me), sim.now)
     assigned: dict[int, int] = {}        # worker -> fid being (re)searched
     assigner = GreedyAssigner(nfrag)     # first-search queue
     research: list[int] = []             # fids whose owner died; search again
@@ -449,11 +448,8 @@ def _ft_master(
             insort(research, fid)
             report.record(sim.now, "recover:research", fid)
 
-    def declare_dead(w: int, why: str) -> None:
-        if w in dead:
-            return
-        dead.add(w)
-        alive.discard(w)
+    def worker_lost(w: int, why: str) -> None:
+        """Recover from ``w``, which the table has just declared dead."""
         report.record(sim.now, "detect:worker-dead", w, why)
         assigner.drop_worker(w)
         fid = assigned.pop(w, None)
@@ -468,19 +464,6 @@ def _ft_master(
         for f in lost:
             del frag_metas[f]
             queue_research(f)
-
-    def revive(w: int) -> None:
-        dead.discard(w)
-        alive.add(w)
-        report.record(sim.now, "recover:revive", w)
-
-    def check_deaths() -> None:
-        now = sim.now
-        for w in sorted(alive):
-            if now - last_seen[w] > ft.search_timeout:
-                declare_dead(
-                    w, "search-timeout" if w in assigned else "silent"
-                )
 
     def fetch(owner: int, qi: int, local_id: int) -> Alignment | None:
         """One serialized fetch, retried; None means the owner is gone."""
@@ -517,12 +500,11 @@ def _ft_master(
     def try_output() -> bool:
         """One attempt at the serialized fetch/format/write output pass.
 
-        Returns False when an owning worker died mid-fetch: its
-        fragments go back to the re-search queue and the caller must
-        re-enter the search state; the next attempt rebuilds the file
-        from offset 0 (every already-paid fetch is paid again — the
-        restart cost pioBLAST's cached deterministic blocks avoid).
-        """
+        False: an owning worker died mid-fetch.  Its fragments go back
+        to the re-search queue, the caller re-enters the search state,
+        and the next attempt rebuilds the file from offset 0, paying
+        every fetch again (the restart cost pioBLAST's cached blocks
+        avoid)."""
         missing = sorted(set(range(nfrag)) - set(frag_metas))
         per_query: list[list[AlignmentMeta]] = [[] for _ in queries]
         for fid in sorted(frag_metas):
@@ -552,7 +534,8 @@ def _ft_master(
                     ctx.compute(cost.fetch_overhead_seconds())
                     al = fetch(m.owner_rank, qi, m.local_id)
                     if al is None:
-                        declare_dead(m.owner_rank, "fetch-timeout")
+                        if live.declare_dead(m.owner_rank):
+                            worker_lost(m.owner_rank, "fetch-timeout")
                         report.record(
                             sim.now, "recover:restart-output", m.owner_rank
                         )
@@ -576,9 +559,7 @@ def _ft_master(
         # The serialized output pass can outlast the silence thresholds;
         # give surviving workers a fresh liveness window so they are not
         # declared dead for politely waiting out our fetch loop.
-        now = sim.now
-        for w in alive:
-            last_seen[w] = now
+        live.refresh(sim.now)
         if ok:
             state = "done"
 
@@ -629,15 +610,15 @@ def _ft_master(
         if request is not None:
             done_since = None
             w = request[0]
-            if w in dead:
-                revive(w)
-            last_seen[w] = now
-        check_deaths()
+            if live.heard(w, now):
+                report.record(sim.now, "recover:revive", w)
+        for w, _quiet in live.sweep(sim.now, ft.search_timeout):
+            worker_lost(w, "search-timeout" if w in assigned else "silent")
         ping_workers()
         if state == "search":
             ckpt.maybe_save(ckpt_state)
         if state == "search" and (
-            len(frag_metas) == nfrag or (request is None and not alive)
+            len(frag_metas) == nfrag or (request is None and not live.alive)
         ):
             # Complete — or degraded with nobody left to search the
             # missing fragments.  Either way, attempt the output pass.

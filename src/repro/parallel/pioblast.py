@@ -1,7 +1,8 @@
 """pioBLAST: the paper's optimized parallel BLAST (§3).
 
-The four techniques, all implemented here (each can be switched off for
-the ablation benchmarks via :class:`repro.parallel.config.ParallelConfig`):
+The four techniques, all implemented here (parallel input and
+collective output can be switched off for the ablation benchmarks via
+:class:`repro.parallel.config.ParallelConfig`):
 
 1. **Dynamic virtual partitioning** (§3.1) — the master reads only the
    global index, computes ``(start, end)`` byte ranges per fragment, and
@@ -50,7 +51,6 @@ from bisect import insort
 from typing import Any
 
 from repro.blast.engine import BlastSearch
-from repro.blast.hsp import Alignment
 from repro.parallel.assignment import GreedyAssigner
 from repro.parallel.common import (
     GlobalDbInfo,
@@ -71,6 +71,7 @@ from repro.parallel.pullrpc import (
     PIO_FT,
     TAG_TABLE,
     Heartbeat,
+    LivenessTable,
     Orphaned,
     Promoted,
     PullClient,
@@ -286,7 +287,7 @@ def _worker(ctx: ProcContext, cfg: ParallelConfig) -> None:
     flat_pieces = [pv for frag_vols in loaded for pv in frag_vols]
     for qlo, qhi in cfg.query_batches(len(queries)):
         batch = queries[qlo:qhi]
-        cache: list[bytes | Alignment] = []
+        cache: list[bytes] = []
         metas_per_query: list[list[AlignmentMeta]] = [[] for _ in batch]
         with ctx.phase("search"):
             for piece, volume in flat_pieces:
@@ -299,14 +300,7 @@ def _worker(ctx: ProcContext, cfg: ParallelConfig) -> None:
                         local_id = len(cache)
                         block = writer.alignment_block(al)
                         ctx.compute(cost.render_seconds(len(block)))
-                        if cfg.result_caching:
-                            cache.append(block)
-                        else:
-                            # Ablation: cache the raw alignment; render
-                            # again at output time (sizes must still be
-                            # known for the layout — the double cost the
-                            # caching technique removes).
-                            cache.append(al)
+                        cache.append(block)
                         metas_per_query[qi].append(
                             meta_from_alignment(
                                 al, ctx.rank, local_id, len(block)
@@ -343,14 +337,7 @@ def _worker(ctx: ProcContext, cfg: ParallelConfig) -> None:
                 regions = []
                 buffers = []
                 for local_id, off in selections:
-                    entry = cache[local_id]
-                    block = (
-                        entry
-                        if isinstance(entry, bytes)
-                        else writer.alignment_block(entry)
-                    )
-                    if not isinstance(entry, bytes):
-                        ctx.compute(cost.render_seconds(len(block)))
+                    block = cache[local_id]
                     regions.append((off, len(block)))
                     buffers.append(block)
                 f = MPIFile(comm, ctx.fs, cfg.output_path)
@@ -362,14 +349,7 @@ def _worker(ctx: ProcContext, cfg: ParallelConfig) -> None:
                     if req is None:
                         break
                     (local_id,) = req
-                    entry = cache[local_id]
-                    block = (
-                        entry
-                        if isinstance(entry, bytes)
-                        else writer.alignment_block(entry)
-                    )
-                    if not isinstance(entry, bytes):
-                        ctx.compute(cost.render_seconds(len(block)))
+                    block = cache[local_id]
                     comm.send(
                         block,
                         dest=0,
@@ -475,9 +455,7 @@ def _ft_master(
     # A promoted master starts every other rank as presumed-alive with a
     # fresh liveness window: the standard death sweep below then re-runs
     # against reality and re-detects the genuinely dead ones.
-    alive: set[int] = {r for r in range(1, ctx.size) if r != me}
-    dead: set[int] = set()
-    last_seen: dict[int, float] = {w: sim.now for w in alive}
+    live = LivenessTable((r for r in range(1, ctx.size) if r != me), sim.now)
     assigned: dict[int, int] = {}        # worker -> fid being (re)searched
     assigner = GreedyAssigner(nfrag)     # first-search queue
     research: list[int] = []             # completed fids needing re-search
@@ -507,7 +485,7 @@ def _ft_master(
     # ---- helpers --------------------------------------------------------
     def writable_now() -> set[int]:
         """Fragments an output round can cover right now."""
-        if alive:
+        if live.alive:
             return set(frag_results)  # survivors can re-search the rest
         return {f for f in frag_results if f in my_blocks}
 
@@ -595,15 +573,15 @@ def _ft_master(
         if state != "output":
             return
         for fid in sorted(pending):
-            if fid in dispatched or (holders[fid] & alive):
+            if fid in dispatched or (holders[fid] & live.alive):
                 continue
             queue_research(fid)
 
-    def declare_dead(w: int, why: str) -> None:
-        if w in dead:
-            return
-        dead.add(w)
-        alive.discard(w)
+    def worker_lost(w: int, quiet: float, owes_write: bool) -> None:
+        """Recover from ``w``, which the sweep has just declared dead."""
+        why = "search-timeout" if w in assigned else "silent"
+        if owes_write and quiet > ft.write_timeout:
+            why = "write-timeout"
         report.record(sim.now, "detect:worker-dead", w, why)
         assigner.drop_worker(w)
         for fid in holders:
@@ -620,23 +598,6 @@ def _ft_master(
                 dispatched.pop(dfid)
                 report.record(sim.now, "recover:rehome-write", dfid, w)
         ensure_progress()
-
-    def revive(w: int) -> None:
-        dead.discard(w)
-        alive.add(w)
-        report.record(sim.now, "recover:revive", w)
-
-    def check_deaths() -> None:
-        now = sim.now
-        writing = {dw for dw, _t in dispatched.values()}
-        for w in sorted(alive):
-            quiet = now - last_seen[w]
-            if w in writing and quiet > ft.write_timeout:
-                declare_dead(w, "write-timeout")
-            elif quiet > ft.search_timeout:
-                declare_dead(
-                    w, "search-timeout" if w in assigned else "silent"
-                )
 
     def work_reply(w: int):
         nonlocal state
@@ -715,28 +676,31 @@ def _ft_master(
         # it on the first ping instead of waiting out failover_silence.
         ping_workers(force=True)
     done_since: float | None = None
+    # Silence limit by whether the worker owes a write (then
+    # write_timeout, if shorter).
+    limits = (ft.search_timeout, min(ft.write_timeout, ft.search_timeout))
 
     def on_tick(request, now: float) -> None:
         nonlocal done_since
         if request is not None:
             done_since = None
-            w = request[0]
-            if w in dead:
-                revive(w)
+            if live.heard(request[0], now):
+                report.record(sim.now, "recover:revive", request[0])
                 ensure_progress()
-            last_seen[w] = now
-        check_deaths()
+        writing = {dw for dw, _t in dispatched.values()}
+        for w, quiet in live.sweep(sim.now, lambda w: limits[w in writing]):
+            worker_lost(w, quiet, w in writing)
         ping_workers()
         ckpt.maybe_save(ckpt_state)
 
     def on_idle(now: float) -> bool:
         nonlocal state, done_since
-        if state == "search" and not alive:
+        if state == "search" and not live.alive:
             # Degraded: nobody left to search the missing fragments
             # (a promoted master can still write its own blocks).
             state = "output"
             start_output_round(writable_now())
-        elif state == "output" and not alive and pending:
+        elif state == "output" and not live.alive and pending:
             # Everyone died mid-output: shrink to what the master
             # can write alone.
             start_output_round(writable_now())

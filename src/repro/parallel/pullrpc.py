@@ -13,15 +13,17 @@ and elastic coordinators — holds the same conversation:
 - whoever currently serves announces itself with a bare rank on the
   ping tag (heartbeat, new-master announcement, graceful hand-off).
 
-This module is the only place that knows those three layouts.  The
-roles keep what is theirs: message kinds, scheduler state, liveness
-rules, and (via :class:`~repro.parallel.checkpoint.FailoverTracker`)
-who they believe the master is.
+This module is the only place that knows those three layouts, and
+(:class:`LivenessTable`) the only place that decides a client is dead
+by its silence.  The roles keep what is theirs: message kinds,
+scheduler state, what a death or a revival sets off, and (via
+:class:`~repro.parallel.checkpoint.FailoverTracker`) who they believe
+the master is.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from repro.simmpi.comm import ANY_SOURCE, ANY_TAG, TIMEOUT, Status
 
@@ -481,3 +483,70 @@ class PullServer:
             on_tick(request, now)
             if request is not None:
                 self.serve_request(request, on_request)
+
+
+# ----------------------------------------------------------------------
+# liveness
+# ----------------------------------------------------------------------
+class LivenessTable:
+    """Which of a server's clients are alive, judged by their silence.
+
+    Keys are client ranks (the flat masters, the group sub-master) or
+    group ids (both coordinators).  The table owns the last time each
+    key was heard from, the ``alive`` and ``dead`` sets and the silence
+    test; the role keeps what a verdict sets off (requeue, rehome,
+    ``PullServer.drop``, report records), its thresholds, and when a
+    dead key that speaks again is revived (see FAULTS.md §3).
+    """
+
+    def __init__(self, alive: Iterable, now: float, dead: Iterable = ()):
+        self.alive = set(alive)
+        self.dead = set(dead)
+        self.last_seen: dict[Any, float] = dict.fromkeys(self.alive, now)
+
+    def heard(self, key, now: float, revive: bool = True) -> bool:
+        """Stamp ``key``; a dead key that speaks again was a straggler,
+        not a corpse, and is revived unless the role says not to.
+        Returns whether it was."""
+        self.last_seen[key] = now
+        if revive and key in self.dead:
+            self.revive(key, now)
+            return True
+        return False
+
+    def refresh(self, now: float) -> None:
+        """Stamp every live key: the server itself was silent for long
+        (a serialized output pass), not its clients."""
+        for key in self.alive:
+            self.last_seen[key] = now
+
+    def declare_dead(self, key) -> bool:
+        """Move ``key`` to the dead set; False if it was there already."""
+        if key in self.dead:
+            return False
+        self.dead.add(key)
+        self.alive.discard(key)
+        return True
+
+    def revive(self, key, now: float) -> None:
+        """Count ``key`` alive again (or for the first time) from now."""
+        self.dead.discard(key)
+        self.alive.add(key)
+        self.last_seen[key] = now
+
+    def retire(self, key) -> None:
+        """Stop watching ``key`` without declaring it dead (it left)."""
+        self.alive.discard(key)
+
+    def sweep(self, now: float, limit) -> Iterator[tuple[Any, float]]:
+        """Declare dead, in key order, every live key silent for more
+        than ``limit`` (seconds, or a per-key rule ``limit(key)``),
+        yielding ``(key, quiet)`` right after each declaration: the
+        role's recovery for one key runs before the next is judged."""
+        per_key = callable(limit)
+        for key in sorted(self.alive):
+            quiet = now - self.last_seen[key]
+            if quiet > (limit(key) if per_key else limit) and (
+                self.declare_dead(key)
+            ):
+                yield key, quiet

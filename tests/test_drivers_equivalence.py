@@ -92,13 +92,6 @@ class TestPioblastEquivalence:
         run_pioblast(5, store, cfg, ORNL_ALTIX)
         assert store.read_all(cfg.output_path) == serial_reference
 
-    def test_matches_without_result_caching(
-        self, make_staged, serial_reference
-    ):
-        store, cfg = make_staged(result_caching=False)
-        run_pioblast(5, store, cfg, ORNL_ALTIX)
-        assert store.read_all(cfg.output_path) == serial_reference
-
     def test_matches_without_parallel_input(
         self, make_staged, serial_reference
     ):
@@ -130,7 +123,6 @@ class TestPioblastEquivalence:
     ):
         store, cfg = make_staged(
             parallel_input=False,
-            result_caching=False,
             collective_output=False,
         )
         run_pioblast(4, store, cfg, ORNL_ALTIX)

@@ -1,9 +1,11 @@
 """The pull-RPC wire protocol on its own: 3-4 rank simmpi programs, no
 BLAST.  Until ``repro.parallel.pullrpc`` existed these behaviours were
-reachable only through whole-driver chaos runs."""
+reachable only through whole-driver chaos runs.  ``LivenessTable`` is
+tested with plain floats for the clock, no simulator at all."""
 
 from __future__ import annotations
 
+import ast
 import importlib
 import re
 from pathlib import Path
@@ -17,6 +19,7 @@ from repro.parallel.pullrpc import (
     HOLD_EXPIRED,
     TAG_TABLE,
     Heartbeat,
+    LivenessTable,
     Orphaned,
     Promoted,
     PullClient,
@@ -685,3 +688,102 @@ class TestServer:
         beats = [(0, 0.0), (0, 0.3), (0, 0.6), (0, 0.9), (0, 1.0)]
         assert res.rank_results[1] == beats + [(2, 1.0)]
         assert res.rank_results[2] == beats
+
+
+# ----------------------------------------------------------------------
+# liveness (no simulator: ``now`` is a plain float)
+# ----------------------------------------------------------------------
+def swept(table, now, limit):
+    """``(key, quiet)`` of every key one sweep declares dead."""
+    return list(table.sweep(now, limit))
+
+
+class TestLivenessTable:
+    def test_silence_must_exceed_the_limit(self):
+        t = LivenessTable([1], 0.0)
+        assert swept(t, 5.0, 5.0) == []
+        assert t.alive == {1}
+        assert swept(t, 5.25, 5.0) == [(1, 5.25)]
+        assert (t.alive, t.dead) == (set(), {1})
+
+    def test_sweep_visits_keys_in_sorted_order(self):
+        t = LivenessTable([7, 2, 5], 0.0, dead=[3])
+        t.heard(5, 1.0)
+        assert swept(t, 9.0, 1.0) == [(2, 9.0), (5, 8.0), (7, 9.0)]
+
+    def test_per_key_limit(self):
+        t = LivenessTable([1, 2], 0.0)
+        assert swept(t, 3.0, lambda k: 2.0 if k == 2 else 5.0) == [(2, 3.0)]
+
+    def test_second_declare_dead_is_a_no_op(self):
+        t = LivenessTable([1, 2], 0.0)
+        assert t.declare_dead(1) is True
+        assert t.declare_dead(1) is False
+        assert (t.alive, t.dead) == ({2}, {1})
+        assert swept(t, 10.0, 1.0) == [(2, 10.0)]  # 1 is not swept again
+
+    def test_revive_restores_the_key_and_stamps_it(self):
+        t = LivenessTable([1], 0.0)
+        swept(t, 6.0, 5.0)
+        t.revive(1, 7.0)
+        assert (t.alive, t.dead) == ({1}, set())
+        assert t.last_seen[1] == 7.0
+        assert swept(t, 12.0, 5.0) == []
+        assert swept(t, 12.5, 5.0) == [(1, 5.5)]
+
+    def test_refresh_touches_live_keys_only(self):
+        t = LivenessTable([1, 2], 0.0)
+        t.declare_dead(2)
+        t.refresh(4.0)
+        assert t.last_seen == {1: 4.0, 2: 0.0}
+
+    def test_retired_key_is_neither_swept_nor_dead(self):
+        t = LivenessTable([1, 2], 0.0)
+        t.retire(1)
+        assert swept(t, 9.0, 1.0) == [(2, 9.0)]
+        assert t.dead == {2}
+
+    @pytest.mark.parametrize(
+        "keys", [(4, 1, 3), (2, 0, 1)], ids=["ranks", "group-ids"]
+    )
+    def test_group_id_keys_behave_like_rank_keys(self, keys):
+        t = LivenessTable(keys, 0.0)
+        lo, mid, hi = sorted(keys)
+        t.heard(mid, 3.0)
+        assert swept(t, 4.5, 4.0) == [(lo, 4.5), (hi, 4.5)]
+        t.revive(hi, 5.0)  # a dead key that speaks again
+        assert t.alive == {mid, hi} and t.dead == {lo}
+        assert swept(t, 8.5, 4.0) == [(mid, 5.5)]
+
+
+#: The roles that sit on a ``PullServer`` and judge clients by silence.
+ROLES = (
+    "repro.parallel.pioblast",
+    "repro.parallel.mpiblast",
+    "repro.hier.groupmaster",
+    "repro.hier.coordinator",
+    "repro.hier.elastic",
+)
+LIVENESS_DICTS = {"last_seen", "group_last"}
+LIVENESS_FUNCS = {"declare_dead", "revive", "check_deaths", "check_group_deaths"}
+
+
+@pytest.mark.parametrize("module", ROLES)
+def test_roles_keep_no_liveness_dialect_of_their_own(module):
+    """Silence, declare-dead and revive live in ``LivenessTable``; a
+    role keeps only what a verdict sets off, under another name."""
+    path = importlib.import_module(module).__file__
+    tree = ast.parse(Path(path).read_text())
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if node.name in LIVENESS_FUNCS:
+                found.append(f"def {node.name} (line {node.lineno})")
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (
+                node.targets if isinstance(node, ast.Assign) else [node.target]
+            )
+            for target in targets:
+                if isinstance(target, ast.Name) and target.id in LIVENESS_DICTS:
+                    found.append(f"{target.id} = ... (line {node.lineno})")
+    assert found == []
