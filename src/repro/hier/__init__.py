@@ -181,9 +181,21 @@ def run_hier(
     # of the flat master-wait share the bench compares against —
     # ``hier.coordinator.wait_share`` itself is ~1.0 by design (the
     # coordinator idles while groups search) and says nothing about
-    # whether the groups are starved for work.
-    gauges = (result.metrics or {}).get("global", {}).get("gauges")
+    # whether the groups are starved for work.  A poll the coordinator
+    # held is a group with no work, not one blocked on the coordinator:
+    # its ``held_s`` comes out of the group's ``coord_wait_s`` first.
+    snap = (result.metrics or {}).get("global", {})
+    gauges = snap.get("gauges")
     if gauges is not None and result.makespan > 0:
+        counters = snap.get("counters", {})
+        for g in topo.groups:
+            prefix = f"hier.group.g{g.gid}."
+            if prefix + "coord_wait_s" in gauges:
+                gauges[prefix + "coord_wait_s"] = max(
+                    0.0,
+                    gauges[prefix + "coord_wait_s"]
+                    - counters.get(prefix + "held_s", 0.0),
+                )
         worst = max(
             (
                 gauges.get(f"hier.group.g{g.gid}.coord_wait_s", 0.0)

@@ -16,7 +16,15 @@ Protocol (pull, sub-master driven, mirroring the flat FT drivers)::
   coordinator -> sub-master   (seq, body) on TAG_HIER_REPLY
     body ``("batch", (batch_no, jobs))``       — process this batch
     body ``("write", (batch_no, jobs, writes, epoch))`` — write these
-    body ``("wait", dt)`` / ``("ok", None)`` / ``("done", None)``
+    body ``("wait", 0)`` / ``("ok", None)`` / ``("done", None)``
+
+A ``work`` poll the coordinator has no command for is held
+(:class:`~repro.parallel.pullrpc.PullServer`) and answered as soon as
+one exists, or ``("wait", 0)`` — poll again now — when the hold
+expires.  A sub-master with a ``result`` or ``wrote`` to deliver sends
+it at once under a new ``seq``, superseding its own held poll; a
+command the coordinator gave that superseded poll stays assigned to the
+group and is offered again at its next poll.
 
 ``epoch`` is the issuing coordinator's rank — unique per incarnation,
 because succession is monotone.  A promoted coordinator whose restored
@@ -434,14 +442,15 @@ def run_coordinator(
         return None
 
     def handle(r: int, kind: str, data: Any):
-        nonlocal layout
+        """A reply body, or None: an idle ``work`` poll is held until
+        there is a command for its group (``PullServer.sweep``)."""
         if kind == "work":
             gid, _nalive = data
             cmd = offer_search(gid)
             if cmd is not None:
                 return cmd
             if not search_complete():
-                return ("wait", ft.poll_backoff)
+                return None
             if layout is None:
                 compute_layout()
             cmd = offer_write(gid)
@@ -450,7 +459,7 @@ def run_coordinator(
             if write_complete():
                 mark_done()
                 return ("done", None)
-            return ("wait", ft.poll_backoff)
+            return None
         if kind == "result":
             gid, b, payload = data
             key = b if mode == "replicate" else (b, gid)
@@ -477,17 +486,15 @@ def run_coordinator(
 
     # ---- serve loop ---------------------------------------------------
     start = sim.now
-    done_since: float | None = None
+    server = PullServer(ctx, ft, HIER, topo.coordinator_succession())
 
     def on_tick(request, now: float) -> None:
-        nonlocal done_since
         ping_submasters()
         for gid, _quiet in live.sweep(sim.now, group_budget):
             report.record(sim.now, "detect:group-dead", gid)
         ckpt.maybe_save(ckpt_state)
         if request is None:
             return
-        done_since = None
         r, _seq, _kind, data = request
         gid = data[0]
         submaster_of[gid] = r
@@ -495,7 +502,6 @@ def run_coordinator(
             report.record(sim.now, "recover:group-revive", gid)
 
     def on_idle(now: float) -> bool:
-        nonlocal done_since
         # A degraded run must still converge with nobody polling.
         # (Even with *no* results — every group dead before
         # producing anything — the empty layout still terminates
@@ -504,19 +510,19 @@ def run_coordinator(
             compute_layout()
         if write_complete() or (layout is not None and not layout):
             mark_done()
-            if done_since is None:
-                done_since = now
-            elif now - done_since > ft.linger:
-                return True
+            return server.lingered(now)
         return False
 
-    server = PullServer(ctx, ft, HIER, topo.coordinator_succession())
     # Stepping down is safe: the successor's layout and rewrites are
     # byte-identical.
     abdicated = server.serve(
         on_tick=on_tick, on_idle=on_idle, on_request=handle
     ) is not None
     wait_acc = server.waited
+    # How long each group's idle polls sat held here: ``run_hier``
+    # takes it out of the group's coordinator wait (no command existed).
+    for r, held in sorted(server.held_s.items()):
+        metrics.inc(None, f"hier.group.g{topo.group_of(r)}.held_s", held)
 
     total = max(sim.now - start, 1e-12)
     metrics.set_gauge(None, "hier.ngroups", topo.ngroups)

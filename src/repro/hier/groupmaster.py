@@ -32,6 +32,9 @@ An idle ``work`` request is long-polled: the sub-master holds it
 (:meth:`~repro.parallel.pullrpc.PullServer.sweep`) and answers it in
 the loop iteration that first has work for that member, or ``("wait",
 0)`` — poll again now — when the hold expires after ``req_timeout / 2``.
+The batch coordinator holds the sub-master's own idle ``work`` poll the
+same way; a result or write confirmation for it supersedes that poll
+(see :mod:`repro.hier.coordinator`).
 
 Every command is self-contained (``jobs`` carries the query records),
 and workers cache one batch of rendered blocks per fragment — a fetch
@@ -674,10 +677,14 @@ def run_group_master(
         # iteration's replies) just made available reaches them now.
         server.sweep(handle)
         # -- coordinator client step --
-        if coord.request is None and not done_flag:
-            if outbox:
+        if not done_flag:
+            # A result or confirmation never waits behind our own
+            # (possibly held) work poll: its new seq supersedes the
+            # poll, and the coordinator re-offers whatever it gave that.
+            pending = coord.request
+            if outbox and (pending is None or pending[2] == "work"):
                 coord.send(*outbox.pop(0))
-            elif sim.now >= next_poll:
+            elif pending is None and sim.now >= next_poll:
                 coord.send("work", (gid, 1 + len(live.alive)))
                 next_poll = sim.now + ft.poll_backoff
         # Held members send nothing, so only this receive's timeout
@@ -695,6 +702,8 @@ def run_group_master(
             status=st,
         )
         dt = sim.now - t0
+        # Including any time the coordinator held the request; the run
+        # subtracts that (``hier.group.gN.held_s``): it is idle time.
         if coord.request is not None and not busy_locally():
             coord_wait_acc += dt
         else:

@@ -243,12 +243,16 @@ class FailoverTracker:
         wait out dead intermediate ranks one silence window at a time.
         Between two *real* masters (transient split-brain) the higher
         rank wins, matching the abdication rule — so adoption cannot
-        flap.  Returns True when the believed master changed (the
-        caller must resend any in-flight request to the new master).
+        flap.  Returns True when the caller must resend any in-flight
+        request: the believed master changed, or the candidate it had
+        only guessed at announced itself — a candidate drops requests
+        until it has promoted, so whatever reached it before this
+        announcement is lost.
         """
         if sender == self.master:
+            guessed = self.guessing
             self.heard()
-            return False
+            return guessed
         if sender == self.ctx.rank:
             return False
         if self._pos is not None:

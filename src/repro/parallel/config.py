@@ -27,11 +27,14 @@ class FTParams:
     req_timeout: float = 0.25
     #: RPC resend budget before a worker concludes it is orphaned
     req_max_attempts: int = 200
-    #: idle-poll backoff a master hands to workers with nothing to do
-    #: (a group sub-master holds idle member polls instead, and paces
-    #: only its own coordinator polls with it)
+    #: idle-poll backoff the flat FT masters and the elastic coordinator
+    #: hand to a client with nothing to do; a group sub-master also
+    #: paces its own coordinator polls with it while busy (the group
+    #: sub-master and the batch coordinator hold idle polls instead)
     poll_backoff: float = 0.1
-    #: master's receive-timeout granularity (death checks run each tick)
+    #: servers' receive granularity: death sweeps, checkpoints and the
+    #: linger exit run at most this far apart (heartbeats do not: they
+    #: go out every ``failover_silence / 4``)
     master_tick: float = 0.25
     #: silence threshold after which a searching worker is declared dead
     search_timeout: float = 5.0
@@ -45,8 +48,10 @@ class FTParams:
     #: how long a worker tolerates total silence from the current master
     #: before advancing to the next failover candidate (master death
     #: detection; see repro.parallel.checkpoint.FailoverTracker).  Must
-    #: exceed the master's longest healthy silent window — the masters
-    #: ping workers during long output passes to keep that window small.
+    #: exceed the master's longest healthy silent window — every server
+    #: heartbeats once per ``failover_silence / 4``, during long output
+    #: passes too, and a held client hears ``HOLD_EXPIRED`` once per
+    #: ``req_timeout / 2``.
     failover_silence: float = 2.0
 
     def scaled(self, factor: float) -> "FTParams":
@@ -64,12 +69,15 @@ class FTParams:
         knobs (``poll_backoff``, ``master_tick``, ``linger``) are capped
         at 10x, bounding the idle time the scaling adds to a fault-free
         run; the roles that still answer idle polls ``wait`` (the flat
-        FT masters, both coordinators) poll that much less during a
-        genuinely dead peer's detection wait.  A group sub-master holds
-        an idle member's poll instead (``PullServer.sweep``) for
-        ``req_timeout / 2``, which scales with the patience knobs, so
-        it stays inside the member's resend deadline and far inside
-        ``search_timeout`` under every cost model.
+        FT masters, the elastic coordinator) poll that much less during
+        a genuinely dead peer's detection wait.  The group sub-master
+        and the batch coordinator hold an idle poll instead
+        (``PullServer.sweep``) for ``req_timeout / 2``, and every server
+        heartbeats once per ``failover_silence / 4``: both scale with
+        the full factor, so a hold stays inside the client's resend
+        deadline and far inside every silence threshold, and a
+        heartbeat comes four times per silence window, under every cost
+        model.
         """
         if factor <= 1.0:
             return self

@@ -603,12 +603,10 @@ def _ft_master(
         # Announce the new master immediately: surviving workers adopt
         # it on the first ping instead of waiting out failover_silence.
         ping_workers(force=True)
-    done_since: float | None = None
+    server = PullServer(ctx, ft, MPI_FT, range(ctx.size))
 
     def on_tick(request, now: float) -> None:
-        nonlocal done_since
         if request is not None:
-            done_since = None
             w = request[0]
             if live.heard(w, now):
                 report.record(sim.now, "recover:revive", w)
@@ -625,15 +623,9 @@ def _ft_master(
             attempt_output()
 
     def on_idle(_now: float) -> bool:
-        nonlocal done_since
-        if state == "done":
-            if done_since is None:
-                done_since = sim.now
-            elif sim.now - done_since > ft.linger:
-                return True
-        return False
+        # sim.now: the tick may just have run the whole output pass
+        return state == "done" and server.lingered(sim.now)
 
-    server = PullServer(ctx, ft, MPI_FT, range(ctx.size))
     if server.serve(
         on_tick=on_tick, on_idle=on_idle, on_request=handle
     ) is not None:

@@ -675,15 +675,13 @@ def _ft_master(
         # Announce the new master immediately: surviving workers adopt
         # it on the first ping instead of waiting out failover_silence.
         ping_workers(force=True)
-    done_since: float | None = None
+    server = PullServer(ctx, ft, PIO_FT, range(ctx.size))
     # Silence limit by whether the worker owes a write (then
     # write_timeout, if shorter).
     limits = (ft.search_timeout, min(ft.write_timeout, ft.search_timeout))
 
     def on_tick(request, now: float) -> None:
-        nonlocal done_since
         if request is not None:
-            done_since = None
             if live.heard(request[0], now):
                 report.record(sim.now, "recover:revive", request[0])
                 ensure_progress()
@@ -694,7 +692,7 @@ def _ft_master(
         ckpt.maybe_save(ckpt_state)
 
     def on_idle(now: float) -> bool:
-        nonlocal state, done_since
+        nonlocal state
         if state == "search" and not live.alive:
             # Degraded: nobody left to search the missing fragments
             # (a promoted master can still write its own blocks).
@@ -704,14 +702,11 @@ def _ft_master(
             # Everyone died mid-output: shrink to what the master
             # can write alone.
             start_output_round(writable_now())
-        if state == "output" and not pending and not research:
-            if done_since is None:
-                done_since = now
-            elif now - done_since > ft.linger:
-                return True
-        return False
+        return (
+            state == "output" and not pending and not research
+            and server.lingered(now)
+        )
 
-    server = PullServer(ctx, ft, PIO_FT, range(ctx.size))
     if server.serve(
         on_tick=on_tick, on_idle=on_idle, on_request=handle
     ) is not None:

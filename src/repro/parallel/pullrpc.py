@@ -293,6 +293,14 @@ class Heartbeat:
 
     Keeps clients from starting failover during long silent passes and
     doubles, for a promoted server, as the new-master announcement.
+    The period is a quarter of ``failover_silence``, the silence it
+    protects: a client that hears nothing else still hears about four
+    beats in any window that would make it give up on the server, under
+    every cost model (``FTParams.scaled`` stretches both by one
+    factor).  A faster beat buys nothing: replies — a held request's
+    ``HOLD_EXPIRED`` included — refresh a client's view of its server
+    as well.  The first beat goes out at once; ``force=True`` ignores
+    the period.
     ``targets`` is the role's rule for whom to tell, evaluated only
     when a beat actually goes out.  The default is *every* other rank,
     not just presumed-alive ones: an isend to a dead rank is a buffered
@@ -309,10 +317,10 @@ class Heartbeat:
     ) -> None:
         self.ctx = ctx
         self.engine = ctx.engine
-        self.period = ft.master_tick
+        self.period = ft.failover_silence / 4
         self.ping_tag = ping_tag
         self.targets = targets or (lambda: range(ctx.size))
-        self.last = ctx.engine.now - ft.master_tick
+        self.last = ctx.engine.now - self.period
 
     def beat(self, force: bool = False) -> None:
         now = self.engine.now
@@ -345,14 +353,17 @@ class PullServer:
 
     A handler with nothing to give may return None instead of a body:
     the request is then *held* (long-polled) under its client — at most
-    one per client, since a client has one outstanding request — and
-    the role's loop re-offers it with :meth:`sweep` until the handler
-    has a body, or answers :data:`HOLD_EXPIRED` after ``req_timeout /
-    2``.  That expiry sits inside the client's resend deadline
-    (``req_timeout``) and far inside any silence threshold the server
-    applies to its clients (``search_timeout``); ``FTParams.scaled``
-    stretches all of them by one factor, so it does under every cost
-    model.  Only a role whose loop sweeps may hold (see FAULTS.md §3).
+    one per client, since a client has one outstanding request, and a
+    newer ``seq`` from the same client replaces the hold, whose old
+    ``seq`` is never answered — and :meth:`sweep` re-offers it until
+    the handler has a body, or answers :data:`HOLD_EXPIRED` after
+    ``req_timeout / 2``.  That expiry sits inside the client's resend
+    deadline (``req_timeout``) and far inside any silence threshold the
+    server applies to its clients (``search_timeout``, the group
+    budget); ``FTParams.scaled`` stretches all of them by one factor,
+    so it does under every cost model.  :meth:`serve` sweeps on its
+    own, so any role serving through it may hold; a role with its own
+    loop (the group sub-master) sweeps there (see FAULTS.md §3).
     """
 
     def __init__(self, ctx, ft, tags: Tags, succession: Sequence[int]) -> None:
@@ -361,10 +372,17 @@ class PullServer:
         self.tags = tags
         self.succession = succession
         self._answered: dict[int, tuple[int, Any]] = {}
-        #: client -> (its held request, virtual time the hold expires)
-        self._held: dict[int, tuple[tuple[int, int, str, Any], float]] = {}
+        #: client -> (its held request, virtual times the hold began and
+        #: expires)
+        self._held: dict[
+            int, tuple[tuple[int, int, str, Any], float, float]
+        ] = {}
+        #: client -> virtual seconds its requests have spent held
+        self.held_s: dict[int, float] = {}
         #: virtual seconds spent blocked in :meth:`serve`'s receive
         self.waited = 0.0
+        #: the first idle tick of the current linger (see :meth:`lingered`)
+        self._idle_since: float | None = None
 
     def serve_request(
         self,
@@ -384,44 +402,70 @@ class PullServer:
         held = self._held.get(w)
         if held is not None and held[0][1] == seq:
             return
+        self._unhold(w, self.ctx.engine.now)  # a newer seq replaces it
         body = handle(w, kind, data)
         if body is None:
-            expiry = self.ctx.engine.now + self.ft.req_timeout / 2
-            self._held[w] = (request, expiry)
+            now = self.ctx.engine.now
+            self._held[w] = (request, now, now + self.ft.req_timeout / 2)
         else:
             self._release(w, seq, body)
 
+    def _unhold(self, w: int, until: float) -> None:
+        """End client ``w``'s hold, if any, as of ``until``; its length
+        goes to :attr:`held_s`."""
+        held = self._held.pop(w, None)
+        if held is not None:
+            self.held_s[w] = self.held_s.get(w, 0.0) + until - held[1]
+
     def _release(self, w: int, seq: int, body: Any) -> None:
         """Answer (and cache) ``seq`` of client ``w``."""
-        self._held.pop(w, None)
         answer = self._answered[w] = (seq, body)
         self.ctx.comm.isend(answer, dest=w, tag=self.tags.reply)
 
     def sweep(self, handle: Callable[[int, str, Any], Any]) -> None:
         """Re-offer every held request to ``handle``, in client rank
         order; answer each as soon as it has a body, or with
-        :data:`HOLD_EXPIRED` once its hold ran out."""
+        :data:`HOLD_EXPIRED` once its hold ran out.  A hold answered
+        here ends as of the sweep's start: time the handlers take to
+        make the answer (a layout, say) is the server's work, not the
+        client's idleness."""
         if not self._held:
             return
         now = self.ctx.engine.now
         for w in sorted(self._held):
-            (_w, seq, kind, data), expiry = self._held[w]
+            (_w, seq, kind, data), _since, expiry = self._held[w]
             body = handle(w, kind, data)
             if body is None:
                 if now < expiry:
                     continue
                 body = HOLD_EXPIRED
             self._release(w, seq, body)
+            self._unhold(w, now)
 
     def next_expiry(self) -> float | None:
         """When the earliest hold runs out (None: nothing is held)."""
         if not self._held:
             return None
-        return min(expiry for _request, expiry in self._held.values())
+        return min(expiry for _req, _since, expiry in self._held.values())
 
     def drop(self, w: int) -> None:
         """Client ``w`` was declared dead: it gets no answer."""
-        self._held.pop(w, None)
+        self._unhold(w, self.ctx.engine.now)
+
+    def lingered(self, now: float) -> bool:
+        """For a role with nothing left to give, asked on each idle
+        tick of :meth:`serve`: True once ``ft.linger`` has passed since
+        the first such tick with no request in between, so resends of a
+        lost final answer are still served.  Idle ticks are
+        ``master_tick`` apart and ``linger`` is a whole number of them
+        (``FTParams.scaled`` stretches both alike); half a tick of slack
+        keeps float rounding of that sum from deciding whether the
+        server stays one tick longer."""
+        if self._idle_since is None:
+            self._idle_since = now
+            return False
+        ft = self.ft
+        return now - self._idle_since > ft.linger - ft.master_tick / 2
 
     def outranked_by(self, announcer: int) -> bool:
         s, me = self.succession, self.ctx.rank
@@ -440,8 +484,9 @@ class PullServer:
         (returns the successor; ``recover:abdicate`` is recorded and the
         caller must not touch shared output again).
 
-        Each iteration receives for at most ``ft.master_tick``.  A ping
-        from a later-succession rank ends the loop.  Otherwise
+        Each iteration receives for at most ``ft.master_tick``, or
+        until the earliest hold expires.  A ping from a
+        later-succession rank ends the loop.  Otherwise
         ``on_tick(request, now)`` runs — every iteration, because with
         healthy clients polling the receive may never time out —
         where ``request`` is the 4-tuple just received, or None on a
@@ -449,10 +494,11 @@ class PullServer:
         messages).  The role refreshes the sender's liveness there
         *before* its death sweep, so a slow client is not declared dead
         by its own message; then heartbeat, checkpoint, and its own
-        steps.  On a timeout ``on_idle(now)`` → True ends the loop (the
-        role's linger ran out); a request is answered through
-        :meth:`serve_request`.  ``now`` is when the receive returned
-        (ticks may consume virtual time).
+        steps.  A request is answered through :meth:`serve_request`.
+        The held requests are swept after every served request and on
+        every timeout; after that timeout sweep ``on_idle(now)`` → True
+        ends the loop (the role is done and :meth:`lingered`).  ``now``
+        is when the receive returned (ticks may consume virtual time).
         """
         comm, engine = self.ctx.comm, self.ctx.engine
         tick = self.ft.master_tick
@@ -461,13 +507,17 @@ class PullServer:
         st = Status()  # one envelope, refilled by every receive
         while True:
             t0 = engine.now
+            timeout = tick
+            if self._held:
+                timeout = max(0.0, min(tick, self.next_expiry() - t0))
             msg = recv(
-                source=ANY_SOURCE, tag=ANY_TAG, timeout=tick, status=st
+                source=ANY_SOURCE, tag=ANY_TAG, timeout=timeout, status=st
             )
             now = engine.now
             self.waited += now - t0
             if msg is TIMEOUT:
                 on_tick(None, now)
+                self.sweep(on_request)
                 if on_idle(now):
                     return None
                 continue
@@ -482,7 +532,9 @@ class PullServer:
             request = msg if tag == req_tag else None
             on_tick(request, now)
             if request is not None:
+                self._idle_since = None
                 self.serve_request(request, on_request)
+                self.sweep(on_request)
 
 
 # ----------------------------------------------------------------------

@@ -627,251 +627,338 @@ def fingerprint_digest(fp) -> str:
 
 #: sha256 of ``run_fingerprint`` taken at commit 421f6c1, where the
 #: drain scheduler and the legacy one (``fast_wakes=False``, since
-#: deleted) both produced exactly these.
+#: deleted) both produced exactly these.  The FT chaos run re-captured
+#: with ``GOLDEN_HIER_REPLAY``: its master heartbeats once per
+#: ``failover_silence / 4`` now.
 GOLDEN_REPLAY = {
     "mpiblast-np6":
         "a0005422b5e3c1bdf8030ae06e61ee161443eb163da4c4a16ae8b9819f5af8a7",
     "pioblast-np6":
         "4436377e5196dfbf676737d4ce919ea0231436ae98c6bd279647cc577a1ca19c",
     "pioblast-np8-chaos":
-        "069d669a151bfe9ab6c9723695e9bd6e53478bdc89e190e16861bc5ac09a42bb",
+        "347b21b5f0ce70221e3288a3a0b67fc2c690f47287944ee69e32097b1b45757d",
 }
 
 
 #: The same, for the roles ``GOLDEN_REPLAY`` misses — sub-master,
-#: coordinator, elastic coordinator — each through a failover.
-#: Re-captured (twice, equal) by the change whose parent is 3a6d929,
-#: which made group sub-masters hold idle member polls instead of
-#: answering ``wait``: the hier timeline moved, the flat goldens above
-#: did not.
+#: coordinator, elastic coordinator — each through a failover, as
+#: ``faults -> (the FaultReport kinds it exists to record, sha256)``.
+#: Re-captured (twice, equal) by the change whose parent is e2d8bad,
+#: which paced heartbeats by ``failover_silence / 4``, made the batch
+#: coordinator hold idle polls and made a guessed candidate's first
+#: announcement trigger a resend.  The group kill lands at 28 s, while
+#: g1 serves wave 3 (23.5 - 33.1 s fault-free): at 40 s it holds none.
 GOLDEN_HIER_REPLAY = {
-    "crash=submaster:g1@20":
-        "02f7516a77defc7dfb32c6acb091da502b1493a90c8ac989f6423551c4077a8d",
-    "crash=coordinator@20":
-        "a8e59efde707dd86bdd97b8f853a214089ba276a90f79fe437f14b3e106e4ce2",
-    "crash=group:g1@40":
-        "ee4c127af2390682ffa4640a7c07b95f52d74943037643da729a9e39d6104d5f",
+    "crash=submaster:g1@20": (
+        ("detect:master-dead", "recover:promote-submaster"),
+        "62f07e32d653f0b18f6a95285f42f38c57d69ab540b662241dd7281cae37a765",
+    ),
+    "crash=coordinator@20": (
+        (
+            "detect:master-dead",
+            "recover:promote-coordinator",
+            "recover:promote-submaster",
+        ),
+        "da6123b6fe0f77006f8ec6f70d63c26ea8b079a64ad1dd8a70fe540bad071c0b",
+    ),
+    "crash=group:g1@28": (
+        ("detect:group-dead",),
+        "db7ea5dac72f24d84e6f070f789f3253a33fa884626633ac360c93cefc11f960",
+    ),
 }
 
 
 #: The fault-scenario corpus (ROADMAP item 1): every FT driver — flat
 #: pio / mpi, hier replicate / shard, the elastic service — under crash,
 #: drop, ``ioerr`` and slow-disk plans, ``name -> (driver, nprocs,
-#: faults, options, sha256)``.  The ``ioerr`` plans are timed so that
-#: ``recover:io-retry`` is recorded through every ``reliable_read`` /
-#: ``reliable_write`` / ``write_output`` call site of the protocol
-#: modules.  ``lab=True`` runs under the laboratory cost model, whose
-#: FT timeouts are seconds rather than thousands of seconds, so a crash
-#: costs a fraction of a host second to sit out; other options are
-#: ``ParallelConfig`` fields.
-#: Flat digests taken at commit 5f2f1d6 (the parent of the change that
-#: replaced the protocol modules' inline ``retry_io`` wrappers); hier
-#: and elastic digests re-captured with the held member polls, as
-#: ``GOLDEN_HIER_REPLAY``.
+#: faults, options, kinds, sha256)``.  ``kinds`` are the FaultReport
+#: kinds the entry exists to record; a re-timed protocol that stops
+#: reaching them fails ``test_fault_corpus_records_its_kinds``.  The
+#: ``ioerr`` plans are timed so that ``recover:io-retry`` is recorded
+#: through every ``reliable_read`` / ``reliable_write`` /
+#: ``write_output`` call site of the protocol modules.  ``lab=True``
+#: runs under the laboratory cost model, whose FT timeouts are seconds
+#: rather than thousands of seconds, so a crash costs a fraction of a
+#: host second to sit out; other options are ``ParallelConfig`` fields.
+#: Kill instants are read off the fault-free trace, at a moment the
+#: target holds an obligation: member 6 searches its first fragment
+#: from 0.001 to 0.012 s, g2's sub-master writes batch 1 from 0.700 to
+#: 0.708 s, and pio's promoted master writes its own blocks from about
+#: 2.092 to 2.098 s.  Digests re-captured with ``GOLDEN_HIER_REPLAY``.
 FAULT_CORPUS = {
     "pio/ioerr-queries": (
         "pioblast", 6,
         "ioerr=queries@0n2",
         dict(),
-        "6edc32f9d52c45be3cf4b3c3c2bcfc43ac5a9e3ce767f73ec90f92fe94cf2953",
+        ("recover:io-retry",),
+        "0f49356c6b2f9eb5661008dbeb57ee80c3fc056a2afc593eee189fc00f9cea58",
     ),
     "pio/ioerr-index": (
         "pioblast", 6,
         "ioerr=nr.xin@0n2",
         dict(),
-        "1c6184a4377c0cf6f7af9e9add7084fea6f929b7f92526ed8d65f0cc0543a2b2",
+        ("recover:io-retry",),
+        "f7d8c9a2b55f166eff7903e54e4191832b9192e8bbe3494b69715b39af80b0cf",
     ),
     "pio/ioerr-output": (
         "pioblast", 6,
         "ioerr=results@0n3",
         dict(),
-        "0897053776ea9c4d9357121524d31780beefdc0cf8567d712515bcec1be0e37b",
+        ("recover:io-retry",),
+        "38e6928d749e6f26e41f410b6c8b50fee78c83f6fe10fa5f37805cb56c9a0580",
     ),
     "pio/slowdisk": (
         "pioblast", 6,
         "slowdisk=4x20@0",
         dict(),
-        "5ddc5bd3b19f23b623bdd555e38f940c1b2666ea7b9608e1fbcc19bf88a8b548",
+        ("inject:slowdisk-begin", "inject:slowdisk-end"),
+        "e4de89f32cd3cad067ea79dc7438118158c87a9721c3603ea11cf42c1c79aeac",
     ),
     "pio/drop-request": (
         "pioblast", 6,
         "drop=*>0:40n3",
         dict(),
-        "f15a63dc663e6d2e54614aad213cadb69e088493da80b2bc7df4d7fec3aec436",
+        ("inject:drop",),
+        "5a990b11fcae55aba70c9064ca01199dbf6e191494a6633601287226bac78707",
     ),
     "pio/kill-worker": (
         "pioblast", 6,
         "kill=2@0.02",
         dict(lab=True),
-        "c8c4d5b365e59d032b22f28a7fb284c4193b57a815229b3b902e1716e4dbf13c",
+        ("detect:worker-dead", "recover:requeue"),
+        "a4390c00a55e2ecfcaba24c72302c4cffa19566006a1406d6c899e72157809a1",
     ),
     "pio/kill-master-ioerr-output": (
         "pioblast", 6,
-        "kill=0@0.03,ioerr=results@0n3,ioerr=results@2.14n2",
+        "kill=0@0.03,ioerr=results@0n3,ioerr=results@2.095n2",
         dict(lab=True, checkpoint_interval=0.01),
-        "1c51751adb9806d343c130ccd5df1dd7f2dab49150b93c3e20800d591d36308d",
+        (
+            "detect:master-dead",
+            "recover:promote-master",
+            "recover:master-held-write",
+            "recover:io-retry",
+        ),
+        "b603121f56f66be9de5b167f75e3b17d1ae3e350743ab445dafab29797b7fc52",
     ),
     "pio/mixed": (
         "pioblast", 8,
         "seed=3,kill=3@0.02,drop=0>*:41n2,ioerr=@0.01n2",
         dict(lab=True),
-        "d16fd4fb9eeb2a8a49207368ab6e39b1e1f50526e7b1c971aaed16637907f585",
+        (
+            "detect:worker-dead",
+            "recover:requeue",
+            "inject:drop",
+            "recover:io-retry",
+        ),
+        "e0e2e3ab4ae9ab21007305a83697058f8e040fc8a67cb317ca7eb326933322cb",
     ),
     "mpi/drop-request": (
         "mpiblast", 6,
         "drop=*>0:16n3",
         dict(),
-        "ae46b573ee768e70ee3fc5c1df59d7803a1ea34e5fcf4054653dabbb07c8f040",
+        ("inject:drop",),
+        "73c0f22f595626256bc84bc96a3391f741e80860e516d8f95ea14b8a163e195e",
     ),
     "mpi/ioerr-setup": (
         "mpiblast", 6,
         "ioerr=queries@0n2,ioerr=nr.xin@0n1",
         dict(),
-        "073c9cf5351daa2b2aeb687d0aab9751e9fec0e5d950aa1d49744716e707ae17",
+        ("recover:io-retry",),
+        "4f25a039de6704315afee2bcbdea286a9fb92e7e490ea34698be1af73fc33d05",
     ),
     "mpi/ioerr-copy-read": (
         "mpiblast", 6,
         "ioerr=nr.frag@0n4",
         dict(),
-        "953d0f10a6db81756742ea06148b66faa33274578316050956166431babdd73c",
+        ("recover:io-retry",),
+        "8882e5a3da7301c11562abe7d395b1e5e9b590106952b7caf98fc52d88c1f82e",
     ),
     "mpi/ioerr-scratch": (
         "mpiblast", 6,
         "ioerr=scratch/@0n3,ioerr=scratch/@9.7n4",
         dict(),
-        "ead3aab95e1d874982567b5dd2f86ec85690aa1b6e69f54bfe161f7cf26894ec",
+        ("recover:io-retry",),
+        "41aeeb32c9158eada9dc277e044d0d8b408234a7239718f17861839095fda3ed",
     ),
     "mpi/ioerr-output": (
         "mpiblast", 6,
         "ioerr=results@0n3",
         dict(),
-        "020992c642989cab7ceaf36b47a2acf8d4ef7ba21ab7c0f6600daa51b66ab021",
+        ("recover:io-retry",),
+        "927378bbc1865748bb6f4f4e3716406cf7e03f2802e922b1c81a0ff7fa66be50",
     ),
     "mpi/slowdisk": (
         "mpiblast", 6,
         "slowdisk=4x30@0",
         dict(),
-        "120c4c5031fa040efa4e642a3a9ea4a270c1be4cb66c2da7ceb2990d4abd9e68",
+        ("inject:slowdisk-begin", "inject:slowdisk-end"),
+        "0a18282361274ac9c6d2fdd04e611f87e5ecbaa1f2708f5f08ad846d5486388a",
     ),
     "mpi/kill-worker": (
         "mpiblast", 6,
         "kill=2@0.02",
         dict(lab=True),
-        "a2216707180bf16a9f1cce4546a8dd74d06819c444c8a331dd865fe01e156f52",
+        ("detect:worker-dead", "recover:requeue"),
+        "5812841edd7a1a0a96c63782a9c6303de56930f28da57ac994d9de093a2b6694",
     ),
     "mpi/kill-master": (
         "mpiblast", 6,
         "kill=0@0.06",
         dict(lab=True, checkpoint_interval=0.01),
-        "b21d4cd51b43a9d2c634e77ec29e4dafcb2f83bac3dfaa43444013d52e1d83af",
+        (
+            "detect:master-dead",
+            "recover:promote-master",
+            "recover:restore-checkpoint",
+        ),
+        "d92dab61392e5cfedcf7e320432023cfcb1eedc459c1142685e871268138e1c7",
     ),
     "hier-replicate/drop-request": (
         "hier-replicate", 13,
         "drop=*>0:80n3",
         dict(),
-        "5427c9c2ff6b0eb8640dd769096a76b0e59fb011b3e02d0d8ba584421de9067d",
+        ("inject:drop",),
+        "70284e4cdf8f883cb27982f5d4c07fc086e2627fe2580a8699f3bd45cf9fb977",
     ),
     "hier-replicate/ioerr-queries": (
         "hier-replicate", 13,
         "ioerr=queries@0n2",
         dict(),
-        "467ffe54786a74aafddff4f39492b705dcde4707148fb6291981ab9fbfd284c8",
+        ("recover:io-retry",),
+        "484ab6522c6bd5578427c0d8807e2c27c8110e75dacee451df286b3f03ca1b92",
     ),
     "hier-replicate/ioerr-index": (
         "hier-replicate", 13,
         "ioerr=nr.xin@0n2",
         dict(),
-        "4bcc8d7d9a2023ceb9d3f686d7b953177d4967f3bbad2e62700ddf9b85c520ef",
+        ("recover:io-retry",),
+        "38211f088dfc759c59786caa9c4d27d6e2ac0173cf16cfd0b77927c18a3687a0",
     ),
     "hier-replicate/ioerr-output": (
         "hier-replicate", 13,
         "ioerr=results@0n4,ioerr=results@61.2n3",
         dict(),
-        "b88fa42cf6b27937a2b3dccf07a900c257b088c9fc0a4819d7f9bd470eeb1c9b",
+        ("recover:io-retry",),
+        "122262fbcb6c9ab38789c2be167057fae90972133cc3bcb524c04875ae00cd02",
     ),
     "hier-replicate/ioerr-marker": (
         "hier-replicate", 13,
         "ioerr=_ckpt/hier.done@0n2",
         dict(),
-        "da428ae6227f7e948cdc52c35818b513f113328e0135e3ebde313f6f088ec2a3",
+        ("recover:io-retry",),
+        "374f76349d23c59f5387b24760babb015946efd0bbdbd3040c824ee618f2ad99",
     ),
     "hier-replicate/crash-submaster": (
         "hier-replicate", 13,
         "crash=submaster:g1@0.3",
         dict(lab=True),
-        "78a4f77b29352b5b61ccd2ee45ee3ece0b88b2a70cff219b695e1b343e1f3127",
+        ("detect:master-dead", "recover:promote-submaster"),
+        "8dfb504821bfda82814d4640ad4ae3d5e36ab5c4daf88ea9b0fa121026a820ab",
     ),
     "hier-replicate/kill-member": (
         "hier-replicate", 13,
-        "kill=6@0.3",
+        "kill=6@0.005",
         dict(lab=True),
-        "e953805eb1057074fc8be0e539b12c7e8b977488f9f495cb431159f8481da5ce",
+        ("detect:worker-dead", "recover:adopt-fragment"),
+        "3255aad4181df8bc2a766e5a2078895c7fa2c6bda4f96d6e9e2e2e1659803f42",
     ),
     "hier-shard/ioerr-output": (
         "hier-shard", 13,
         "ioerr=results@0n5",
         dict(),
-        "393de19b750bd10c484d0b1f126cb8286dfe3358df3f85304da23fb25fc9d670",
+        ("recover:io-retry",),
+        "bbc02aafd84997ebb1764a79c83118aabd20e4279029e36c2f419a72431cbceb",
     ),
     "hier-shard/slowdisk": (
         "hier-shard", 13,
         "slowdisk=3x40@10",
         dict(),
-        "241d2d42dc02c3f10dc5740b8fc73b39d6d461808283ef1011ebe67460a799b2",
+        ("inject:slowdisk-begin", "inject:slowdisk-end"),
+        "3e2a2ad126f7011e1908362781ef679203b4b909b6b1490a537f1023e7f4fa54",
     ),
     "hier-shard/drop-group-request": (
         "hier-shard", 13,
         "drop=*>*:90n4",
         dict(),
-        "67d6cad97fea9a4a338148542f4d046f4e21d5f890df1e306c5cf7665388c315",
+        ("inject:drop",),
+        "4c0522bd0776b53d0653dff7b8e99a57cb9d6e3a326644e3723464f9edbcf8bb",
     ),
     "hier-shard/crash-coordinator": (
         "hier-shard", 13,
         "crash=coordinator@1.0",
         dict(lab=True),
-        "f10b0bb91e419126dd317bf7154002c0eaae22c57b462c804adf69eccfe5bda6",
+        (
+            "detect:master-dead",
+            "recover:promote-coordinator",
+            "recover:promote-submaster",
+        ),
+        "404c0fb73f12243bba17e6709a9373e7f47bc0d40879b89ad11919b97e9dd7ca",
     ),
     "hier-shard/crash-submaster-ioerr-output": (
         "hier-shard", 13,
-        "crash=submaster:g2@1.5,ioerr=results@0n3",
+        "crash=submaster:g2@0.705,ioerr=results@0n3",
         dict(lab=True),
-        "38447d3ee95dd03a6f92f2bf4fd2e7c730d2120d6b29091a6818117965e76763",
+        (
+            "detect:master-dead",
+            "recover:promote-submaster",
+            "recover:io-retry",
+        ),
+        "7904387aaa914fbaad559a92605eaef7f09ce660538b1e41f4b6d2da9ef6a346",
     ),
     "elastic-replicate/group-kill-ioerr-output": (
         "elastic-replicate", 17,
         "crash=group:g1@3,ioerr=results@0n2",
         dict(lab=True),
-        "51f3d5ef3338f41df03987aa3eb58483c432513177c7d3867becbf9af2f29634",
+        ("inject:crash", "recover:io-retry"),
+        "09d00aec46b844a68c69a4bd0ebbc5ad4c12cf7539195e32cb7cc1b0964be064",
     ),
     "elastic-replicate/crash-coordinator": (
         "elastic-replicate", 17,
         "crash=coordinator@3",
         dict(lab=True),
-        "0b21406db153c7d1af551771653ac9819fca981515078822dee5422f79cfbe1d",
+        (
+            "detect:master-dead",
+            "recover:promote-coordinator",
+            "recover:promote-submaster",
+        ),
+        "038a96c12b4129eba4e853f1934ccd212efc8d60cdc9068d27f92760f87f5c31",
     ),
     "elastic-replicate/ioerr-marker": (
         "elastic-replicate", 17,
         "ioerr=_ckpt/hier.done@0n2",
         dict(lab=True),
-        "1dc04d86d679ca6ed2ca2fcd3bb344231988110e383434f285c6bcd246e11134",
+        ("recover:io-retry",),
+        "0d86d1df1190a69c158d4cae3dbbc477c477272c88aa95afc152dca972487165",
     ),
     "elastic-replicate/drop-request": (
         "elastic-replicate", 17,
         "drop=*>0:80n3",
         dict(lab=True),
-        "753756b7ac171a7f1db179a8081073091bb4203d3dd3e2480a43f6f4bcbcf9ea",
+        ("inject:drop",),
+        "9640ebd38479d85c52485bc03d6370d0eec7ea64df80699a0546a2a0ab575ef8",
     ),
     "elastic-shard/group-kill-ioerr-probe": (
         "elastic-shard", 17,
         "crash=group:g1@3,ioerr=nr.x@3.5n2",
         dict(lab=True),
-        "d37fab156655fe5b9556e295679b344c7d7ac02463d4552a592c4cef25a9870a",
+        (
+            "detect:group-dead",
+            "recover:rereplicate-start",
+            "recover:load-fragments",
+            "recover:rereplicate",
+            "recover:io-retry",
+        ),
+        "9b4b72e8f2550e0118a23867778e554292a280d9dba2c42adcbf99a4afb42386",
     ),
     "elastic-shard/kill-submaster-slowdisk": (
         "elastic-shard", 17,
         "kill=7@2,slowdisk=2x5@1",
         dict(lab=True),
-        "fc9996ddfa2dddb13b631ea2fc0f5ca30c40d0cddaf23e6407182cd3a799c917",
+        (
+            "detect:master-dead",
+            "recover:promote-submaster",
+            "inject:slowdisk-begin",
+        ),
+        "961f327998200fd785eadc81fdd203e24b789e91c6eb0f3610d1c2b30b1b848c",
     ),
 }
 
@@ -912,6 +999,30 @@ def run_corpus_fingerprint(driver, nprocs, faults, *, lab=False, **overrides):
     return fp
 
 
+_FINGERPRINTS: dict[str, dict] = {}
+
+
+def replay_fingerprint(faults: str) -> dict:
+    """``run_hier_fingerprint`` of a ``GOLDEN_HIER_REPLAY`` key, run
+    once per test run (its digest and its kinds are two tests)."""
+    if faults not in _FINGERPRINTS:
+        _FINGERPRINTS[faults] = run_hier_fingerprint(
+            faults, service=faults.startswith("crash=group:")
+        )
+    return _FINGERPRINTS[faults]
+
+
+def corpus_fingerprint(name: str) -> dict:
+    """``run_corpus_fingerprint`` of a ``FAULT_CORPUS`` entry, run once
+    per test run."""
+    if name not in _FINGERPRINTS:
+        driver, nprocs, faults, options, _kinds, _sha = FAULT_CORPUS[name]
+        _FINGERPRINTS[name] = run_corpus_fingerprint(
+            driver, nprocs, faults, **options
+        )
+    return _FINGERPRINTS[name]
+
+
 class TestSchedulerReplayIdentity:
     @pytest.mark.parametrize("program", ["mpiblast", "pioblast"])
     def test_driver_replays_bit_for_bit(self, program):
@@ -922,13 +1033,19 @@ class TestSchedulerReplayIdentity:
         "faults", ["crash=submaster:g1@20", "crash=coordinator@20"]
     )
     def test_hier_failover_replays_bit_for_bit(self, faults):
-        fp = run_hier_fingerprint(faults)
-        assert fingerprint_digest(fp) == GOLDEN_HIER_REPLAY[faults]
+        fp = replay_fingerprint(faults)
+        assert fingerprint_digest(fp) == GOLDEN_HIER_REPLAY[faults][1]
 
     def test_hier_service_group_kill_replays_bit_for_bit(self):
-        faults = "crash=group:g1@40"
-        fp = run_hier_fingerprint(faults, service=True)
-        assert fingerprint_digest(fp) == GOLDEN_HIER_REPLAY[faults]
+        fp = replay_fingerprint("crash=group:g1@28")
+        assert fingerprint_digest(fp) == GOLDEN_HIER_REPLAY[
+            "crash=group:g1@28"][1]
+
+    @pytest.mark.parametrize("faults", sorted(GOLDEN_HIER_REPLAY))
+    def test_hier_replay_records_its_kinds(self, faults):
+        kinds = {kind for _t, kind, _d in replay_fingerprint(faults)["events"]}
+        declared = GOLDEN_HIER_REPLAY[faults][0]
+        assert [k for k in declared if k not in kinds] == []
 
     def test_chaos_replay(self):
         from repro.simmpi.faults import CrashFault, FaultPlan, StragglerFault
@@ -943,10 +1060,17 @@ class TestSchedulerReplayIdentity:
 
     @pytest.mark.parametrize("name", sorted(FAULT_CORPUS))
     def test_fault_corpus_replays_bit_for_bit(self, name):
-        driver, nprocs, faults, options, golden = FAULT_CORPUS[name]
-        fp = run_corpus_fingerprint(driver, nprocs, faults, **options)
+        fp = corpus_fingerprint(name)
         assert fp["fault_report"][0], "the plan injected nothing"
-        assert fingerprint_digest(fp) == golden
+        assert fingerprint_digest(fp) == FAULT_CORPUS[name][-1]
+
+    @pytest.mark.parametrize("name", sorted(FAULT_CORPUS))
+    def test_fault_corpus_records_its_kinds(self, name):
+        events = corpus_fingerprint(name)["fault_report"][0]
+        kinds = {kind for _t, kind, _d in events}
+        declared = FAULT_CORPUS[name][-2]
+        assert declared, "every entry names what it exists for"
+        assert [k for k in declared if k not in kinds] == []
 
 
 class TestSchedulerDrainUnits:

@@ -327,9 +327,13 @@ class TestFailoverTracker:
         def body(fo, ctx):
             ctx.engine.sleep(_SILENCE)
             fo.tick()                      # guessing master=1
-            changed = fo.announce(1)       # 1 really speaks
-            assert not changed             # same rank: just heard()
+            resend = fo.announce(1)        # 1 really speaks
+            # Same rank, but True: 1 dropped whatever reached it while
+            # it was only our guess (it had not promoted yet), so the
+            # caller must send it again now.
+            assert resend and fo.master == 1
             assert not fo.guessing
+            assert not fo.announce(1)      # heard again: nothing to do
             for _ in range(2):             # 1 goes quiet again
                 ctx.engine.sleep(_SILENCE)
                 fo.tick()

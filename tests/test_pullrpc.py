@@ -8,10 +8,12 @@ from __future__ import annotations
 import ast
 import importlib
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from repro.experiments.common import PAPER_COSTS
 from repro.parallel import pullrpc
 from repro.parallel.checkpoint import FailoverTracker
 from repro.parallel.config import FTParams
@@ -325,6 +327,37 @@ class TestSuccession:
         t = launch(2, prog).rank_results[1]
         assert FT.failover_silence < t <= FT.failover_silence + FT.req_timeout
 
+    def test_guessed_candidate_announcing_gets_the_request_again(self):
+        """Silence advances rank 2 to candidate 1 by guess while 1 has
+        not promoted yet, so 1 drops the request.  When 1 announces
+        itself, the request goes to it again at once — not at the
+        resend deadline ``req_timeout`` after the dropped copy."""
+        got = {}
+        patient = replace(FT, req_max_attempts=10)
+
+        def prog(ctx):
+            comm, sim = ctx.comm, ctx.engine
+            if ctx.rank == 0:
+                sim.sleep(10.0)  # silent master
+            elif ctx.rank == 1:
+                dropped = comm.recv(tag=T.req)  # not serving yet
+                got["dropped"] = (dropped[1], sim.now)
+                sim.sleep(0.4)
+                comm.isend(1, dest=2, tag=T.ping)  # promoted: announce
+                w, seq, _kind, _d = comm.recv(tag=T.req)
+                got["served"] = (seq, sim.now)
+                comm.isend((seq, "from-1"), dest=w, tag=T.reply)
+            else:
+                c = client(ctx, succession=[0, 1, 2], ft=patient)
+                return c.call("work")
+
+        assert launch(3, prog).rank_results[2] == "from-1"
+        seq, t_drop = got["dropped"]
+        assert seq == 1 and t_drop > FT.failover_silence  # the guess
+        assert got["served"][0] == 1
+        assert got["served"][1] == pytest.approx(t_drop + 0.4, abs=0.01)
+        assert got["served"][1] < t_drop + FT.req_timeout
+
     def test_done_marker_ends_the_walk(self):
         store = FileStore()
         store.write("ckpt/hier.done", 0, b"done")
@@ -579,6 +612,62 @@ class TestHold:
         assert res.rank_results[1] == ("unit", 1)  # lowest rank wins
         assert res.rank_results[2] == res.rank_results[3] == HOLD_EXPIRED
 
+    @pytest.mark.parametrize("newer", ["result", "work"])
+    def test_newer_seq_replaces_the_hold(self, newer):
+        """A client that supersedes its held poll (a sub-master with a
+        result to deliver) gets an answer for the new ``seq`` only —
+        at once for a result, at the new hold's own expiry for another
+        poll — and none, ever, for the old one.  ``held_s`` counts both
+        holds, the replaced one up to the newer request."""
+        def prog(ctx):
+            comm, sim = ctx.comm, ctx.engine
+            if ctx.rank == 0:
+                server = sweep_serve(
+                    ctx, lambda w, k, d: ("ok", d) if k == "result" else None,
+                    until=3.0,
+                )
+                return server.held_s
+            comm.isend((1, 1, "work", None), dest=0, tag=T.req)
+            sim.sleep(0.2)
+            comm.isend((1, 2, newer, 5), dest=0, tag=T.req)
+            return replies(ctx)
+
+        res = launch(2, prog)
+        (answer, t), = res.rank_results[1]
+        held = res.rank_results[0][1]
+        if newer == "result":
+            assert (answer, t) == ((2, ("ok", 5)), 0.2)
+            assert held == pytest.approx(0.2, abs=1e-4)
+        else:
+            assert answer == (2, HOLD_EXPIRED)
+            assert t == pytest.approx(0.2 + FT.req_timeout / 2)
+            assert held == pytest.approx(0.2 + FT.req_timeout / 2, abs=1e-4)
+
+    def test_held_client_without_pings_keeps_its_master(self):
+        """A server that never pings still keeps a held client's
+        ``FailoverTracker`` fresh: every ``HOLD_EXPIRED`` answer comes
+        from the believed master and ``match`` counts it as hearing
+        from it, so three silence windows pass without a failover."""
+        until = 3 * FT.failover_silence
+
+        def prog(ctx):
+            sim = ctx.engine
+            if ctx.rank == 0:
+                sweep_serve(ctx, lambda w, k, d: None, until=until + 1.0)
+                return None
+            c = client(ctx, succession=[0, 1])
+            answers = 0
+            while sim.now < until:
+                assert c.call("work") == HOLD_EXPIRED
+                answers += 1
+            return answers, c.fo.master, c.fo.guessing
+
+        res = launch(2, prog)
+        answers, master, guessing = res.rank_results[1]
+        assert answers == until / (FT.req_timeout / 2)
+        assert (master, guessing) == (0, False)
+        assert res.fault_report.events == []
+
     def test_done_releases_every_hold(self):
         done = []
 
@@ -666,28 +755,78 @@ class TestServer:
         assert ticks[-1] == (None, 1.2)
         assert waited == pytest.approx(1.2, abs=0.01)
 
-    def test_heartbeat_is_rate_limited_and_skips_self(self):
+    @pytest.mark.parametrize(
+        "ft",
+        [FTParams(), FTParams.for_cost(PAPER_COSTS)],
+        ids=["lab", "paper"],
+    )
+    def test_heartbeat_period_is_a_quarter_of_the_silence(self, ft):
+        """The first beat goes out at once, then one per
+        ``failover_silence / 4`` however often ``beat`` is called;
+        ``force`` ignores the period, ``name`` hands off, nobody pings
+        itself.  Under paper costs that is 475 s, not the 2.5 s
+        ``master_tick``."""
+        period = ft.failover_silence / 4
+        step = period / 8
+
         def prog(ctx):
             comm, sim = ctx.comm, ctx.engine
             if ctx.rank == 0:
-                hb = Heartbeat(ctx, FT, T.ping)
-                for _ in range(10):  # 1.0 s in 0.1 s steps
+                hb = Heartbeat(ctx, ft, T.ping)
+                assert hb.period == period
+                for _ in range(20):  # 2.5 periods in eighths
                     hb.beat()
-                    sim.sleep(0.1)
+                    sim.sleep(step)
                 hb.beat(force=True)
                 hb.name(2, [1])  # graceful hand-off names a successor
                 return None
             got = []
             while True:
-                msg = comm.recv_with_timeout(tag=T.ping, timeout=1.0)
+                msg = comm.recv_with_timeout(
+                    tag=T.ping, timeout=1.5 * period
+                )
                 if msg is TIMEOUT:
                     return got
-                got.append((msg, round(sim.now, 2)))
+                got.append((msg, round(sim.now / period, 3)))
 
         res = launch(3, prog)
-        beats = [(0, 0.0), (0, 0.3), (0, 0.6), (0, 0.9), (0, 1.0)]
-        assert res.rank_results[1] == beats + [(2, 1.0)]
+        beats = [(0, 0.0), (0, 1.0), (0, 2.0), (0, 2.5)]
+        assert res.rank_results[1] == beats + [(2, 2.5)]
         assert res.rank_results[2] == beats
+        assert ft.master_tick < period
+
+    def test_serve_sweeps_after_a_request_and_at_the_expiry(self):
+        """``serve`` long-polls on its own: rank 1's held poll is
+        answered by the sweep that follows rank 2's request (which made
+        the work), and rank 3's — with nothing for it — exactly when its
+        hold expires, not at the next ``master_tick`` boundary."""
+        work = []
+
+        def prog(ctx):
+            sim = ctx.engine
+            if ctx.rank == 0:
+                def handle(w, kind, data):
+                    if kind == "put":
+                        work.append(data)
+                        return ("ok", None)
+                    if w == 1 and work:
+                        return ("unit", work.pop())
+                    return None
+
+                serve(ctx, handle, until=1.5)
+                return None
+            if ctx.rank == 2:
+                sim.sleep(0.3)
+                return client(ctx).call("put", 9)
+            sim.sleep(0.01 * ctx.rank)
+            return client(ctx).call("work"), round(sim.now, 4)
+
+        res = launch(4, prog)
+        assert res.rank_results[1] == (("unit", 9), 0.3)
+        body, t = res.rank_results[3]
+        assert body == HOLD_EXPIRED
+        # held at 0.03: the ticks alone would wake at 0.55 (0.3 + tick)
+        assert t == pytest.approx(0.03 + FT.req_timeout / 2, abs=1e-4)
 
 
 # ----------------------------------------------------------------------
