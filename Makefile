@@ -34,6 +34,13 @@
 #                     ft-hier-kill and service-groupkill on them.
 #                     `python tools/park_census.py --poll-bench` is the
 #                     layer's micro-benchmark (us and calls per message)
+#   make import-census W=<workload>
+#                   - which repro modules a fresh benchmark process
+#                     compiles (tools/import_census.py): those its
+#                     imports load, with source lines, then those the
+#                     workload's set-up and timed region load first;
+#                     CI gates the imports' line total (--lines-at-most)
+#                     and fails if a driver only some jobs run loads
 #   make chaos      - tier 2: randomized fault-injection sweeps over fixed
 #                     seeds (slower; exercises FaultPlan.random + the
 #                     exhaustive kill-subset enumeration)
@@ -65,7 +72,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test bench-test bench-smoke bench-pairs cohort-census park-census chaos docs-check report bench-json perf-smoke \
+.PHONY: test bench-test bench-smoke bench-pairs cohort-census park-census import-census chaos docs-check report bench-json perf-smoke \
 	service-smoke hier-smoke hier-service-smoke
 
 test:
@@ -93,6 +100,9 @@ cohort-census:
 
 park-census:
 	$(PYTHON) tools/park_census.py --workload $(W)
+
+import-census:
+	$(PYTHON) tools/import_census.py --workload $(W)
 
 chaos:
 	$(PYTHON) -m pytest -m chaos -q

@@ -21,23 +21,14 @@ Entry points most users want::
     from repro.platforms import ORNL_ALTIX, NCSU_BLADE
 """
 
-from repro.blast import (
-    BlastSearch,
-    SearchParams,
-    blastp_search,
-    blastn_search,
-    formatdb,
-    FormattedDatabase,
-)
+from repro._lazy import namespace
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "BlastSearch",
-    "SearchParams",
-    "blastp_search",
-    "blastn_search",
-    "formatdb",
-    "FormattedDatabase",
-    "__version__",
-]
+__all__, __getattr__, __dir__ = namespace(__name__, {
+    "blast.engine": (
+        "BlastSearch", "SearchParams", "blastp_search", "blastn_search",
+    ),
+    "blast.formatdb": ("formatdb", "FormattedDatabase"),
+})
+__all__.append("__version__")

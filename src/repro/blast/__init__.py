@@ -26,51 +26,20 @@ known byte sizes — that is the property pioBLAST's offset-computed
 collective output relies on.
 """
 
-from repro.blast.alphabet import PROTEIN, DNA, Alphabet
-from repro.blast.fasta import SeqRecord, parse_fasta, write_fasta
-from repro.blast.matrices import blosum62, dna_matrix, get_matrix
-from repro.blast.karlin import KarlinParams, karlin_params, gapped_params
-from repro.blast.hsp import HSP, Alignment
-from repro.blast.engine import BlastSearch, SearchParams, blastp_search, blastn_search
-from repro.blast.formatdb import (
-    FormattedDatabase,
-    DatabaseIndex,
-    DatabaseVolume,
-    formatdb,
-)
-from repro.blast.output import ReportWriter, format_evalue
-from repro.blast.translate import (
-    six_frame_translations,
-    tblastn_search,
-    translate,
-)
+from repro._lazy import namespace
 
-__all__ = [
-    "PROTEIN",
-    "DNA",
-    "Alphabet",
-    "SeqRecord",
-    "parse_fasta",
-    "write_fasta",
-    "blosum62",
-    "dna_matrix",
-    "get_matrix",
-    "KarlinParams",
-    "karlin_params",
-    "gapped_params",
-    "HSP",
-    "Alignment",
-    "BlastSearch",
-    "SearchParams",
-    "blastp_search",
-    "blastn_search",
-    "FormattedDatabase",
-    "DatabaseIndex",
-    "DatabaseVolume",
-    "formatdb",
-    "ReportWriter",
-    "format_evalue",
-    "six_frame_translations",
-    "tblastn_search",
-    "translate",
-]
+__all__, __getattr__, __dir__ = namespace(__name__, {
+    "alphabet": ("PROTEIN", "DNA", "Alphabet"),
+    "fasta": ("SeqRecord", "parse_fasta", "write_fasta"),
+    "matrices": ("blosum62", "dna_matrix", "get_matrix"),
+    "karlin": ("KarlinParams", "karlin_params", "gapped_params"),
+    "hsp": ("HSP", "Alignment"),
+    "engine": (
+        "BlastSearch", "SearchParams", "blastp_search", "blastn_search",
+    ),
+    "formatdb": (
+        "FormattedDatabase", "DatabaseIndex", "DatabaseVolume", "formatdb",
+    ),
+    "output": ("ReportWriter", "format_evalue"),
+    "translate": ("six_frame_translations", "tblastn_search", "translate"),
+})

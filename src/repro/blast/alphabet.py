@@ -22,7 +22,9 @@ class Alphabet:
     wildcard: str  # letter unknown input maps to
     _to_code: dict[str, int] = field(default_factory=dict, repr=False, compare=False)
     # 256-entry byte tables for the ASCII fast paths: byte -> code
-    # (case folded, unknown -> wildcard) and code -> letter byte.
+    # (case folded, unknown -> wildcard) and code -> letter byte, where
+    # a code outside the alphabet maps to a non-ASCII byte that the
+    # ASCII decode rejects.
     _encode_table: bytes = field(default=b"", repr=False, compare=False)
     _decode_table: bytes = field(default=b"", repr=False, compare=False)
 
@@ -42,7 +44,7 @@ class Alphabet:
             object.__setattr__(
                 self,
                 "_decode_table",
-                self.letters.encode("ascii").ljust(256, b"?"),
+                self.letters.encode("ascii").ljust(256, b"\xff"),
             )
 
     def __len__(self) -> int:
@@ -79,13 +81,13 @@ class Alphabet:
         """Decode codes back to a residue string."""
         if isinstance(codes, (bytes, bytearray, memoryview)):
             codes = np.frombuffer(bytes(codes), dtype=np.uint8)
-        letters = self.letters
         if self._decode_table and getattr(codes, "dtype", None) == np.uint8:
-            raw = codes.tobytes()
-            if raw and max(raw) >= len(letters):
-                raise IndexError("code outside the alphabet")
-            return raw.translate(self._decode_table).decode("ascii")
-        return "".join(letters[int(c)] for c in codes)
+            raw = codes.tobytes().translate(self._decode_table)
+            try:
+                return raw.decode("ascii")
+            except UnicodeDecodeError:
+                raise IndexError("code outside the alphabet") from None
+        return "".join(self.letters[int(c)] for c in codes)
 
     def is_valid_strict(self, seq: str) -> bool:
         """True if every letter is in the alphabet (no wildcard mapping)."""

@@ -6,54 +6,23 @@ benchmark scripts can print paper-vs-measured tables.  See DESIGN.md §4
 for the experiment index and EXPERIMENTS.md for recorded outcomes.
 """
 
-from repro.experiments.common import (
-    ExperimentWorkload,
-    build_workload,
-    make_store,
-    run_program,
-    format_table,
-)
-from repro.experiments.table1 import run_table1, paper_table1
-from repro.experiments.table2 import run_table2, paper_table2
-from repro.experiments.fig1a import run_fig1a, paper_fig1a
-from repro.experiments.fig1b import run_fig1b, paper_fig1b
-from repro.experiments.fig3a import run_fig3a, paper_fig3a
-from repro.experiments.fig3b import run_fig3b, paper_fig3b
-from repro.experiments.fig4 import run_fig4, paper_fig4
-from repro.experiments.formatdb_cost import run_formatdb_cost, paper_formatdb
-from repro.experiments.ablations import (
-    run_output_ablation,
-    run_input_ablation,
-    run_pruning_ablation,
-    run_granularity_ablation,
-    run_queryseg_comparison,
-)
+from repro._lazy import namespace
 
-__all__ = [
-    "ExperimentWorkload",
-    "build_workload",
-    "make_store",
-    "run_program",
-    "format_table",
-    "run_table1",
-    "paper_table1",
-    "run_table2",
-    "paper_table2",
-    "run_fig1a",
-    "paper_fig1a",
-    "run_fig1b",
-    "paper_fig1b",
-    "run_fig3a",
-    "paper_fig3a",
-    "run_fig3b",
-    "paper_fig3b",
-    "run_fig4",
-    "paper_fig4",
-    "run_formatdb_cost",
-    "paper_formatdb",
-    "run_output_ablation",
-    "run_input_ablation",
-    "run_pruning_ablation",
-    "run_granularity_ablation",
-    "run_queryseg_comparison",
-]
+__all__, __getattr__, __dir__ = namespace(__name__, {
+    "common": (
+        "ExperimentWorkload", "build_workload", "make_store", "run_program",
+        "format_table",
+    ),
+    "table1": ("run_table1", "paper_table1"),
+    "table2": ("run_table2", "paper_table2"),
+    "fig1a": ("run_fig1a", "paper_fig1a"),
+    "fig1b": ("run_fig1b", "paper_fig1b"),
+    "fig3a": ("run_fig3a", "paper_fig3a"),
+    "fig3b": ("run_fig3b", "paper_fig3b"),
+    "fig4": ("run_fig4", "paper_fig4"),
+    "formatdb_cost": ("run_formatdb_cost", "paper_formatdb"),
+    "ablations": (
+        "run_output_ablation", "run_input_ablation", "run_pruning_ablation",
+        "run_granularity_ablation", "run_queryseg_comparison",
+    ),
+})

@@ -13,9 +13,6 @@ from repro.parallel import (
     ParallelConfig,
     breakdown_from_run,
     mpiformatdb,
-    run_mpiblast,
-    run_pioblast,
-    run_queryseg,
     stage_inputs,
 )
 from repro.parallel.phases import PhaseBreakdown
@@ -156,11 +153,17 @@ def run_program_raw(
         # stretch them to the experiment workload's calibrated costs so
         # healthy-but-slow workers are not declared dead.
         cfg = replace(cfg, ft=FTParams.for_cost(cfg.cost))
+    # Each driver is imported by the run that uses it, here on the
+    # calling thread: a process pays to compile only its own drivers.
     if program == "mpiblast":
+        from repro.parallel.mpiblast import run_mpiblast
+
         result = run_mpiblast(
             nprocs, store, cfg, platform, faults=faults, tracer=tracer
         )
     elif program == "pioblast":
+        from repro.parallel.pioblast import run_pioblast
+
         result = run_pioblast(
             nprocs, store, cfg, platform, faults=faults, tracer=tracer
         )
@@ -170,6 +173,8 @@ def run_program_raw(
                 "queryseg has no fault-tolerant driver; "
                 "use mpiblast or pioblast"
             )
+        from repro.parallel.queryseg import run_queryseg
+
         result = run_queryseg(nprocs, store, cfg, platform, tracer=tracer)
     else:
         raise ValueError(f"unknown program {program!r}")

@@ -8,7 +8,10 @@ groups (:mod:`repro.hier.topology`), each a self-contained
 fault-tolerant pull-RPC cluster run by a **sub-master**
 (:mod:`repro.hier.groupmaster`), under a top-level **coordinator**
 (:mod:`repro.hier.coordinator`) that deals only in query batches and
-group-level result metadata.
+group-level result metadata.  :mod:`repro.hier.batch` runs them over
+one fixed query set; the shapes of a run (:class:`HierConfig`,
+:class:`ElasticConfig`) sit with the topology, so naming them loads no
+protocol code.
 
 Failover is hierarchical too: groups succeed their own sub-master from
 within (the coordinator never notices); the coordinator is succeeded by
@@ -36,174 +39,13 @@ Usage::
                             elastic=ElasticConfig(joins=((4, 80.0),)))
 """
 
-from __future__ import annotations
+from repro._lazy import namespace
 
-from dataclasses import dataclass, field, replace
-
-from repro.parallel.config import FTParams, ParallelConfig
-from repro.simmpi import FileStore, PlatformSpec, ProcContext, RunResult
-from repro.simmpi.faults import FaultPlan
-from repro.simmpi.launcher import run
-
-from repro.hier.coordinator import run_coordinator
-from repro.hier.elastic import (
-    ElasticConfig,
-    HierServiceResult,
-    run_hier_service,
-)
-from repro.hier.groupmaster import run_group_master, run_group_member
-from repro.hier.topology import (
-    GroupSpec,
-    HierTopology,
-    MODES,
-    build_topology,
-)
-
-__all__ = [
-    "ElasticConfig",
-    "GroupSpec",
-    "HierConfig",
-    "HierResult",
-    "HierServiceResult",
-    "HierTopology",
-    "MODES",
-    "build_topology",
-    "run_hier",
-    "run_hier_service",
-]
-
-
-@dataclass(frozen=True)
-class HierConfig:
-    """Shape of the hierarchy.
-
-    ``batch_queries == 0`` sizes query batches to ~2 per group
-    (coordinator keeps slack for balancing); ``mode`` picks the
-    database placement — ``replicate`` (each group holds the whole
-    database, batches split across groups) or ``shard`` (one global
-    partition, groups own fragment slices, every group searches every
-    batch).
-    """
-
-    ngroups: int = 2
-    mode: str = "replicate"
-    batch_queries: int = 0
-
-    def __post_init__(self) -> None:
-        if self.ngroups < 1:
-            raise ValueError("ngroups must be >= 1")
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.batch_queries < 0:
-            raise ValueError("batch_queries must be >= 0")
-
-
-@dataclass(frozen=True)
-class HierResult:
-    """A hierarchical run plus its topology."""
-
-    result: RunResult
-    topology: HierTopology
-    output_path: str
-
-    @property
-    def report(self) -> bytes:
-        return self.result.store.read_all(self.output_path)
-
-
-def _program(ctx: ProcContext):
-    cfg: ParallelConfig = ctx.args["config"]
-    hcfg: HierConfig = ctx.args["hier"]
-    topo: HierTopology = ctx.args["topology"]
-    if ctx.rank == 0:
-        return run_coordinator(ctx, cfg, hcfg, topo)
-    gid = topo.group_of(ctx.rank)
-    group = topo.groups[gid]
-    if ctx.rank == group.submaster:
-        status = run_group_master(ctx, cfg, hcfg, topo, gid)
-    else:
-        status = run_group_member(ctx, cfg, hcfg, topo, gid)
-        if status.startswith("promoted:"):
-            status = status[len("promoted:"):]
-    if status == "promote-coordinator":
-        return run_coordinator(ctx, cfg, hcfg, topo, promoted=True)
-    return status
-
-
-def run_hier(
-    nprocs: int,
-    store: FileStore,
-    config: ParallelConfig,
-    hier: HierConfig | None = None,
-    platform: PlatformSpec | None = None,
-    *,
-    faults: FaultPlan | None = None,
-    tracer=None,
-    on_cluster=None,
-) -> HierResult:
-    """Run hierarchical parallel BLAST on a simulated cluster.
-
-    ``store`` needs the formatted global database and the query file.
-    The report lands at ``config.output_path``, byte-identical to the
-    serial reference — including under sub-master and coordinator
-    kills (pass a :class:`~repro.simmpi.faults.FaultPlan`;
-    role-targeted events like ``crash=submaster:g2@40`` are resolved
-    against the topology here).
-    """
-    hier = hier if hier is not None else HierConfig()
-    topo = build_topology(nprocs, hier.ngroups, hier.mode)
-    if config.query_batch > 0:
-        raise ValueError(
-            "query_batch is not supported by the hierarchical driver "
-            "(the coordinator owns query batching; use "
-            "HierConfig.batch_queries)"
-        )
-    # The hierarchy is timeout-driven even in fault-free runs; stretch
-    # the default FT timeouts to the cost model exactly like the
-    # service does, so modelled compute/IO never outruns a liveness
-    # deadline.
-    if config.ft == FTParams():
-        config = replace(config, ft=FTParams.for_cost(config.cost))
-    if faults is not None:
-        faults = faults.resolve_roles(topo.role_rank)
-    result = run(
-        nprocs,
-        _program,
-        platform,
-        shared_store=store,
-        args={"config": config, "hier": hier, "topology": topo},
-        faults=faults,
-        tracer=tracer,
-        on_cluster=on_cluster,
-    )
-    # Derived headline gauge: the worst group's share of the makespan
-    # spent blocked on the coordinator.  This is the two-level analogue
-    # of the flat master-wait share the bench compares against —
-    # ``hier.coordinator.wait_share`` itself is ~1.0 by design (the
-    # coordinator idles while groups search) and says nothing about
-    # whether the groups are starved for work.  A poll the coordinator
-    # held is a group with no work, not one blocked on the coordinator:
-    # its ``held_s`` comes out of the group's ``coord_wait_s`` first.
-    snap = (result.metrics or {}).get("global", {})
-    gauges = snap.get("gauges")
-    if gauges is not None and result.makespan > 0:
-        counters = snap.get("counters", {})
-        for g in topo.groups:
-            prefix = f"hier.group.g{g.gid}."
-            if prefix + "coord_wait_s" in gauges:
-                gauges[prefix + "coord_wait_s"] = max(
-                    0.0,
-                    gauges[prefix + "coord_wait_s"]
-                    - counters.get(prefix + "held_s", 0.0),
-                )
-        worst = max(
-            (
-                gauges.get(f"hier.group.g{g.gid}.coord_wait_s", 0.0)
-                for g in topo.groups
-            ),
-            default=0.0,
-        )
-        gauges["hier.group_coord_wait_share_max"] = worst / result.makespan
-    return HierResult(
-        result=result, topology=topo, output_path=config.output_path
-    )
+__all__, __getattr__, __dir__ = namespace(__name__, {
+    "topology": (
+        "ElasticConfig", "GroupSpec", "HierConfig", "HierTopology", "MODES",
+        "build_topology",
+    ),
+    "batch": ("HierResult", "run_hier"),
+    "elastic": ("HierServiceResult", "run_hier_service"),
+})

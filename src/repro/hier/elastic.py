@@ -94,57 +94,12 @@ from repro.hier.coordinator import (
     done_marker_path,
 )
 from repro.hier.groupmaster import run_group_master, run_group_member
-from repro.hier.topology import HierTopology, build_topology
-
-
-@dataclass(frozen=True)
-class ElasticConfig:
-    """Membership schedule + recovery budget of an elastic run.
-
-    ``joins`` lists groups that enter mid-run: one ``(nranks, time)``
-    entry per join group, in gid order after the initial groups
-    (``build_topology`` reserves the rank sets).  ``drains`` schedules
-    ``(gid, time)`` departures.  ``recovery_attempts`` bounds how many
-    re-replication probes a lost fragment gets before it is declared
-    permanently lost; ``recovery_backoff`` is the multiplicative
-    per-attempt backoff (virtual seconds).
-
-    ``redispatch_timeout`` decouples *work redispatch* from *death
-    detection*: it is how long an assigned wave part may sit
-    unanswered before another pulling group steals it.  ``None``
-    (default) uses the group-death silence budget — safe but slow
-    under stretched FT timeouts; latency-SLO deployments set it a bit
-    above the healthy per-wave service time, trading an occasional
-    duplicated search (late results are absorbed deterministically)
-    for p95-preserving recovery from a dead group.
-    """
-
-    joins: tuple[tuple[int, float], ...] = ()
-    drains: tuple[tuple[int, float], ...] = ()
-    recovery_attempts: int = 3
-    recovery_backoff: float = 2.0
-    redispatch_timeout: float | None = None
-
-    def __post_init__(self) -> None:
-        for n, t in self.joins:
-            if n < 2:
-                raise ValueError(
-                    f"a join group needs a sub-master and a worker "
-                    f"(size >= 2), got {n}"
-                )
-            if t < 0:
-                raise ValueError(f"join time must be >= 0, got {t}")
-        for gid, t in self.drains:
-            if gid < 0:
-                raise ValueError(f"drain gid must be >= 0, got {gid}")
-            if t < 0:
-                raise ValueError(f"drain time must be >= 0, got {t}")
-        if self.recovery_attempts < 0:
-            raise ValueError("recovery_attempts must be >= 0")
-        if self.recovery_backoff <= 0:
-            raise ValueError("recovery_backoff must be > 0")
-        if self.redispatch_timeout is not None and self.redispatch_timeout <= 0:
-            raise ValueError("redispatch_timeout must be > 0")
+from repro.hier.topology import (
+    ElasticConfig,
+    HierConfig,
+    HierTopology,
+    build_topology,
+)
 
 
 class _Part:
@@ -1018,7 +973,7 @@ def run_hier_service(
     config: ParallelConfig,
     jobs: list[QueryJob],
     *,
-    hier=None,
+    hier: HierConfig | None = None,
     service: ServiceConfig | None = None,
     elastic: ElasticConfig | None = None,
     platform: PlatformSpec | None = None,
@@ -1038,8 +993,6 @@ def run_hier_service(
     query was shed; otherwise the run still completes, with
     ``degraded="missing-fragments"`` rows in ``per_query``.
     """
-    from repro.hier import HierConfig  # deferred: avoid import cycle
-
     hier = hier if hier is not None else HierConfig()
     elastic = elastic if elastic is not None else ElasticConfig()
     service_cfg = service if service is not None else ServiceConfig()

@@ -40,6 +40,10 @@ mid-run.  Under ``shard`` a join group owns no slice of the global
 fragment partition at launch — the coordinator assigns it coverage at
 join time — so the global fragment space is defined by the initial
 groups alone.
+
+The shapes a caller picks — :class:`HierConfig` for every hierarchical
+run, :class:`ElasticConfig` for the elastic service — live here with
+the topology they size, apart from the protocol modules.
 """
 
 from __future__ import annotations
@@ -47,6 +51,81 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 MODES = ("replicate", "shard")
+
+
+@dataclass(frozen=True)
+class HierConfig:
+    """Shape of the hierarchy.
+
+    ``batch_queries == 0`` sizes query batches to ~2 per group
+    (coordinator keeps slack for balancing); ``mode`` picks the
+    database placement — ``replicate`` (each group holds the whole
+    database, batches split across groups) or ``shard`` (one global
+    partition, groups own fragment slices, every group searches every
+    batch).
+    """
+
+    ngroups: int = 2
+    mode: str = "replicate"
+    batch_queries: int = 0
+
+    def __post_init__(self) -> None:
+        if self.ngroups < 1:
+            raise ValueError("ngroups must be >= 1")
+        if self.mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        if self.batch_queries < 0:
+            raise ValueError("batch_queries must be >= 0")
+
+
+@dataclass(frozen=True)
+class ElasticConfig:
+    """Membership schedule + recovery budget of an elastic run.
+
+    ``joins`` lists groups that enter mid-run: one ``(nranks, time)``
+    entry per join group, in gid order after the initial groups
+    (``build_topology`` reserves the rank sets).  ``drains`` schedules
+    ``(gid, time)`` departures.  ``recovery_attempts`` bounds how many
+    re-replication probes a lost fragment gets before it is declared
+    permanently lost; ``recovery_backoff`` is the multiplicative
+    per-attempt backoff (virtual seconds).
+
+    ``redispatch_timeout`` decouples *work redispatch* from *death
+    detection*: it is how long an assigned wave part may sit
+    unanswered before another pulling group steals it.  ``None``
+    (default) uses the group-death silence budget — safe but slow
+    under stretched FT timeouts; latency-SLO deployments set it a bit
+    above the healthy per-wave service time, trading an occasional
+    duplicated search (late results are absorbed deterministically)
+    for p95-preserving recovery from a dead group.
+    """
+
+    joins: tuple[tuple[int, float], ...] = ()
+    drains: tuple[tuple[int, float], ...] = ()
+    recovery_attempts: int = 3
+    recovery_backoff: float = 2.0
+    redispatch_timeout: float | None = None
+
+    def __post_init__(self) -> None:
+        for n, t in self.joins:
+            if n < 2:
+                raise ValueError(
+                    f"a join group needs a sub-master and a worker "
+                    f"(size >= 2), got {n}"
+                )
+            if t < 0:
+                raise ValueError(f"join time must be >= 0, got {t}")
+        for gid, t in self.drains:
+            if gid < 0:
+                raise ValueError(f"drain gid must be >= 0, got {gid}")
+            if t < 0:
+                raise ValueError(f"drain time must be >= 0, got {t}")
+        if self.recovery_attempts < 0:
+            raise ValueError("recovery_attempts must be >= 0")
+        if self.recovery_backoff <= 0:
+            raise ValueError("recovery_backoff must be > 0")
+        if self.redispatch_timeout is not None and self.redispatch_timeout <= 0:
+            raise ValueError("redispatch_timeout must be > 0")
 
 
 @dataclass(frozen=True)

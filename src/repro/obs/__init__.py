@@ -21,79 +21,26 @@ cost one ``is not None`` check when disabled and never alter simulated
 time, so traced and untraced runs produce identical results.
 """
 
-from repro.obs.events import (
-    EV_CKPT,
-    EV_COLL,
-    EV_FAULT,
-    EV_IO,
-    EV_IO_COLL,
-    EV_KILL,
-    EV_PHASE,
-    EV_QUERY,
-    EV_RECV,
-    EV_SEND,
-    EV_STREAMS,
-    EV_WAIT,
-    SCHEDULER_RANK,
-    SPAN_KINDS,
-    Event,
-)
-from repro.obs.latency import (
-    PERCENTILES,
-    flatten_latency,
-    latency_summary,
-    percentile,
-)
-from repro.obs.critical_path import (
-    CriticalPath,
-    PathSegment,
-    attribute_makespan,
-    breakdown_from_events,
-    critical_path,
-    phase_seconds_from_events,
-    render_bottleneck_table,
-)
-from repro.obs.export import (
-    chrome_trace,
-    run_metrics,
-    write_chrome_trace,
-    write_run_metrics,
-)
-from repro.obs.metrics import Histogram, MetricsRegistry
-from repro.obs.tracer import Tracer
+from repro._lazy import namespace
 
-__all__ = [
-    "EV_CKPT",
-    "EV_COLL",
-    "EV_FAULT",
-    "EV_IO",
-    "EV_IO_COLL",
-    "EV_KILL",
-    "EV_PHASE",
-    "EV_QUERY",
-    "EV_RECV",
-    "EV_SEND",
-    "EV_STREAMS",
-    "EV_WAIT",
-    "PERCENTILES",
-    "SCHEDULER_RANK",
-    "SPAN_KINDS",
-    "CriticalPath",
-    "Event",
-    "Histogram",
-    "MetricsRegistry",
-    "PathSegment",
-    "Tracer",
-    "attribute_makespan",
-    "breakdown_from_events",
-    "chrome_trace",
-    "critical_path",
-    "flatten_latency",
-    "latency_summary",
-    "percentile",
-    "phase_seconds_from_events",
-    "render_bottleneck_table",
-    "run_metrics",
-    "write_chrome_trace",
-    "write_run_metrics",
-]
+__all__, __getattr__, __dir__ = namespace(__name__, {
+    "events": (
+        "EV_CKPT", "EV_COLL", "EV_FAULT", "EV_IO", "EV_IO_COLL", "EV_KILL",
+        "EV_PHASE", "EV_QUERY", "EV_RECV", "EV_SEND", "EV_STREAMS",
+        "EV_WAIT", "SCHEDULER_RANK", "SPAN_KINDS", "Event",
+    ),
+    "latency": (
+        "PERCENTILES", "flatten_latency", "latency_summary", "percentile",
+    ),
+    "critical_path": (
+        "CriticalPath", "PathSegment", "attribute_makespan",
+        "breakdown_from_events", "critical_path",
+        "phase_seconds_from_events", "render_bottleneck_table",
+    ),
+    "export": (
+        "chrome_trace", "run_metrics", "write_chrome_trace",
+        "write_run_metrics",
+    ),
+    "metrics": ("Histogram", "MetricsRegistry"),
+    "tracer": ("Tracer",),
+})

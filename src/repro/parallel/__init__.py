@@ -21,62 +21,28 @@ All drivers produce byte-identical output files for the same inputs
 (the paper's own correctness claim for pioBLAST vs mpiBLAST).
 """
 
-from repro.parallel.checkpoint import CheckpointStore, FailoverTracker
-from repro.parallel.config import FTParams, ParallelConfig, stage_inputs
-from repro.parallel.fragments import (
-    mpiformatdb,
-    fragment_paths,
-    virtual_partition,
-    virtual_partition_multi,
-    VolumePiece,
-)
-from repro.parallel.assignment import GreedyAssigner
-from repro.parallel.results import AlignmentMeta, merge_select
-from repro.parallel.serial import run_serial_reference
-from repro.parallel.warmdb import (
-    DbFingerprint,
-    check_fingerprint,
-    fingerprint_database,
-    load_fragment_pieces,
-    partition_database,
-    search_loaded_pieces,
-)
-from repro.parallel.mpiblast import run_mpiblast
-from repro.parallel.pioblast import run_pioblast
-from repro.parallel.queryseg import run_queryseg
-from repro.parallel.phases import (
-    PhaseBreakdown,
-    bottleneck_table,
-    breakdown_from_run,
-    fault_summary,
-)
+from repro._lazy import namespace
 
-__all__ = [
-    "CheckpointStore",
-    "FailoverTracker",
-    "FTParams",
-    "ParallelConfig",
-    "stage_inputs",
-    "mpiformatdb",
-    "fragment_paths",
-    "virtual_partition",
-    "virtual_partition_multi",
-    "VolumePiece",
-    "GreedyAssigner",
-    "AlignmentMeta",
-    "merge_select",
-    "run_serial_reference",
-    "DbFingerprint",
-    "check_fingerprint",
-    "fingerprint_database",
-    "load_fragment_pieces",
-    "partition_database",
-    "search_loaded_pieces",
-    "run_mpiblast",
-    "run_pioblast",
-    "run_queryseg",
-    "PhaseBreakdown",
-    "bottleneck_table",
-    "breakdown_from_run",
-    "fault_summary",
-]
+__all__, __getattr__, __dir__ = namespace(__name__, {
+    "checkpoint": ("CheckpointStore", "FailoverTracker"),
+    "config": ("FTParams", "ParallelConfig", "stage_inputs"),
+    "fragments": (
+        "mpiformatdb", "fragment_paths", "virtual_partition",
+        "virtual_partition_multi", "VolumePiece",
+    ),
+    "assignment": ("GreedyAssigner",),
+    "results": ("AlignmentMeta", "merge_select"),
+    "serial": ("run_serial_reference",),
+    "warmdb": (
+        "DbFingerprint", "check_fingerprint", "fingerprint_database",
+        "load_fragment_pieces", "partition_database",
+        "search_loaded_pieces",
+    ),
+    "mpiblast": ("run_mpiblast",),
+    "pioblast": ("run_pioblast",),
+    "queryseg": ("run_queryseg",),
+    "phases": (
+        "PhaseBreakdown", "bottleneck_table", "breakdown_from_run",
+        "fault_summary",
+    ),
+})

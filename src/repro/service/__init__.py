@@ -23,20 +23,10 @@ queries — admission order, wave boundaries and worker deaths never
 change the output, only the latency.
 """
 
-from repro.service.arrivals import (
-    QueryJob,
-    poisson_arrivals,
-    trace_arrivals,
-)
-from repro.service.scheduler import AdmissionScheduler, ServiceConfig
-from repro.service.service import ServiceResult, run_service
+from repro._lazy import namespace
 
-__all__ = [
-    "AdmissionScheduler",
-    "QueryJob",
-    "ServiceConfig",
-    "ServiceResult",
-    "poisson_arrivals",
-    "run_service",
-    "trace_arrivals",
-]
+__all__, __getattr__, __dir__ = namespace(__name__, {
+    "arrivals": ("QueryJob", "poisson_arrivals", "trace_arrivals"),
+    "scheduler": ("AdmissionScheduler", "ServiceConfig"),
+    "service": ("ServiceResult", "run_service"),
+})

@@ -23,10 +23,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.blast.fasta import SeqRecord
 
-from repro.service.arrivals import QueryJob
+if TYPE_CHECKING:
+    from repro.service.arrivals import QueryJob
 
 
 @dataclass(frozen=True)

@@ -50,10 +50,22 @@ def _random_length(rng: np.random.Generator, spec: SynthSpec) -> int:
     return int(rng.integers(lo, hi + 1))
 
 
-def _random_codes(
-    rng: np.random.Generator, length: int, nstd: int, probs: np.ndarray
-) -> np.ndarray:
-    return rng.choice(nstd, size=length, p=probs).astype(np.uint8)
+def _cdf(probs: np.ndarray) -> np.ndarray:
+    """The normalised cumulative distribution ``Generator.choice``
+    searches for ``p=probs``."""
+    cdf = np.asarray(probs, dtype=np.float64).cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _draw(rng: np.random.Generator, cdf: np.ndarray, k: int) -> np.ndarray:
+    """``k`` codes drawn from ``cdf``.
+
+    ``rng.choice(len(cdf), size=k, p=probs)`` without its per-call
+    validation: the same ``k`` uniforms searched in the same cumulative
+    distribution, so the same codes and the same generator state.
+    """
+    return cdf.searchsorted(rng.random(k), side="right").astype(np.uint8)
 
 
 def mutate_sequence(
@@ -66,12 +78,24 @@ def mutate_sequence(
     indel_rate: float,
 ) -> np.ndarray:
     """Point-substitute and indel a sequence (family member generator)."""
+    if len(probs) != nstd:
+        raise ValueError(f"probs has {len(probs)} entries, nstd is {nstd}")
+    return _mutate(codes, rng, _cdf(probs), mutation_rate, indel_rate)
+
+
+def _mutate(
+    codes: np.ndarray,
+    rng: np.random.Generator,
+    cdf: np.ndarray,
+    mutation_rate: float,
+    indel_rate: float,
+) -> np.ndarray:
     out = codes.copy()
     n = len(out)
     nsub = rng.binomial(n, min(mutation_rate, 1.0))
     if nsub:
         idx = rng.choice(n, size=nsub, replace=False)
-        out[idx] = rng.choice(nstd, size=nsub, p=probs).astype(np.uint8)
+        out[idx] = _draw(rng, cdf, nsub)
     nindel = rng.binomial(n, min(indel_rate, 1.0))
     for _ in range(nindel):
         pos = int(rng.integers(0, len(out)))
@@ -79,16 +103,16 @@ def mutate_sequence(
         if rng.random() < 0.5 and len(out) > length + 20:
             out = np.concatenate([out[:pos], out[pos + length :]])
         else:
-            ins = rng.choice(nstd, size=length, p=probs).astype(np.uint8)
+            ins = _draw(rng, cdf, length)
             out = np.concatenate([out[:pos], ins, out[pos:]])
     return out
 
 
 def _synthesize(
-    spec: SynthSpec, alphabet: Alphabet, nstd: int, probs: np.ndarray,
-    tag: str,
+    spec: SynthSpec, alphabet: Alphabet, probs: np.ndarray, tag: str,
 ) -> list[SeqRecord]:
     rng = np.random.default_rng(spec.seed)
+    cdf = _cdf(probs)
     records: list[SeqRecord] = []
     n = spec.num_sequences
     n_family_seqs = int(n * spec.family_fraction)
@@ -102,39 +126,29 @@ def _synthesize(
         sid += 1
 
     for fam in range(n_families):
-        founder = _random_codes(rng, _random_length(rng, spec), nstd, probs)
+        founder = _draw(rng, cdf, _random_length(rng, spec))
         emit(founder, f"family {fam} founder")
         for m in range(spec.family_size - 1):
             if sid >= n:
                 break
-            member = mutate_sequence(
-                founder,
-                rng,
-                nstd=nstd,
-                probs=probs,
-                mutation_rate=spec.mutation_rate,
-                indel_rate=spec.indel_rate,
+            member = _mutate(
+                founder, rng, cdf, spec.mutation_rate, spec.indel_rate
             )
             emit(member, f"family {fam} member {m + 1}")
         if sid >= n:
             break
     while sid < n:
-        emit(
-            _random_codes(rng, _random_length(rng, spec), nstd, probs),
-            "singleton",
-        )
+        emit(_draw(rng, cdf, _random_length(rng, spec)), "singleton")
     return records
 
 
 def synthesize_protein_records(spec: SynthSpec | None = None) -> list[SeqRecord]:
     """A synthetic protein database (nr stand-in)."""
     s = spec if spec is not None else SynthSpec()
-    return _synthesize(s, PROTEIN, 20, ROBINSON_FREQS / ROBINSON_FREQS.sum(),
-                       "P")
+    return _synthesize(s, PROTEIN, ROBINSON_FREQS / ROBINSON_FREQS.sum(), "P")
 
 
 def synthesize_dna_records(spec: SynthSpec | None = None) -> list[SeqRecord]:
     """A synthetic DNA database (nt stand-in)."""
     s = spec if spec is not None else SynthSpec()
-    probs = np.full(4, 0.25)
-    return _synthesize(s, DNA, 4, probs, "N")
+    return _synthesize(s, DNA, np.full(4, 0.25), "N")

@@ -125,6 +125,19 @@ class TestEncodeBranches:
         with pytest.raises(IndexError):
             PROTEIN.decode(np.array([len(PROTEIN)], dtype=np.int64))
 
+    @pytest.mark.parametrize("alphabet", [PROTEIN, DNA])
+    @pytest.mark.parametrize("bad", [None, 127, 128, 255])
+    def test_out_of_range_code_raises_index_error(self, alphabet, bad):
+        # the byte table maps every code past the alphabet to a byte the
+        # ASCII decode rejects, wherever in the sequence it sits
+        bad = len(alphabet) if bad is None else bad
+        codes = np.array([0, 1, bad, 0], dtype=np.uint8)
+        with pytest.raises(IndexError, match="outside the alphabet"):
+            alphabet.decode(codes)
+        with pytest.raises(IndexError, match="outside the alphabet"):
+            alphabet.decode(codes.tobytes())
+        assert alphabet.decode(codes[:2]) == alphabet.letters[:2]
+
 
 @given(st.text(max_size=60))
 def test_encode_equals_the_per_character_loop(s):

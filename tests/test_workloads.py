@@ -1,5 +1,7 @@
 """Synthetic workload generators and query sampling."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,10 @@ from repro.workloads import (
     synthesize_dna_records,
     synthesize_protein_records,
 )
+from repro.workloads.synth import _cdf, _draw
+
+PROTEIN_PROBS = ROBINSON_FREQS / ROBINSON_FREQS.sum()
+DNA_PROBS = np.full(4, 0.25)
 
 
 class TestSynthSpec:
@@ -160,3 +166,55 @@ class TestSampling:
     def test_query_set_bytes_matches_fasta(self):
         db = synthesize_protein_records(SynthSpec(num_sequences=5))
         assert query_set_bytes(db) == sum(len(format_record(r)) for r in db)
+
+
+class TestCdfDraw:
+    """``_draw`` is ``Generator.choice`` with ``p=`` minus its per-call
+    validation: the same codes from the same generator state."""
+
+    @pytest.mark.parametrize("probs", [PROTEIN_PROBS, DNA_PROBS],
+                             ids=["protein", "dna"])
+    @pytest.mark.parametrize("k", [0, 1, 10_000])
+    def test_equals_generator_choice(self, probs, k):
+        ours, numpy_s = np.random.default_rng(7), np.random.default_rng(7)
+        got = _draw(ours, _cdf(probs), k)
+        want = numpy_s.choice(len(probs), size=k, p=probs).astype(np.uint8)
+        assert got.dtype == np.uint8 and np.array_equal(got, want)
+        assert ours.bit_generator.state == numpy_s.bit_generator.state
+
+    def test_mutate_checks_probs_against_nstd(self):
+        with pytest.raises(ValueError):
+            mutate_sequence(np.zeros(50, dtype=np.uint8),
+                            np.random.default_rng(0), nstd=20,
+                            probs=DNA_PROBS, mutation_rate=0.1,
+                            indel_rate=0.0)
+
+
+def _fasta_sha(records) -> str:
+    h = hashlib.sha256()
+    for r in records:
+        h.update(f">{r.defline}\n{r.sequence}\n".encode())
+    return h.hexdigest()
+
+
+#: The 6 000-sequence database of ``bench/workloads.py``'s kernel-bulk
+#: at its default seed, and a DNA database of the same shape, as
+#: ``Generator.choice`` drew them before the synthesizer searched one
+#: CDF itself: any change to the draws moves these.
+BULK_SPEC = SynthSpec(num_sequences=6_000, mean_length=300, seed=20050405)
+GOLDEN_DB_SHA = {
+    "protein":
+        "215acaf861e4ebf0b399eb0c48f2a46873e565a49c18b5cec496858075390bc2",
+    "dna":
+        "eeba51d7775de374fcb37524a9598d82281be6206d1731fb843026983eb3b8ad",
+}
+
+
+class TestGoldenDatabases:
+    def test_kernel_bulk_protein_database(self):
+        assert (_fasta_sha(synthesize_protein_records(BULK_SPEC))
+                == GOLDEN_DB_SHA["protein"])
+
+    def test_dna_database(self):
+        assert (_fasta_sha(synthesize_dna_records(BULK_SPEC))
+                == GOLDEN_DB_SHA["dna"])
