@@ -41,6 +41,13 @@
 #                     workload's set-up and timed region load first;
 #                     CI gates the imports' line total (--lines-at-most)
 #                     and fails if a driver only some jobs run loads
+#   make peak-rss   - one bench/rep.py job each of table1-np32 and
+#                     kernel-bulk at seed 20050404; fails when a job's
+#                     output check fails or its peak_rss_mb is above the
+#                     bound between the figures with an arena per rank
+#                     thread and a 300 << 21 scan block (~90 / ~117 MiB)
+#                     and with one arena and 300 << 19 (~56 / ~76 MiB):
+#                     70 and 95 MiB (PERFORMANCE.md §7)
 #   make chaos      - tier 2: randomized fault-injection sweeps over fixed
 #                     seeds (slower; exercises FaultPlan.random + the
 #                     exhaustive kill-subset enumeration)
@@ -72,7 +79,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test bench-test bench-smoke bench-pairs cohort-census park-census import-census chaos docs-check report bench-json perf-smoke \
+.PHONY: test bench-test bench-smoke bench-pairs cohort-census park-census import-census peak-rss chaos docs-check report bench-json perf-smoke \
 	service-smoke hier-smoke hier-service-smoke
 
 test:
@@ -103,6 +110,15 @@ park-census:
 
 import-census:
 	$(PYTHON) tools/import_census.py --workload $(W)
+
+peak-rss:
+	for wb in table1-np32:70 kernel-bulk:95; do \
+		$(PYTHON) bench/rep.py --workload $${wb%:*} --seed 20050404 \
+		| tail -n 1 | $(PYTHON) -c "import json, sys; r = json.load(sys.stdin); \
+		print(r['workload'], 'peak_rss_mb', round(r['peak_rss_mb'], 1)); \
+		sys.exit(r['failed'] != 0 or r['peak_rss_mb'] > $${wb#*:})" \
+		|| exit 1; \
+	done
 
 chaos:
 	$(PYTHON) -m pytest -m chaos -q

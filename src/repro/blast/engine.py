@@ -15,7 +15,7 @@ the output a serial whole-database search produces.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Protocol
 
 import numpy as np
@@ -123,21 +123,10 @@ class SearchStats:
     gapped_rows: int = field(default=0, compare=False)
 
     def merge(self, other: "SearchStats") -> None:
-        self.queries += other.queries
-        self.subjects += other.subjects
-        self.letters_scanned += other.letters_scanned
-        self.word_hits += other.word_hits
-        self.triggers += other.triggers
-        self.ungapped_extensions += other.ungapped_extensions
-        self.gapped_extensions += other.gapped_extensions
-        self.gapped_dedup += other.gapped_dedup
-        self.alignments += other.alignments
-        self.gapped_widenings += other.gapped_widenings
-        self.gapped_fallbacks += other.gapped_fallbacks
-        self.gapped_peak_cells = max(
-            self.gapped_peak_cells, other.gapped_peak_cells
-        )
-        self.gapped_rows += other.gapped_rows
+        for f in fields(self):
+            a, b = getattr(self, f.name), getattr(other, f.name)
+            peak = f.name == "gapped_peak_cells"
+            setattr(self, f.name, max(a, b) if peak else a + b)
 
 
 class SequenceDatabase(Protocol):
@@ -314,16 +303,16 @@ class BlastSearch:
         # Purely observational: repro.obs.bench reports it per scenario.
         self.stage_times: dict[str, float] = {}
 
-    # Process-wide memo of word indexes and waves.  Both are immutable
-    # and pure functions of (query letters, scoring config); sharing
-    # them across the simulated ranks only removes redundant
-    # *wall-clock* work — virtual time for index construction is
-    # charged by the cost model.  One dict, one cap: a long service run
-    # clears it every ``_MEMO_CAP`` distinct queries + waves.
-    _GLOBAL_INDEX_MEMO: dict[tuple, "WordIndex | _Wave"] = {}
+    # Process-wide memo of word indexes, waves and cutoffs.  All are
+    # immutable and pure functions of their keys; sharing them across
+    # the simulated ranks only removes redundant *wall-clock* work —
+    # virtual time for index construction is charged by the cost
+    # model.  One dict, one cap: a long service run clears it every
+    # ``_MEMO_CAP`` distinct entries.
+    _GLOBAL_INDEX_MEMO: dict[tuple, "WordIndex | _Wave | tuple"] = {}
     _MEMO_CAP = 4096
 
-    def _memo_put(self, key: tuple, value: "WordIndex | _Wave") -> None:
+    def _memo_put(self, key: tuple, value: object) -> None:
         memo = BlastSearch._GLOBAL_INDEX_MEMO
         if len(memo) >= self._MEMO_CAP:
             memo.clear()
@@ -421,39 +410,52 @@ class BlastSearch:
     # ------------------------------------------------------------------
     def _cutoffs(
         self,
-        query_length: int,
+        qlen: int,
         db_letters: int,
         db_num_seqs: int,
         filter_db_letters: int | None,
         filter_db_num_seqs: int | None,
     ) -> tuple[float, float, float, float]:
-        """One query's ``(space, filter_space, min_raw, min_keep)``."""
-        space = effective_search_space(
-            self.stats_params, query_length, db_letters, db_num_seqs
-        )
-        if filter_db_letters is not None:
-            filter_space = effective_search_space(
-                self.stats_params,
-                query_length,
-                filter_db_letters,
-                filter_db_num_seqs or 1,
-            )
-        else:
+        """One query's ``(space, filter_space, min_raw, min_keep)``.
+
+        A pure function of its arguments and the params, memoised
+        process-wide beside the waves: the DB totals are the run's.
+        ``min_keep`` is the lowest ungapped score that can still
+        influence the output: below both the gap trigger (never
+        gapped-extended) and ``min_raw`` (never rendered) an HSP is
+        inert — culling and the leftover check rank by score first — so
+        dropping it right after extension is output-identical.
+        """
+        p = self.params
+        key = (p, qlen, db_letters, db_num_seqs,
+               filter_db_letters, filter_db_num_seqs)
+        cut = BlastSearch._GLOBAL_INDEX_MEMO.get(key)
+        if cut is None:
+            sp = self.stats_params
+            space = effective_search_space(sp, qlen, db_letters, db_num_seqs)
             filter_space = space
-        # Raw score that meets the expect threshold: cheap pre-filter.
-        min_raw = self.stats_params.raw_score_for_evalue(
-            self.params.expect, filter_space
-        )
-        return space, filter_space, min_raw, self._min_keep(min_raw)
+            if filter_db_letters is not None:
+                filter_space = effective_search_space(
+                    sp, qlen, filter_db_letters, filter_db_num_seqs or 1
+                )
+            # Raw score that meets the expect threshold: cheap pre-filter.
+            min_raw = sp.raw_score_for_evalue(p.expect, filter_space)
+            keep = min(self.gap_trigger_raw, min_raw) if p.gapped else min_raw
+            cut = (space, filter_space, min_raw, keep)
+            self._memo_put(key, cut)
+        return cut
 
     # ------------------------------------------------------------------
     # wave kernel
     # ------------------------------------------------------------------
-    #: query letters x subject letters per block — bounds the transient
-    #: hit/trigger arrays so huge fragments and wide waves stream
-    #: through in bounded memory (one ~300-letter query: 2^21-letter
-    #: slabs; more query letters, proportionally shorter slabs).
-    BLOCK_CELLS = 300 << 21
+    #: query letters x subject letters per scan slab — bounds the
+    #: transient hit, trigger and ungapped arrays, most of a large
+    #: call's peak memory (one ~300-letter query: 2^19-letter slabs;
+    #: more query letters, proportionally shorter slabs).
+    BLOCK_CELLS = 300 << 19
+    #: slabs whose survivors share one gapped cohort, which costs per
+    #: DP row however many slots it holds.
+    SLABS_PER_COHORT = 4
     #: initial half-band of the banded gapped DP: too narrow only costs
     #: widening retries (see repro.blast.extend), never correctness.
     BAND = 32
@@ -497,18 +499,18 @@ class BlastSearch:
         """Every query of the wave against the fragment, block by block.
 
         Bit-identical, per query, to the per-subject scalar oracle
-        (``reference.py`` in this package).  Each stage runs once per
-        (wave x subject slab) block: one lookup in the wave's joint
-        word index per scanned position and one sorted key per hit
-        with the (query, subject) pair folded in
+        (``reference.py`` in this package).  Seeding and the ungapped
+        stage run once per (wave x subject slab) block: one lookup in
+        the wave's joint word index per scanned position and one sorted
+        key per hit with the (query, subject) pair folded in
         (:func:`~repro.blast.seeding.wave_triggers`), so no pair of
         hits spans two queries or two subjects; one ungapped round loop
         over every (query, subject, diagonal) run
         (:func:`ungapped_extend_batch` on the two sentinel-joined
-        arrays); survivors of the gap trigger go through the banded
-        lockstep gapped engine as one cohort per round
-        (:meth:`_gapped_stage_batch`).  Per-stage host seconds
-        accumulate in :attr:`stage_times`.
+        arrays).  The gap trigger's survivors of ``SLABS_PER_COHORT``
+        slabs go through the banded lockstep gapped engine as one cohort
+        per round (:meth:`_gapped_stage_batch`).  Per-stage host
+        seconds accumulate in :attr:`stage_times`.
         """
         p = self.params
         nq = len(wave.qcodes)
@@ -527,105 +529,110 @@ class BlastSearch:
         concat, starts, lens = subjects.concat, subjects.starts, subjects.lens
         qcat, qstarts = wave.joined.concat, wave.joined.starts
         max_qlen = int(wave.joined.lens.max())
-        # One gapped memo per query, alive across the call's blocks.
-        memos: list[dict] = [{} for _ in range(nq)]
+        memos: list[dict] = [{} for _ in range(nq)]  # gapped, per query
         out: list[list[Alignment]] = [[] for _ in range(nq)]
         w = p.effective_word_size
         word_hits = triggers = 0
         stg = self.stage_times
-        for lo, hi in slabs:
-            t0 = time.perf_counter()
-            slab_off = int(starts[lo])
-            slab_end = int(starts[hi - 1] + lens[hi - 1]) + 1  # + sentinel
-            # Per scanned position: its slice of the joint index, its
-            # record and the offset inside it.  Per hit: wave_triggers.
-            spos, codes = rolling_codes(
-                concat[slab_off:slab_end], w, self.nstd
-            )
-            keep, cstarts, counts = wave.index.lookup(codes)
-            spos = spos[keep]
-            spos += slab_off
-            subj = subjects.seq_of[spos]
-            spos -= starts[subj]
-            subj -= lo
-            nsl = hi - lo
-            max_slen = int(lens[lo:hi].max())
-            word_hits += int(counts.sum())
-            t_pair, tq, ts = wave_triggers(
-                subj, spos, cstarts, counts, wave.entry_qid, wave.entry_ql,
-                nq=nq, nsl=nsl, max_qlen=max_qlen, max_slen=max_slen,
-                window=p.two_hit_window, word_size=w,
-                two_hit=p.program == "blastp",
-            )
-            n_t = len(tq)
-            triggers += n_t
-            t1 = time.perf_counter()
-            stg["scan"] = stg.get("scan", 0.0) + t1 - t0
-            if n_t == 0:
-                continue
-            # Ungapped stage in rounds: only the first live trigger of
-            # each (query, subject, diagonal) run extends; every trigger
-            # the scalar path's covered-diagonal rule would skip is
-            # skipped here by one vectorized searchsorted over the run
-            # keys — batched work equals the scalar path's executed
-            # extensions, in as many rounds as the deepest run needs.
-            t_query = t_pair // nsl
-            t_qoff = qstarts[t_query]
-            t_soff = starts[t_pair - t_query * nsl + lo]
-            qpos_c = t_qoff + tq
-            spos_c = t_soff + ts
-            diag = tq - ts
-            newg = np.empty(n_t, dtype=bool)
-            newg[0] = True
-            newg[1:] = (t_pair[1:] != t_pair[:-1]) | (diag[1:] != diag[:-1])
-            gid = np.cumsum(newg) - 1
-            grp_start = np.flatnonzero(newg)
-            grp_end = np.append(grp_start[1:], n_t)
-            bigs = max_slen + 2
-            gkey = gid * bigs + ts
-            # columns: qstart, qend, sstart, send (joined coordinates)
-            ext = np.empty((4, n_t), np.int64)
-            usc = np.zeros(n_t, np.int64)
-            heads = grp_start
-            while heads.size:
-                r = ungapped_extend_batch(
-                    qcat, concat, qpos_c[heads], spos_c[heads], w,
-                    self.matrix_ext, p.x_drop_ungapped,
-                )
-                ext[:, heads] = r[:4]
-                usc[heads] = r[4]
-                if stats is not None:
-                    stats.ungapped_extensions += heads.size
-                # Advance each run past triggers covered by this
-                # extension (subject pos <= send, the scalar skip rule).
-                targets = gid[heads] * bigs + (r[3] - t_soff[heads])
-                nxt = np.searchsorted(gkey, targets, side="right")
-                heads = nxt[nxt < grp_end[gid[heads]]]
-            # A trigger that never extended keeps score 0 and drops out
-            # with the non-positive scores.
-            sel = np.flatnonzero((usc > 0) & (usc >= min_keep[t_query]))
+        for c in range(0, len(slabs), self.SLABS_PER_COHORT):
             pairs: list[_GapState] = []
-            if sel.size:
-                ext = ext[:, sel]
-                ext[:2] -= t_qoff[sel]
-                ext[2:] -= t_soff[sel]
-                rows = list(zip(*ext.tolist(), usc[sel].tolist()))
-                pair = t_pair[sel]
-                edges = np.flatnonzero(pair[1:] != pair[:-1]) + 1
-                bounds = [0, *edges.tolist(), sel.size]
-                for a, b in zip(bounds, bounds[1:]):
-                    qi, si = divmod(int(pair[a]), nsl)
-                    si += lo
-                    off = int(starts[si])
-                    scodes = concat[off : off + int(lens[si])]
-                    pairs.append(
-                        _GapState(
-                            qi, si, wave.qcodes[qi], scodes, scodes.tobytes(),
-                            [UngappedHit(*row) for row in rows[a:b]],
-                        )
+            for lo, hi in slabs[c : c + self.SLABS_PER_COHORT]:
+                t0 = time.perf_counter()
+                slab_off = int(starts[lo])
+                slab_end = int(starts[hi - 1] + lens[hi - 1]) + 1  # + sentinel
+                # Per scanned position: its slice of the joint index, its
+                # record and the offset inside it.  Per hit: wave_triggers.
+                spos, codes = rolling_codes(
+                    concat[slab_off:slab_end], w, self.nstd
+                )
+                keep, cstarts, counts = wave.index.lookup(codes)
+                spos = spos[keep]
+                spos += slab_off
+                subj = subjects.seq_of[spos]
+                spos -= starts[subj]
+                subj -= lo
+                nsl = hi - lo
+                max_slen = int(lens[lo:hi].max())
+                word_hits += int(counts.sum())
+                t_pair, tq, ts = wave_triggers(
+                    subj, spos, cstarts, counts, wave.entry_qid, wave.entry_ql,
+                    nq=nq, nsl=nsl, max_qlen=max_qlen, max_slen=max_slen,
+                    window=p.two_hit_window, word_size=w,
+                    two_hit=p.program == "blastp",
+                )
+                n_t = len(tq)
+                triggers += n_t
+                t1 = time.perf_counter()
+                stg["scan"] = stg.get("scan", 0.0) + t1 - t0
+                if n_t == 0:
+                    continue
+                # Ungapped stage in rounds: only the first live trigger of
+                # each (query, subject, diagonal) run extends; every trigger
+                # the scalar path's covered-diagonal rule would skip is
+                # skipped here by one vectorized searchsorted over the run
+                # keys — batched work equals the scalar path's executed
+                # extensions, in as many rounds as the deepest run needs.
+                t_query = t_pair // nsl
+                t_qoff = qstarts[t_query]
+                t_soff = starts[t_pair - t_query * nsl + lo]
+                qpos_c = t_qoff + tq
+                spos_c = t_soff + ts
+                diag = tq - ts
+                newg = np.empty(n_t, dtype=bool)
+                newg[0] = True
+                newg[1:] = (t_pair[1:] != t_pair[:-1]) | (
+                    diag[1:] != diag[:-1]
+                )
+                gid = np.cumsum(newg) - 1
+                grp_start = np.flatnonzero(newg)
+                grp_end = np.append(grp_start[1:], n_t)
+                bigs = max_slen + 2
+                gkey = gid * bigs + ts
+                # columns: qstart, qend, sstart, send (joined coordinates)
+                ext = np.empty((4, n_t), np.int64)
+                usc = np.zeros(n_t, np.int64)
+                heads = grp_start
+                while heads.size:
+                    r = ungapped_extend_batch(
+                        qcat, concat, qpos_c[heads], spos_c[heads], w,
+                        self.matrix_ext, p.x_drop_ungapped,
                     )
+                    ext[:, heads] = r[:4]
+                    usc[heads] = r[4]
+                    if stats is not None:
+                        stats.ungapped_extensions += heads.size
+                    # Advance each run past triggers covered by this
+                    # extension (subject pos <= send, the scalar skip rule).
+                    targets = gid[heads] * bigs + (r[3] - t_soff[heads])
+                    nxt = np.searchsorted(gkey, targets, side="right")
+                    heads = nxt[nxt < grp_end[gid[heads]]]
+                # A trigger that never extended keeps score 0 and drops out
+                # with the non-positive scores.
+                sel = np.flatnonzero((usc > 0) & (usc >= min_keep[t_query]))
+                if sel.size:
+                    ext = ext[:, sel]
+                    ext[:2] -= t_qoff[sel]
+                    ext[2:] -= t_soff[sel]
+                    rows = list(zip(*ext.tolist(), usc[sel].tolist()))
+                    pair = t_pair[sel]
+                    edges = np.flatnonzero(pair[1:] != pair[:-1]) + 1
+                    bounds = [0, *edges.tolist(), sel.size]
+                    for a, b in zip(bounds, bounds[1:]):
+                        qi, si = divmod(int(pair[a]), nsl)
+                        si += lo
+                        off = int(starts[si])
+                        scodes = concat[off : off + int(lens[si])]
+                        pairs.append(
+                            _GapState(
+                                qi, si, wave.qcodes[qi], scodes,
+                                scodes.tobytes(),
+                                [UngappedHit(*row) for row in rows[a:b]],
+                            )
+                        )
+                stg["ungapped"] = (
+                    stg.get("ungapped", 0.0) + time.perf_counter() - t1
+                )
             t2 = time.perf_counter()
-            stg["ungapped"] = stg.get("ungapped", 0.0) + t2 - t1
             if p.gapped:
                 self._gapped_stage_batch(pairs, memos, stats)
             else:
@@ -659,21 +666,6 @@ class BlastSearch:
             stats.triggers += triggers
             stats.alignments += sum(len(als) for als in out)
         return out
-
-    # ------------------------------------------------------------------
-    def _min_keep(self, min_raw: int) -> int:
-        """Lowest ungapped score that can still influence the output.
-
-        An ungapped HSP below both the gap trigger (never gapped-extended)
-        and ``min_raw`` (never rendered) is inert: containment culling and
-        the leftover suppression check both rank by score first, so a
-        sub-threshold HSP can never displace one that reaches the report.
-        Dropping them right after extension is output-identical and skips
-        the per-HSP bookkeeping for the non-homologous bulk of a database.
-        """
-        if not self.params.gapped:
-            return min_raw
-        return min(self.gap_trigger_raw, min_raw)
 
     # ------------------------------------------------------------------
     def _finish_gapped(

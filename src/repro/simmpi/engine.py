@@ -51,12 +51,14 @@ how modelled compute time and fixed-latency hops are charged.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import heapq
 import threading
 import traceback
 from _thread import allocate_lock
 from collections import deque
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
 from repro.obs.events import EV_KILL, EV_WAIT, SCHEDULER_RANK
 
@@ -91,6 +93,17 @@ def _held_lock() -> Any:
     lock = allocate_lock()
     lock.acquire()
     return lock
+
+
+@functools.cache
+def one_malloc_arena() -> None:
+    """Cap glibc at one malloc arena, once per process (a no-op off
+    glibc): only the baton holder runs, so an arena per rank thread buys
+    no concurrency, only a high-water mark of its own."""
+    try:
+        ctypes.CDLL(None).mallopt(-8, 1)  # M_ARENA_MAX
+    except (AttributeError, OSError, TypeError):
+        pass
 
 
 # event kinds / states (small ints: compared with ``is`` on the hot path)
@@ -530,6 +543,7 @@ class Engine:
         if self._started:
             raise SimError("engine already ran")
         self._started = True
+        one_malloc_arena()  # before the first rank thread starts
         for rt in self._ranks:
             # Scheduler-only: starting a rank hands it the baton.
             self.schedule(0.0, self._run_thread, rt)
@@ -581,10 +595,3 @@ class Engine:
     def current_rank(self) -> int:
         return self._me().rank
 
-
-def run_simulation(programs: Iterable[Callable[[], None]]) -> float:
-    """Convenience: run one closure per rank to completion."""
-    eng = Engine()
-    for i, fn in enumerate(programs):
-        eng.spawn(fn, i)
-    return eng.run()

@@ -336,7 +336,9 @@ class TestWaveIdentity:
 
     def test_many_blocks(self, monkeypatch):
         # A block budget of a few subjects: every query's state (gapped
-        # memo, append order) has to survive across the call's blocks.
+        # memo, append order) has to survive across the call's blocks,
+        # and across gapped cohorts of one, three (the last one short)
+        # or all of the ~16 slabs.
         recs = list(synthesize_protein_records(
             SynthSpec(num_sequences=40, mean_length=90,
                       family_fraction=0.6, family_size=5, seed=31)
@@ -344,8 +346,10 @@ class TestWaveIdentity:
         recs = recs + recs[:8]
         queries = [recs[0], recs[5], recs[0], recs[17]]
         monkeypatch.setattr(BlastSearch, "BLOCK_CELLS", 4 * 90 * 300)
-        _wave, stats = assert_wave_identical("blastp", recs, queries)
-        assert stats.gapped_dedup > 0
+        for per_cohort in (1, 3, 64):
+            monkeypatch.setattr(BlastSearch, "SLABS_PER_COHORT", per_cohort)
+            _wave, stats = assert_wave_identical("blastp", recs, queries)
+            assert stats.gapped_dedup > 0
 
     @pytest.mark.parametrize("wave", [True, False])
     def test_empty_wave(self, wave):
@@ -470,6 +474,33 @@ class TestWaveBatching:
         wave = peak(queries)
         assert wave <= 1.5 * one, (one, wave)
 
+
+    def test_default_block_bounds_a_multi_slab_peak(self):
+        """``BLOCK_CELLS`` is sized by the scan's transients: a call
+        over four slabs peaks (traced: numpy's buffers included) at
+        17.6 MiB above its set-up at ``300 << 19``, 25.6 MiB at twice
+        that block and 47.9 MiB at ``300 << 21``, the size before.  A
+        larger block must come with a reason to raise this bound."""
+        import tracemalloc
+
+        recs = synthesize_protein_records(
+            SynthSpec(num_sequences=800, mean_length=300, seed=5)
+        )
+        queries = [r for r in recs if r.defline.endswith("founder")][:8]
+        eng = BlastSearch(SearchParams())
+        db = ListDatabase(recs, eng.alphabet)
+        wave_letters = sum(len(q.sequence) for q in queries)
+        slab = BlastSearch.BLOCK_CELLS // wave_letters
+        assert db.total_letters > 3 * slab, "fixture is not multi-slab"
+        search_call(eng, queries, db)  # wave and indexes memoised
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            search_call(eng, queries, db)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 17.6 * 2**20, peak / 2**20
 
     def test_scan_transients_per_word_hit(self, monkeypatch):
         """The scan keeps one sorted key per word hit and decodes

@@ -177,10 +177,40 @@ class TestFragmentsAndStatistics:
         assert stats.gapped_extensions > 0
 
     def test_stats_merge(self):
-        a = SearchStats(queries=1, word_hits=10)
-        b = SearchStats(queries=2, word_hits=5)
+        a = SearchStats(queries=1, word_hits=10, gapped_peak_cells=7)
+        b = SearchStats(queries=2, word_hits=5, gapped_peak_cells=4)
         a.merge(b)
         assert a.queries == 3 and a.word_hits == 15
+        assert a.gapped_peak_cells == 7  # a high-water mark, not a sum
+
+    def test_cutoffs_are_computed_once_per_key(self, monkeypatch):
+        """Cutoffs are memoised process-wide, keyed by the params too:
+        an engine never reads another configuration's."""
+        import repro.blast.engine as engine_mod
+
+        args = (300, 10**6, 3000, 10**5, 300)
+        engines = [
+            BlastSearch(SearchParams()),
+            BlastSearch(SearchParams(expect=1e-3)),
+            BlastSearch(SearchParams(gapped=False)),
+        ]
+        fresh = []
+        for eng in engines:
+            BlastSearch._GLOBAL_INDEX_MEMO.clear()
+            fresh.append(eng._cutoffs(*args))
+        assert len(set(fresh)) == 3
+        BlastSearch._GLOBAL_INDEX_MEMO.clear()
+        calls = []
+        real = engine_mod.effective_search_space
+
+        def counting(*a):
+            calls.append(a)
+            return real(*a)
+
+        monkeypatch.setattr(engine_mod, "effective_search_space", counting)
+        for _ in range(2):
+            assert [e._cutoffs(*args) for e in engines] == fresh
+        assert len(calls) == 2 * len(engines)  # space and filter space
 
 
 class TestBlastn:

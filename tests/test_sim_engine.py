@@ -618,3 +618,58 @@ class TestBatonInvariants:
         run_bounded(eng)
         assert unwound == [1.0]
         assert eng.dead_ranks == {0}
+
+
+class TestOneMallocArena:
+    """Rank threads share one glibc arena: the helper calls ``mallopt``
+    once per process and does nothing where libc has none."""
+
+    @pytest.fixture
+    def libc(self, monkeypatch):
+        import repro.simmpi.engine as engine_mod
+
+        calls = []
+
+        class Libc:
+            def mallopt(self, param, value):
+                calls.append((param, value))
+                return 1
+
+        loaded = []
+
+        def cdll(name):
+            loaded.append(name)
+            return Libc()
+
+        monkeypatch.setattr(engine_mod.ctypes, "CDLL", cdll)
+        engine_mod.one_malloc_arena.cache_clear()
+        yield engine_mod, Libc, calls, loaded
+        engine_mod.one_malloc_arena.cache_clear()
+
+    def test_mallopt_once_per_process(self, libc):
+        engine_mod, _libc, calls, loaded = libc
+        for _ in range(3):
+            eng = Engine()
+            eng.spawn(lambda: eng.sleep(1.0), 0)
+            assert run_bounded(eng) == 1.0
+        engine_mod.one_malloc_arena()
+        assert calls == [(-8, 1)]  # M_ARENA_MAX = 1
+        assert loaded == [None]
+
+    def test_no_mallopt_is_a_silent_no_op(self, libc, monkeypatch):
+        engine_mod, Libc, calls, _loaded = libc
+        monkeypatch.delattr(Libc, "mallopt")
+        eng = Engine()
+        eng.spawn(lambda: eng.sleep(1.0), 0)
+        assert run_bounded(eng) == 1.0
+        assert calls == []
+
+    def test_no_libc_is_a_silent_no_op(self, libc, monkeypatch):
+        engine_mod, _libc, calls, _loaded = libc
+
+        def missing(name):
+            raise OSError("no such library")
+
+        monkeypatch.setattr(engine_mod.ctypes, "CDLL", missing)
+        engine_mod.one_malloc_arena()
+        assert calls == []
