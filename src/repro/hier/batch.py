@@ -74,12 +74,6 @@ def run_hier(
     """
     hier = hier if hier is not None else HierConfig()
     topo = build_topology(nprocs, hier.ngroups, hier.mode)
-    if config.query_batch > 0:
-        raise ValueError(
-            "query_batch is not supported by the hierarchical driver "
-            "(the coordinator owns query batching; use "
-            "HierConfig.batch_queries)"
-        )
     # The hierarchy is timeout-driven even in fault-free runs; stretch
     # the default FT timeouts to the cost model exactly like the
     # service does, so modelled compute/IO never outruns a liveness

@@ -1001,12 +1001,6 @@ def run_hier_service(
     qids = [j.qid for j in jobs]
     if len(set(qids)) != len(qids):
         raise ValueError("duplicate qid in the job stream")
-    if config.query_batch > 0:
-        raise ValueError(
-            "query_batch is a batch-driver setting; the admission "
-            "scheduler owns batching — set query_batch=0 and size "
-            "waves with ServiceConfig.max_wave"
-        )
     topo = build_topology(
         nprocs, hier.ngroups, hier.mode,
         joins=tuple(n for n, _t in elastic.joins),

@@ -122,18 +122,10 @@ class ParallelConfig:
     # §5 extensions.
     early_score_pruning: bool = False
     adaptive_granularity: bool = False
-    # Query batching / pipelined output (§5: "adaptive approaches, such
-    # as query batching and pipelining that adjust to the amount of
-    # available memory").  0 = process all queries in one round; N > 0
-    # bounds the worker result cache to one N-query round at a time,
-    # with one collective write per round.
-    query_batch: int = 0
     # Fault tolerance: use the pull-RPC scheduling protocol that
     # survives worker crashes (and, with checkpointing, master crashes),
     # message drops and transient I/O errors.  Implied whenever a
-    # FaultPlan is passed to a driver.  The FT drivers process all
-    # queries in one round and *reject* query_batch > 0 with a
-    # ValueError rather than silently dropping the setting.
+    # FaultPlan is passed to a driver.
     fault_tolerance: bool = False
     ft: FTParams = field(default_factory=FTParams)
     # Master checkpoint/restart (see repro.parallel.checkpoint and
@@ -147,15 +139,6 @@ class ParallelConfig:
 
     def fragments_for(self, nworkers: int) -> int:
         return self.num_fragments if self.num_fragments > 0 else nworkers
-
-    def query_batches(self, nqueries: int) -> list[tuple[int, int]]:
-        """[lo, hi) query-index ranges per processing round."""
-        if self.query_batch <= 0 or self.query_batch >= nqueries:
-            return [(0, nqueries)]
-        return [
-            (lo, min(lo + self.query_batch, nqueries))
-            for lo in range(0, nqueries, self.query_batch)
-        ]
 
 
 def stage_inputs(

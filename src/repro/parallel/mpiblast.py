@@ -22,23 +22,17 @@ Master/worker organisation per the paper §2.2 and §3.2:
    (the "result fetching" alone is >40% of output time).
 
 **Fault tolerance** (``config.fault_tolerance`` or a ``faults`` plan):
-the FT variant swaps the blocking broadcast/recv control flow for the
-same idempotent pull-RPC scheduling pioBLAST's FT driver uses (sequence
-numbers + reply cache + per-worker silence timeouts + requeue), but
-deliberately *keeps* the baseline's serialized fetch/format/write output
-path — under faults it gains per-fetch timeouts and restarts the whole
-output file when an owning worker dies mid-fetch (alignment data lives
-only in the owner's memory, so a death invalidates the owner's share of
-the report and its fragments must be re-searched).  The contrast with
-pioBLAST's re-homeable deterministic blocks is the point: result caching
-is also a *recovery* optimisation, not just a throughput one.
+the blocking broadcast/recv control flow gives way to the scheduler of
+:mod:`repro.parallel.flatft`, the one pioBLAST's FT driver uses, but
+:class:`MpiOutput` deliberately *keeps* the baseline's serialized
+fetch/format/write output path.  The contrast with pioBLAST's
+re-homeable blocks is the point: result caching is also a *recovery*
+optimisation, not just a throughput one.
 """
 
 from __future__ import annotations
 
-from bisect import insort
 from dataclasses import dataclass
-from typing import Any
 
 from repro.blast.engine import BlastSearch
 from repro.blast.formatdb import DatabaseVolume
@@ -56,24 +50,14 @@ from repro.parallel.common import (
     write_output,
     writer_for,
 )
-from repro.parallel.checkpoint import CheckpointStore, FailoverTracker
 from repro.parallel.config import ParallelConfig
+from repro.parallel.flatft import OutputPolicy, run_flat
 from repro.parallel.fragments import fragment_paths
-from repro.parallel.pullrpc import (
-    MPI_FT,
-    TAG_TABLE,
-    Heartbeat,
-    LivenessTable,
-    Orphaned,
-    Promoted,
-    PullClient,
-    PullServer,
-)
+from repro.parallel.pullrpc import MPI_FT, TAG_TABLE
 from repro.parallel.results import AlignmentMeta, meta_from_alignment, select_metas
 from repro.simmpi import FileStore, PlatformSpec, ProcContext, RunResult, Status
 from repro.simmpi.comm import ANY_SOURCE, ANY_TAG, TIMEOUT
 from repro.simmpi.faults import FaultPlan
-from repro.simmpi.launcher import run
 
 TAG_WORKREQ = TAG_TABLE["mpiblast.WORKREQ"]
 TAG_ASSIGN = TAG_TABLE["mpiblast.ASSIGN"]
@@ -307,182 +291,201 @@ def _worker(ctx: ProcContext, cfg: ParallelConfig) -> None:
         )
 
 
-# ---------------------------------------------------------------------------
-# Fault-tolerant variant.
-#
-# Same pull-RPC protocol as pioBLAST's FT driver (repro.parallel.pullrpc,
-# on the MPI_FT channel).  The crucial difference is the *output* path:
-# mpiBLAST's alignment data lives only in the owning worker's memory,
-# under that worker's private local ids.  ``owner_rank`` therefore really is a rank
-# here (unlike FT pioBLAST, where it carries a fragment id), a fetch that
-# times out means the whole output file must be restarted after the dead
-# owner's fragments are re-searched by someone else, and an output
-# restart re-pays every serialized fetch.  That asymmetry is the
-# experiment: pioBLAST's result caching doubles as cheap recovery.
-#
-# Request kinds           Reply bodies
-#   ("hello",  None)        ("setup", (queries, ranges, info))
-#   ("work",   None)        ("frag", fid) | ("wait", dt) | ("done", None)
-#   ("result", (fid, metas))("ok", None)
-#
-# The master's serialized fetches ride the baseline's TAG_FETCH /
-# TAG_FETCHRESP channel, extended with a fetch sequence number so a
-# retried fetch ignores stale responses: master sends ``(fseq, qi, lid)``
-# and the owner echoes ``(fseq, alignment)``.  Workers answer fetches
-# from *inside* their RPC receive loop, so a worker blocked waiting for
-# a slow master reply still serves the master's output phase.
-#
-# Master failover (see repro.parallel.checkpoint): the master heartbeats
-# on TAG_FT_PING (especially through the long serialized output pass,
-# which would otherwise look like death to the workers), checkpoints
-# ``frag_metas`` crash-consistently, and on master silence the lowest
-# surviving worker promotes itself, restoring the newest valid
-# checkpoint.  The promoted master carries its own alignment cache: its
-# fetches to itself are answered from memory, and restored metas owned
-# by ranks the death sweep later declares dead go back to re-search —
-# exactly the baseline's recovery asymmetry, now surviving rank 0 too.
+class MpiOutput(OutputPolicy):
+    """mpiBLAST's FT output policy: the serialized fetch pass, restarted.
 
-
-def _ft_master(
-    ctx: ProcContext,
-    cfg: ParallelConfig,
-    *,
-    setup: Any = None,
-    held_cache: dict[tuple[int, int], Alignment] | None = None,
-    held_metas: dict[int, list[list[AlignmentMeta]]] | None = None,
-) -> None:
-    """Serve the FT protocol as master.
-
-    Rank 0 enters with defaults; a *promoted* worker passes the setup
-    blob from its hello (None if it never completed hello), its local
-    alignment cache and the per-fragment metas it produced itself — its
-    own fragments are then served from memory instead of re-searched.
+    Alignment data lives only in the owning worker's memory, under that
+    worker's private local ids, so ``owner_rank`` really is a rank and
+    the master keeps one owner per fragment.  When every fragment has
+    reported, a tick runs the baseline's serialized fetch/format/write
+    pass.  Its fetches ride ``TAG_FETCH`` / ``TAG_FETCHRESP`` with a
+    fetch sequence number, so a retried fetch ignores stale responses:
+    the master sends ``(fseq, qi, lid)`` and the owner echoes
+    ``(fseq, alignment)``.  Workers answer fetches from *inside* their
+    RPC receive loop, so a worker blocked on a slow master reply still
+    serves the output pass.  A fetch that times out declares the owner
+    dead; its fragments go back to search and the next pass rebuilds
+    the file from offset 0, paying every fetch again
+    (``recover:restart-output``) — the restart cost pioBLAST's cached
+    blocks avoid.  A promoted master fetches from its own cache.
     """
-    comm, cost, ft = ctx.comm, cfg.cost, cfg.ft
-    sim = ctx.engine
-    report = ctx.fault_report
-    me = ctx.rank
-    promoted = me != 0
-    nfrag = cfg.fragments_for(ctx.size - 1)
-    ckpt = CheckpointStore(
-        ctx, cfg.checkpoint_dir,
-        interval=cfg.checkpoint_interval, io_attempts=ft.io_attempts,
-    )
-    # Called throughout the serialized output pass too: that pass can
-    # outlast ``failover_silence``, and a silent master mid-output must
-    # not trigger a spurious succession.
-    ping_workers = Heartbeat(ctx, ft, TAG_FT_PING).beat
-    if promoted:
-        report.record(sim.now, "recover:promote-master", me)
-        # Announce before doing anything slow (cold setup, checkpoint
-        # restore): the announcement resets every survivor's silence
-        # clock, heading off a second spurious succession.
-        ping_workers(force=True)
 
-    # ---- setup: same partitioning as `_master`, retried reads ----------
-    if setup is None:
-        ctx.compute(cost.init_seconds())
-        qdata = reliable_read(
-            ctx, ft, cfg.query_path,
-            charge_bytes=cost.wire_bytes(ctx.fs.size(cfg.query_path)),
+    tags = MPI_FT
+
+    def __init__(self, ctx: ProcContext, cfg: ParallelConfig) -> None:
+        super().__init__(ctx, cfg)
+        # Local result cache, exactly as in the baseline: alignment data
+        # never leaves this rank until the master fetches it.
+        self.cache: dict[tuple[int, int], Alignment] = {}
+        self.next_local_id = 0
+        self.extra = {TAG_FETCH: self.serve_fetch}
+
+    def bind(self, setup) -> None:
+        self.queries, self.ranges, self.info = setup
+        self.engine = BlastSearch(self.cfg.search)
+        self.writer = writer_for(self.engine, self.info)
+
+    # -- worker ----------------------------------------------------------
+    def serve_fetch(self, msg: tuple[int, int, int], requester: int) -> int:
+        """Answer one of the master's serialized fetches.  Only a master
+        fetches: the requester is returned as an (implicit) master
+        announcement."""
+        fseq, qi, local_id = msg
+        al = self.cache[(qi, local_id)]
+        self.ctx.comm.isend(
+            (fseq, al),
+            dest=requester,
+            tag=TAG_FETCHRESP,
+            nbytes=self.cfg.cost.wire_bytes(al.payload_nbytes()),
         )
-        queries = read_queries_bytes(qdata)
-        xin = f"{cfg.db_name}.xin"
-        index = parse_index(
-            reliable_read(
-                ctx, ft, xin,
-                charge_bytes=cost.db_wire_bytes(ctx.fs.size(xin)),
+        return requester
+
+    def search(self, fid: int) -> list[list[AlignmentMeta]]:
+        """The baseline copy + mmap-search pipeline with transient-I/O
+        retry; alignments stay in the cache."""
+        ctx, cfg = self.ctx, self.cfg
+        cost, ft = cfg.cost, cfg.ft
+        paths = fragment_paths(cfg.db_name, fid)
+        local = ctx.local_disk
+        dst = local if local is not None else ctx.fs
+        with ctx.phase("copy"):
+            for path in paths.values():
+                wire = int(
+                    cost.db_wire_bytes(ctx.fs.size(path))
+                    * cost.copy_inefficiency
+                )
+                data = reliable_read(ctx, ft, path, charge_bytes=wire)
+                ctx.engine.sleep(
+                    cost.copy_chunk_overhead_seconds(wire, ctx.fs.op_overhead)
+                )
+                reliable_write(
+                    ctx, ft, f"scratch/r{ctx.rank}/{path}", 0, data,
+                    charge_bytes=wire, fs=dst,
+                )
+                ctx.engine.sleep(
+                    cost.copy_chunk_overhead_seconds(wire, dst.op_overhead)
+                )
+        with ctx.phase("search"):
+            loaded: dict[str, bytes] = {}
+            for ext, path in paths.items():
+                target = f"scratch/r{ctx.rank}/{path}"
+                charge = int(
+                    cost.db_wire_bytes(dst.size(target))
+                    * cost.mmap_inefficiency
+                )
+                loaded[ext] = reliable_read(
+                    ctx, ft, target, charge_bytes=charge, fs=dst
+                )
+            volume = DatabaseVolume(
+                parse_index(loaded["xin"]), loaded["xhr"], loaded["xsq"]
             )
-        )
+            per_query = search_fragment_timed(
+                ctx, self.engine, self.queries, volume, self.info,
+                self.ranges[fid][0], cost, filter_local=True,
+            )
+        metas_per_query: list[list[AlignmentMeta]] = []
+        for qi, als in enumerate(per_query):
+            metas = []
+            for al in als:
+                self.cache[(qi, self.next_local_id)] = al
+                metas.append(
+                    meta_from_alignment(al, ctx.rank, self.next_local_id, 0)
+                )
+                self.next_local_id += 1
+            metas_per_query.append(metas)
+        return metas_per_query
+
+    # -- master ----------------------------------------------------------
+    def read_setup(self, queries, nfrag: int):
+        ctx, cfg = self.ctx, self.cfg
+        xin = f"{cfg.db_name}.xin"
+        index = parse_index(reliable_read(
+            ctx, cfg.ft, xin,
+            charge_bytes=cfg.cost.db_wire_bytes(ctx.fs.size(xin)),
+        ))
         info = GlobalDbInfo(index.title, index.nseqs, index.total_letters)
-        ranges = index.partition_ranges(nfrag)
-        setup = (queries, ranges, info)
-    else:
-        queries, ranges, info = setup
-    setup_blob = setup
-    engine = BlastSearch(cfg.search)
-    writer = writer_for(engine, info)
-    out = cfg.output_path
-    my_cache = held_cache if held_cache is not None else {}
+        return queries, index.partition_ranges(nfrag), info
 
-    # ---- scheduler state ------------------------------------------------
-    # A promoted master starts every other rank as presumed-alive with a
-    # fresh liveness window; the death sweep then re-detects the dead.
-    live = LivenessTable((r for r in range(1, ctx.size) if r != me), sim.now)
-    assigned: dict[int, int] = {}        # worker -> fid being (re)searched
-    assigner = GreedyAssigner(nfrag)     # first-search queue
-    research: list[int] = []             # fids whose owner died; search again
-    # fid -> (owning worker, metas per query).  Dropped when the owner
-    # dies: the metas' local ids only mean something to that owner.
-    frag_metas: dict[int, tuple[int, list[list[AlignmentMeta]]]] = {}
-    state = "search"
-    fetch_seq = 0
+    def attach(self, master) -> None:
+        super().attach(master)
+        # fid -> the worker holding its alignments.  Dropped with the
+        # results when the owner dies: the metas' local ids only mean
+        # something to that owner.
+        self.owner: dict[int, int] = {}
+        self.fetch_seq = 0
 
-    # ---- restore (promoted master only) ---------------------------------
-    if promoted:
-        snap = ckpt.load_latest()
-        if snap is not None:
-            for fid, (ow, metas) in snap["frag_metas"].items():
-                # Entries owned by us come from held_metas below (the
-                # cache is authoritative); dead owners' entries are
-                # dropped by the death sweep exactly as in-band deaths.
-                if ow != me:
-                    frag_metas[fid] = (ow, metas)
-                    assigner.mark_completed(fid)
-        for fid, metas in (held_metas or {}).items():
-            if fid not in frag_metas:
-                frag_metas[fid] = (me, metas)
-                assigner.mark_completed(fid)
+    def restore(self, snap, held):
+        me, found = self.ctx.rank, {}
+        for fid, (ow, metas) in (snap["frag_metas"] if snap else {}).items():
+            # Entries owned by us come from ``held`` (the cache is
+            # authoritative); dead owners' entries are dropped by the
+            # death sweep exactly as in-band deaths.
+            if ow != me:
+                found[fid], self.owner[fid] = metas, ow
+        for fid, metas in held.items():
+            if fid not in found:
+                found[fid], self.owner[fid] = metas, me
+        return found
 
-    # ---- helpers --------------------------------------------------------
-    def ckpt_state() -> dict:
+    def ckpt_state(self) -> dict:
+        results = self.m.results
         return {
             "driver": "mpiblast",
             "frag_metas": {
-                f: frag_metas[f] for f in sorted(frag_metas)
+                f: (self.owner[f], results[f]) for f in sorted(results)
             },
         }
 
-    def queue_research(fid: int) -> None:
-        if fid not in research and fid not in assigned.values():
-            insort(research, fid)
-            report.record(sim.now, "recover:research", fid)
+    def assigned(self, w: int, fid: int) -> None:
+        self.m.assigner.note_holding(w, fid)  # its local copy
 
-    def worker_lost(w: int, why: str) -> None:
-        """Recover from ``w``, which the table has just declared dead."""
-        report.record(sim.now, "detect:worker-dead", w, why)
-        assigner.drop_worker(w)
-        fid = assigned.pop(w, None)
-        if fid is not None and fid not in frag_metas:
-            if assigner.requeue(fid):
-                report.record(sim.now, "recover:requeue", fid, w)
+    def reported(self, w: int, fid: int) -> None:
+        self.owner.setdefault(fid, w)
+
+    def lost(self, w: int, fid: int | None) -> None:
         # The dead worker's completed fragments are lost with it (the
         # alignments lived in its memory); re-search them from scratch.
-        lost = sorted(
-            f for f, (ow, _m) in frag_metas.items() if ow == w
-        )
-        for f in lost:
-            del frag_metas[f]
-            queue_research(f)
+        m = self.m
+        for f in sorted(f for f, ow in self.owner.items() if ow == w):
+            del self.owner[f], m.results[f]
+            m.queue_research(f)
 
-    def fetch(owner: int, qi: int, local_id: int) -> Alignment | None:
+    def ticked(self, request) -> None:
+        m = self.m
+        if not self.finished and (
+            len(m.results) == m.nfrag or (request is None and not m.live.alive)
+        ):
+            # Complete — or degraded with nobody left to search the
+            # missing fragments.  Either way, attempt the output pass.
+            ok = self.output_pass()
+            # The pass can outlast the silence thresholds; give surviving
+            # workers a fresh liveness window so they are not declared
+            # dead for politely waiting out our fetch loop.
+            m.live.refresh(m.sim.now)
+            self.finished = ok
+
+    def settle(self, now: float) -> float | None:
+        # sim.now: the tick may just have run the whole output pass
+        return self.m.sim.now if self.finished else None
+
+    # -- the serialized output pass ----------------------------------------
+    def fetch(self, owner: int, qi: int, local_id: int) -> Alignment | None:
         """One serialized fetch, retried; None means the owner is gone."""
-        nonlocal fetch_seq
-        if owner == me:
-            # Promoted master serving its own fragments: the alignment
-            # is in the cache it carried over from its worker life.
-            return my_cache[(qi, local_id)]
+        if owner == self.ctx.rank:
+            return self.cache[(qi, local_id)]
+        comm, ft, m = self.ctx.comm, self.cfg.ft, self.m
         for _attempt in range(3):
-            fetch_seq += 1
-            comm.isend((fetch_seq, qi, local_id), dest=owner, tag=TAG_FETCH)
+            self.fetch_seq += 1
+            comm.isend(
+                (self.fetch_seq, qi, local_id), dest=owner, tag=TAG_FETCH
+            )
             # Wait in master_tick slices, pinging between them: a fetch
             # to a dead owner stalls for write_timeout per attempt, and
-            # that silence must not look like master death to the
-            # surviving workers.
-            deadline = sim.now + ft.write_timeout
+            # that silence must not look like master death.
+            deadline = m.sim.now + ft.write_timeout
             while True:
-                ping_workers()
-                remaining = deadline - sim.now
+                m.ping()
+                remaining = deadline - m.sim.now
                 if remaining <= 0:
                     break
                 reply = comm.recv_with_timeout(
@@ -492,289 +495,52 @@ def _ft_master(
                 if reply is TIMEOUT:
                     continue
                 fseq, al = reply
-                if fseq == fetch_seq:
+                if fseq == self.fetch_seq:
                     return al
                 # stale response to an earlier (timed-out) fetch; drain
         return None
 
-    def try_output() -> bool:
-        """One attempt at the serialized fetch/format/write output pass.
+    def output_pass(self) -> bool:
+        """One attempt at the fetch/format/write pass; False when an
+        owning worker died mid-fetch."""
+        m, ctx, cfg, writer = self.m, self.ctx, self.cfg, self.writer
+        per_query = m.merged(m.results, len(self.queries))
 
-        False: an owning worker died mid-fetch.  Its fragments go back
-        to the re-search queue, the caller re-enters the search state,
-        and the next attempt rebuilds the file from offset 0, paying
-        every fetch again (the restart cost pioBLAST's cached blocks
-        avoid)."""
-        missing = sorted(set(range(nfrag)) - set(frag_metas))
-        per_query: list[list[AlignmentMeta]] = [[] for _ in queries]
-        for fid in sorted(frag_metas):
-            _ow, metas_pq = frag_metas[fid]
-            for qi, metas in enumerate(metas_pq):
-                per_query[qi].extend(metas)
+        def rwrite(offset: int, buf: bytes) -> int:
+            m.ping()
+            write_output(ctx, cfg, offset, buf)
+            return offset + len(buf)
+
         with ctx.phase("output"):
-            ctx.fs.delete(out)
-
-            def rwrite(offset: int, buf: bytes) -> None:
-                ping_workers()
-                write_output(ctx, cfg, offset, buf)
-
-            pre = writer.preamble()
-            rwrite(0, pre)
-            offset = len(pre)
-            for qi, qrec in enumerate(queries):
+            ctx.fs.delete(cfg.output_path)
+            offset = rwrite(0, writer.preamble())
+            for qi, qrec in enumerate(self.queries):
                 selected = select_metas(
-                    ctx, cost, per_query[qi], cfg.search.max_alignments,
+                    ctx, cfg.cost, per_query[qi], cfg.search.max_alignments,
                     expect=cfg.search.expect,
                 )
                 header = header_bytes_for(writer, qrec, selected)
-                rwrite(offset, header)
-                offset += len(header)
-                for m in selected:
-                    ping_workers()
-                    ctx.compute(cost.fetch_overhead_seconds())
-                    al = fetch(m.owner_rank, qi, m.local_id)
+                offset = rwrite(offset, header)
+                for meta in selected:
+                    m.ping()
+                    ctx.compute(cfg.cost.fetch_overhead_seconds())
+                    al = self.fetch(meta.owner_rank, qi, meta.local_id)
                     if al is None:
-                        if live.declare_dead(m.owner_rank):
-                            worker_lost(m.owner_rank, "fetch-timeout")
-                        report.record(
-                            sim.now, "recover:restart-output", m.owner_rank
+                        if m.live.declare_dead(meta.owner_rank):
+                            m.lost(meta.owner_rank, "fetch-timeout")
+                        m.report.record(
+                            m.sim.now, "recover:restart-output",
+                            meta.owner_rank,
                         )
                         return False
                     block = writer.alignment_block(al)
-                    ctx.compute(cost.render_seconds(len(block)))
-                    rwrite(offset, block)
-                    offset += len(block)
-                footer = footer_bytes_for(writer, engine, qrec, info)
-                rwrite(offset, footer)
-                offset += len(footer)
-        if missing:
-            report.degraded = True
-            report.missing_fragments = missing
-            report.record(sim.now, "detect:degraded", tuple(missing))
+                    ctx.compute(cfg.cost.render_seconds(len(block)))
+                    offset = rwrite(offset, block)
+                offset = rwrite(offset, footer_bytes_for(
+                    writer, self.engine, qrec, self.info
+                ))
+        m.degrade(m.results)  # unchanged by a pass that completes
         return True
-
-    def attempt_output() -> None:
-        nonlocal state
-        ok = try_output()
-        # The serialized output pass can outlast the silence thresholds;
-        # give surviving workers a fresh liveness window so they are not
-        # declared dead for politely waiting out our fetch loop.
-        live.refresh(sim.now)
-        if ok:
-            state = "done"
-
-    def work_reply(w: int):
-        if state == "done":
-            return ("done", None)
-        if research:
-            fid = research.pop(0)
-            assigned[w] = fid
-            assigner.note_holding(w, fid)
-            return ("frag", fid)
-        fid = assigner.assign(w)
-        if fid is not None:
-            assigned[w] = fid
-            assigner.note_holding(w, fid)
-            return ("frag", fid)
-        return ("wait", ft.poll_backoff)
-
-    def handle(w: int, kind: str, data: Any):
-        if kind == "hello":
-            return ("setup", setup_blob)
-        if kind == "work":
-            return work_reply(w)
-        if kind == "result":
-            fid, metas = data
-            if assigned.get(w) == fid:
-                assigned.pop(w)
-            if fid not in frag_metas:
-                # First (or revived-after-loss) report for this fragment.
-                frag_metas[fid] = (w, metas)
-                assigner.mark_completed(fid)
-                if fid in research:
-                    research.remove(fid)
-            else:
-                report.record(sim.now, "recover:dup-result", fid, w)
-            return ("ok", None)
-        raise RuntimeError(f"unknown FT request kind {kind!r}")
-
-    # ---- serve loop -----------------------------------------------------
-    if promoted:
-        # Announce the new master immediately: surviving workers adopt
-        # it on the first ping instead of waiting out failover_silence.
-        ping_workers(force=True)
-    server = PullServer(ctx, ft, MPI_FT, range(ctx.size))
-
-    def on_tick(request, now: float) -> None:
-        if request is not None:
-            w = request[0]
-            if live.heard(w, now):
-                report.record(sim.now, "recover:revive", w)
-        for w, _quiet in live.sweep(sim.now, ft.search_timeout):
-            worker_lost(w, "search-timeout" if w in assigned else "silent")
-        ping_workers()
-        if state == "search":
-            ckpt.maybe_save(ckpt_state)
-        if state == "search" and (
-            len(frag_metas) == nfrag or (request is None and not live.alive)
-        ):
-            # Complete — or degraded with nobody left to search the
-            # missing fragments.  Either way, attempt the output pass.
-            attempt_output()
-
-    def on_idle(_now: float) -> bool:
-        # sim.now: the tick may just have run the whole output pass
-        return state == "done" and server.lingered(sim.now)
-
-    if server.serve(
-        on_tick=on_tick, on_idle=on_idle, on_request=handle
-    ) is not None:
-        return  # abdicated: the successor rewrites the output from scratch
-
-    # Final accounting: fragments the report never saw results for.
-    missing = sorted(set(range(nfrag)) - set(frag_metas))
-    if missing and not report.missing_fragments:
-        report.degraded = True
-        report.missing_fragments = missing
-
-
-def _ft_copy_and_search(
-    ctx: ProcContext,
-    cfg: ParallelConfig,
-    engine: BlastSearch,
-    queries,
-    ranges: list[tuple[int, int]],
-    info: GlobalDbInfo,
-    frag: int,
-) -> list[list[Alignment]]:
-    """The baseline copy + mmap-search pipeline with transient-I/O retry."""
-    cost, ft = cfg.cost, cfg.ft
-    lo, _hi = ranges[frag]
-    paths = fragment_paths(cfg.db_name, frag)
-    local = ctx.local_disk
-
-    with ctx.phase("copy"):
-        for _ext, path in paths.items():
-            nbytes = ctx.fs.size(path)
-            wire = int(cost.db_wire_bytes(nbytes) * cost.copy_inefficiency)
-            data = reliable_read(ctx, ft, path, charge_bytes=wire)
-            ctx.engine.sleep(
-                cost.copy_chunk_overhead_seconds(wire, ctx.fs.op_overhead)
-            )
-            target = f"scratch/r{ctx.rank}/{path}"
-            dst = local if local is not None else ctx.fs
-            reliable_write(
-                ctx, ft, target, 0, data, charge_bytes=wire, fs=dst
-            )
-            ctx.engine.sleep(
-                cost.copy_chunk_overhead_seconds(wire, dst.op_overhead)
-            )
-
-    with ctx.phase("search"):
-        loaded: dict[str, bytes] = {}
-        for ext, path in paths.items():
-            target = f"scratch/r{ctx.rank}/{path}"
-            src = local if local is not None else ctx.fs
-            charge = int(
-                cost.db_wire_bytes(src.size(target)) * cost.mmap_inefficiency
-            )
-            loaded[ext] = reliable_read(
-                ctx, ft, target, charge_bytes=charge, fs=src
-            )
-        fidx = parse_index(loaded["xin"])
-        volume = DatabaseVolume(fidx, loaded["xhr"], loaded["xsq"])
-        return search_fragment_timed(
-            ctx, engine, queries, volume, info, lo, cost,
-            filter_local=True,
-        )
-
-
-def _ft_worker(ctx: ProcContext, cfg: ParallelConfig) -> str:
-    comm, cost, ft = ctx.comm, cfg.cost, cfg.ft
-    setup: Any = None
-    # Local result cache, exactly as in the baseline: alignment data
-    # never leaves this worker until the master fetches it.
-    cache: dict[tuple[int, int], Alignment] = {}
-    # fid -> metas per query for fragments *we* searched; carried into
-    # _ft_master on promotion so our fragments need no re-search.
-    my_metas: dict[int, list[list[AlignmentMeta]]] = {}
-    next_local_id = 0
-
-    def serve_fetch(msg: tuple[int, int, int], requester: int) -> int:
-        """Answer one of the master's serialized fetches.  The master's
-        output pass interleaves them with our polling, so the RPC
-        receive loop serves them in-line.  Only a master fetches: the
-        requester is returned as an (implicit) master announcement."""
-        fseq, qi, local_id = msg
-        al = cache[(qi, local_id)]
-        comm.isend(
-            (fseq, al),
-            dest=requester,
-            tag=TAG_FETCHRESP,
-            nbytes=cost.wire_bytes(al.payload_nbytes()),
-        )
-        return requester
-
-    rpc = PullClient(
-        ctx, ft, FailoverTracker(ctx, ft), MPI_FT,
-        extra={TAG_FETCH: serve_fetch},
-    ).call
-    try:
-        setup = rpc("hello")[1]
-        queries, ranges, info = setup
-        ctx.compute(cost.init_seconds())
-        engine = BlastSearch(cfg.search)
-
-        while True:
-            kind, data = rpc("work")
-            if kind == "wait":
-                ctx.engine.sleep(data)
-            elif kind == "done":
-                return "done"
-            elif kind == "frag":
-                frag = data
-                per_query = _ft_copy_and_search(
-                    ctx, cfg, engine, queries, ranges, info, frag
-                )
-                metas_per_query: list[list[AlignmentMeta]] = []
-                for qi, als in enumerate(per_query):
-                    metas = []
-                    for al in als:
-                        cache[(qi, next_local_id)] = al
-                        metas.append(
-                            meta_from_alignment(
-                                al, ctx.rank, next_local_id, 0
-                            )
-                        )
-                        next_local_id += 1
-                    metas_per_query.append(metas)
-                my_metas[frag] = metas_per_query
-                rpc("result", (frag, metas_per_query))
-            else:  # pragma: no cover - protocol error
-                raise RuntimeError(f"unknown FT reply kind {kind!r}")
-    except Promoted:
-        # Become the master: restore + serve (see _ft_master).
-        _ft_master(
-            ctx, cfg, setup=setup, held_cache=cache, held_metas=my_metas
-        )
-        return "promoted-master"
-    except Orphaned:
-        return "orphaned"
-
-
-def _program(ctx: ProcContext) -> Any:
-    cfg: ParallelConfig = ctx.args["config"]
-    if ctx.args.get("ft"):
-        if ctx.rank == 0:
-            _ft_master(ctx, cfg)
-        else:
-            return _ft_worker(ctx, cfg)
-        return None
-    if ctx.rank == 0:
-        _master(ctx, cfg)
-    else:
-        _worker(ctx, cfg)
-    return None
 
 
 def run_mpiblast(
@@ -800,19 +566,8 @@ def run_mpiblast(
     """
     if nprocs < 2:
         raise ValueError("mpiBLAST needs a master and at least one worker")
-    ft_mode = config.fault_tolerance or faults is not None
-    if ft_mode and config.query_batch > 0:
-        raise ValueError(
-            "query_batch is not supported by the fault-tolerant mpiBLAST "
-            "driver (the pull-RPC scheduler assigns whole fragments); "
-            "set query_batch=0 or run without faults/fault_tolerance"
-        )
-    return run(
-        nprocs,
-        _program,
-        platform,
-        shared_store=store,
-        args={"config": config, "ft": ft_mode},
-        faults=faults,
-        tracer=tracer,
+    return run_flat(
+        nprocs, store, config, platform,
+        plain=(_master, _worker), policy=MpiOutput,
+        faults=faults, tracer=tracer,
     )

@@ -91,8 +91,7 @@ def check_fingerprint(
     """Fail fast if the database no longer matches ``expected``.
 
     Raises :exc:`ValueError` naming what changed; ``where`` says which
-    scheduling step tripped the guard (e.g. ``"query batch 2"`` or
-    ``"service wave 7"``).
+    scheduling step tripped the guard (e.g. ``"service wave 7"``).
     """
     try:
         current = fingerprint_database(store, expected.db_name)

@@ -512,12 +512,6 @@ def run_service(
     qids = [j.qid for j in jobs]
     if len(set(qids)) != len(qids):
         raise ValueError("duplicate qid in the job stream")
-    if config.query_batch > 0:
-        raise ValueError(
-            "query_batch is a batch-driver setting; the service's "
-            "admission scheduler owns batching — set query_batch=0 "
-            "and size waves with ServiceConfig.max_wave"
-        )
     cfg = config
     if cfg.ft == FTParams():
         # The service always runs death detection; untouched lab-sized

@@ -716,6 +716,14 @@ GOLDEN_HIER_REPLAY = {
 #: from 0.001 to 0.012 s, g2's sub-master writes batch 1 from 0.700 to
 #: 0.708 s, and pio's promoted master writes its own blocks from about
 #: 2.092 to 2.098 s.  Digests re-captured with ``GOLDEN_HIER_REPLAY``.
+#: ``pio/kill-writer`` (any instant from 0.058 to 0.072 s) and
+#: ``mpi/kill-owner-revive`` were captured on the two drivers' separate
+#: FT masters, before they became one scheduler, and pin it unchanged.
+#: In the latter the dead owner's poll, sent before the crash, is
+#: consumed after the fetch timeout and revives it (FAULTS.md §8).
+#: ``mpi/kill-owner-mid-output`` never terminated there: the output
+#: pass declared rank 2 dead, then its pre-crash poll was handed the
+#: fragment to re-search.
 FAULT_CORPUS = {
     "pio/ioerr-queries": (
         "pioblast", 6,
@@ -770,6 +778,13 @@ FAULT_CORPUS = {
             "recover:io-retry",
         ),
         "b603121f56f66be9de5b167f75e3b17d1ae3e350743ab445dafab29797b7fc52",
+    ),
+    "pio/kill-writer": (
+        "pioblast", 6,
+        "kill=2@0.065",
+        dict(lab=True),
+        ("recover:rehome-write", "recover:research", "recover:dup-result"),
+        "d83db2edeb6625b2ef404a9a7bb1f0f215d1bd176027adc30ea9828584c712e4",
     ),
     "pio/mixed": (
         "pioblast", 8,
@@ -842,6 +857,20 @@ FAULT_CORPUS = {
             "recover:restore-checkpoint",
         ),
         "d92dab61392e5cfedcf7e320432023cfcb1eedc459c1142685e871268138e1c7",
+    ),
+    "mpi/kill-owner-revive": (
+        "mpiblast", 6,
+        "kill=3@0.15",
+        dict(lab=True),
+        ("recover:restart-output", "recover:revive"),
+        "71cc3f18de6b1451f561ddbaf0f854cdc94dc06e29155a73efb3b654df9830cb",
+    ),
+    "mpi/kill-owner-mid-output": (
+        "mpiblast", 6,
+        "kill=2@0.1",
+        dict(lab=True),
+        ("detect:worker-dead", "recover:research", "recover:restart-output"),
+        "aa6b661af56b557810375b3a08e23c8b07a327b4b34b95782241a923a74ac1d9",
     ),
     "hier-replicate/drop-request": (
         "hier-replicate", 13,
@@ -1094,6 +1123,18 @@ class TestSchedulerReplayIdentity:
         fp = corpus_fingerprint(name)
         assert fp["fault_report"][0], "the plan injected nothing"
         assert fingerprint_digest(fp) == FAULT_CORPUS[name][-1]
+
+    def test_owner_lost_mid_output_recovers_the_serial_report(self):
+        """A poll from a rank declared dead gets no fragment, so the
+        re-search reaches a live worker and the run ends."""
+        from repro.experiments.common import make_store
+        from repro.parallel.serial import run_serial_reference
+
+        fp = corpus_fingerprint("mpi/kill-owner-mid-output")
+        store, cfg = make_store(_replay_workload())
+        assert fp["files"][cfg.output_path] == run_serial_reference(
+            store, cfg
+        )
 
     @pytest.mark.parametrize("name", sorted(FAULT_CORPUS))
     def test_fault_corpus_records_its_kinds(self, name):

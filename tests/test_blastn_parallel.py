@@ -87,13 +87,6 @@ class TestBlastnParallel:
         run_mpiblast(5, store, cfg)
         assert store.read_all(cfg.output_path) == dna_reference
 
-    def test_pioblast_batched_matches_serial(self, dna_workload,
-                                             dna_reference):
-        db, queries = dna_workload
-        store, cfg = _staged(db, queries, query_batch=3)
-        run_pioblast(4, store, cfg)
-        assert store.read_all(cfg.output_path) == dna_reference
-
     def test_dna_database_files_use_dna_alphabet(self, dna_workload):
         from repro.blast.formatdb import DatabaseIndex
 

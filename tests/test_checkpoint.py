@@ -529,33 +529,6 @@ class TestMasterKillMpiblast:
 
 
 # ----------------------------------------------------------------------
-# Satellite: query_batch is rejected under fault tolerance
-# ----------------------------------------------------------------------
-class TestQueryBatchRejected:
-    def test_pioblast(self, staged):
-        store, cfg = staged
-        cfg = dataclasses.replace(cfg, query_batch=100)
-        plan = FaultPlan(events=(CrashFault(rank=1, time=0.02),))
-        with pytest.raises(ValueError, match="query_batch"):
-            run_pioblast(5, store, cfg, faults=plan)
-
-    def test_mpiblast(self, staged):
-        store, cfg = staged
-        cfg = dataclasses.replace(cfg, query_batch=100)
-        mpiformatdb(store, cfg.db_name, cfg.fragments_for(4))
-        plan = FaultPlan(events=(CrashFault(rank=1, time=0.02),))
-        with pytest.raises(ValueError, match="query_batch"):
-            run_mpiblast(5, store, cfg, faults=plan)
-
-    def test_batching_still_fine_without_faults(self, staged,
-                                                serial_reference):
-        store, cfg = staged
-        cfg = dataclasses.replace(cfg, query_batch=700)
-        run_pioblast(5, store, cfg)
-        assert store.read(cfg.output_path) == serial_reference
-
-
-# ----------------------------------------------------------------------
 # Chaos sweep: master kills across the whole run (tier 2)
 # ----------------------------------------------------------------------
 KILL_TIMES = [0.03, 0.08, 0.12, 0.15, 0.2]

@@ -11,8 +11,6 @@ that join/leave schedules never drop or duplicate a query.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -118,12 +116,6 @@ class TestValidation:
         jobs = poisson_arrivals(small_queries, rate=0.5, seed=0)
         with pytest.raises(ValueError, match="duplicate qid"):
             run_hier_service(13, store, cfg, jobs + [jobs[0]])
-
-    def test_query_batch_rejected(self, staged, small_queries):
-        store, cfg = staged
-        jobs = poisson_arrivals(small_queries, rate=0.5, seed=0)
-        with pytest.raises(ValueError, match="query_batch"):
-            run_hier_service(13, store, replace(cfg, query_batch=4), jobs)
 
     def test_drain_gid_outside_topology_rejected(
         self, staged, small_queries

@@ -172,13 +172,6 @@ class TestHierConfig:
         with pytest.raises(ValueError):
             HierConfig(batch_queries=-1)
 
-    def test_query_batch_rejected(self, staged):
-        from dataclasses import replace
-
-        store, cfg = staged
-        with pytest.raises(ValueError, match="query_batch"):
-            run_hier(13, store, replace(cfg, query_batch=4))
-
 
 # ----------------------------------------------------------------------
 # oracle identity (fault-free) + observability wiring

@@ -897,6 +897,7 @@ class TestLivenessTable:
 
 #: The roles that sit on a ``PullServer`` and judge clients by silence.
 ROLES = (
+    "repro.parallel.flatft",
     "repro.parallel.pioblast",
     "repro.parallel.mpiblast",
     "repro.hier.groupmaster",
@@ -925,4 +926,29 @@ def test_roles_keep_no_liveness_dialect_of_their_own(module):
             for target in targets:
                 if isinstance(target, ast.Name) and target.id in LIVENESS_DICTS:
                     found.append(f"{target.id} = ... (line {node.lineno})")
+    assert found == []
+
+
+def test_flat_scheduler_never_names_its_driver():
+    """``flatft`` serves both flat drivers through their output policies
+    only: it imports neither driver module and holds no driver name, so
+    no branch on which driver it serves can creep back in."""
+    from repro.parallel import flatft
+
+    tree = ast.parse(Path(flatft.__file__).read_text())
+    drivers = ("pioblast", "mpiblast")
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [a.name for a in node.names]
+        elif isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names = [node.value]
+        else:
+            continue
+        found += [
+            f"{n!r} (line {node.lineno})"
+            for n in names if any(d in n for d in drivers)
+        ]
     assert found == []

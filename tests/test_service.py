@@ -8,12 +8,9 @@ byte-identical to the serial oracle's.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import pytest
 
 from repro.obs import EV_QUERY, Tracer
-from repro.parallel import run_pioblast
 from repro.service import (
     AdmissionScheduler,
     QueryJob,
@@ -198,8 +195,6 @@ class TestServiceEndToEnd:
             run_service(4, store, cfg, [])
         with pytest.raises(ValueError, match="duplicate qid"):
             run_service(4, store, cfg, [jobs[0], jobs[0]])
-        with pytest.raises(ValueError, match="query_batch"):
-            run_service(4, store, replace(cfg, query_batch=4), jobs)
 
     def test_oracle_identity_and_accounting(
         self, staged, small_queries, serial_reference
@@ -319,22 +314,6 @@ class TestStaleFragmentMap:
                 service=ServiceConfig(max_wave=3, admission_delay=0.1),
                 on_cluster=_repartition_at(1.0),
             )
-
-    def test_query_batch_rejects_repartitioned_db(
-        self, staged, small_queries
-    ):
-        store, cfg = staged
-        cfg = replace(cfg, query_batch=3)
-        with pytest.raises(ProcessFailure, match="re-partitioned"):
-            run_pioblast(4, store, cfg, on_cluster=_repartition_at(0.01))
-
-    def test_unchanged_db_passes(self, staged, small_queries,
-                                 serial_reference):
-        """The guard must not fire on a database nobody touched."""
-        store, cfg = staged
-        cfg = replace(cfg, query_batch=3)
-        result = run_pioblast(4, store, cfg)
-        assert result.store.read_all(cfg.output_path) == serial_reference
 
 
 # ----------------------------------------------------------------------

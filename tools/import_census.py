@@ -34,6 +34,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 #: Modules no job imports before its set-up: each loads on first use of
 #: a name that needs it, in the run that uses it.
 DEFERRED = (
+    "repro.parallel.flatft",
     "repro.parallel.mpiblast",
     "repro.parallel.pioblast",
     "repro.parallel.queryseg",
