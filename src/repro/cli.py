@@ -95,18 +95,15 @@ class _Run:
     workload, platform (or exit 2); the timed driver call; the tail."""
 
     def __init__(self, args: argparse.Namespace):
-        from repro.experiments.common import ExperimentWorkload
         from repro.obs import Tracer
         from repro.platforms import PLATFORMS
+        from repro.scenario import ExperimentWorkload
         from repro.simmpi import FaultPlan
         from repro.workloads import SynthSpec
 
         self.args = args
-        self.faults = None
         if args.faults is not None:
-            self.faults = _checked(
-                "bad --faults spec", FaultPlan.parse, args.faults
-            )
+            _checked("bad --faults spec", FaultPlan.parse, args.faults)
         # Fail fast on unwritable output paths: the simulation itself can
         # take minutes, so a typo'd directory must not cost a full run.
         for opt, path in (("--trace", args.trace),
@@ -129,18 +126,20 @@ class _Run:
         self.platform = PLATFORMS[args.platform]
         self.host_s = 0.0
 
-    def drive(self, runner, *lead, **kwargs):
-        """``runner(*lead, workload, platform, faults=, tracer=, ...)``,
-        timed into ``host_s``."""
+    def drive(self, driver: str, **fields):
+        """The :class:`repro.scenario.Run` of ``driver`` on these flags
+        and ``fields``, timed into ``host_s``."""
+        from repro.scenario import Scenario, run
+
         t0 = time.perf_counter()
-        out = _checked(
-            "cannot run", runner, *lead, self.workload, self.platform,
-            faults=self.faults, tracer=self.tracer, **kwargs,
-        )
+        out = _checked("cannot run", lambda: run(Scenario(
+            driver, self.args.nprocs, workload=self.workload,
+            platform=self.platform, faults=self.args.faults, **fields,
+        ), self.tracer))
         self.host_s = time.perf_counter() - t0
         return out
 
-    def finish(self, result, store, cfg, *, program: str,
+    def finish(self, r, *, program: str,
                report: bytes | None = None, oracle_name: str = "",
                degraded: bool = False, trace_note: str = "",
                bottleneck: bool = False) -> int:
@@ -153,10 +152,10 @@ class _Run:
             run_serial_reference,
         )
 
-        args = self.args
+        args, result, store, cfg = self.args, r.result, r.store, r.config
         print(f"  report: {store.size(cfg.output_path):,} bytes at "
               f"'{cfg.output_path}' (virtual filesystem)")
-        if self.faults is not None:
+        if args.faults is not None:
             print(fault_summary(result) or
                   "faults: none injected, none detected")
             if result.promotions:
@@ -192,7 +191,7 @@ class _Run:
 
 
 def _stream(args: argparse.Namespace, **extra) -> dict:
-    """The arrival/admission flags as the service runners' keywords."""
+    """The arrival/admission flags as the service scenarios' fields."""
     from repro.service import ServiceConfig
 
     trace_text = None
@@ -209,8 +208,8 @@ def _stream(args: argparse.Namespace, **extra) -> dict:
         interactive_max_len=args.interactive_max_len,
         **extra,
     )
-    return dict(rate=args.rate, arrival_seed=args.seed,
-                trace_text=trace_text, service=scfg)
+    return dict(rate=args.rate, arrival_seed=args.seed, trace=trace_text,
+                service=scfg)
 
 
 def _print_latency(lat: dict, makespan: float, host_s: float) -> None:
@@ -227,18 +226,14 @@ def _print_latency(lat: dict, makespan: float, host_s: float) -> None:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    from repro.experiments.common import run_program_raw
-
     run = _Run(args)
-    overrides = {}
+    options = {}
     if args.checkpoint_interval > 0:
-        overrides["checkpoint_interval"] = args.checkpoint_interval
+        options["checkpoint_interval"] = args.checkpoint_interval
     if args.checkpoint_dir is not None:
-        overrides["checkpoint_dir"] = args.checkpoint_dir
-    b, result, store, cfg = run.drive(
-        run_program_raw, args.program, args.nprocs,
-        config_overrides=overrides or None,
-    )
+        options["checkpoint_dir"] = args.checkpoint_dir
+    r = run.drive(args.program, options=options)
+    b = r.outcome
     print(
         f"{args.program} on {run.platform.name}, {args.nprocs} processes "
         f"({args.db_sequences} db seqs, {args.query_bytes} B queries)"
@@ -252,19 +247,18 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         f"(search share {100 * b.search_share:.1f}%)"
     )
     return run.finish(
-        result, store, cfg, program=args.program, bottleneck=True,
+        r, program=args.program, bottleneck=True,
         trace_note=" (load in chrome://tracing or ui.perfetto.dev)",
     )
 
 
 def _cmd_service(args: argparse.Namespace) -> int:
-    from repro.experiments.common import run_service_raw
-
     run = _Run(args)
     stream = _stream(args)
-    sres, store, cfg = run.drive(run_service_raw, args.nprocs, **stream)
+    r = run.drive("service", **stream)
+    sres = r.outcome
     lat = sres.latency
-    arrivals = ("trace" if stream["trace_text"] is not None
+    arrivals = ("trace" if stream["trace"] is not None
                 else f"poisson rate={args.rate}/s")
     print(
         f"service on {run.platform.name}, {args.nprocs} processes "
@@ -273,21 +267,17 @@ def _cmd_service(args: argparse.Namespace) -> int:
     )
     _print_latency(lat, sres.result.makespan, run.host_s)
     return run.finish(
-        sres.result, store, cfg, program="service",
+        r, program="service",
         report=sres.report, oracle_name="service",
     )
 
 
 def _cmd_hier(args: argparse.Namespace) -> int:
-    from repro.experiments.common import run_hier_raw
-
     run = _Run(args)
     mode = "shard" if args.shard else "replicate"
-    hres, store, cfg = run.drive(
-        run_hier_raw, args.nprocs,
-        ngroups=args.groups, mode=mode, batch_queries=args.batch_queries,
-    )
-    result = hres.result
+    r = run.drive("hier", groups=args.groups, mode=mode,
+                  batch_queries=args.batch_queries)
+    hres, result = r.outcome, r.result
     topo = hres.topology
     gsizes = [len(g.members) for g in topo.groups]
     print(
@@ -312,14 +302,13 @@ def _cmd_hier(args: argparse.Namespace) -> int:
           f"({100 * worst / makespan:.1f}% of makespan; per group "
           f"{['%.1f' % waits[g] for g in sorted(waits)]})")
     return run.finish(
-        result, store, cfg, program="hier",
+        r, program="hier",
         report=hres.report, oracle_name="hierarchical",
         trace_note=" (EV_GROUP spans show per-batch group activity)",
     )
 
 
 def _cmd_hier_service(args: argparse.Namespace) -> int:
-    from repro.experiments.common import run_hier_service_raw
     from repro.hier import ElasticConfig
 
     def parse_pairs(what):
@@ -342,11 +331,11 @@ def _cmd_hier_service(args: argparse.Namespace) -> int:
         redispatch_timeout=args.redispatch_timeout,
     )
     mode = "shard" if args.shard else "replicate"
-    sres, store, cfg = run.drive(
-        run_hier_service_raw, args.nprocs,
-        ngroups=args.groups, mode=mode, elastic=ecfg,
+    r = run.drive(
+        "hier-service", groups=args.groups, mode=mode, elastic=ecfg,
         **_stream(args, shed_threshold=args.shed_threshold),
     )
+    sres = r.outcome
     topo = sres.topology
     lat = sres.latency
     gsizes = [len(g.members) for g in topo.groups]
@@ -364,7 +353,7 @@ def _cmd_hier_service(args: argparse.Namespace) -> int:
               f"(missing fragments), shed {sres.shed_queries} at "
               f"admission")
     return run.finish(
-        sres.result, store, cfg, program="hier-service",
+        r, program="hier-service",
         report=sres.report, oracle_name="service", degraded=degraded,
         trace_note=" (EV_REGROUP spans show elastic membership events)",
     )
@@ -393,8 +382,8 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     mod = importlib.import_module(modname)
     res = getattr(mod, runner_name)()
     if args.which == "table2":
-        from repro.experiments.common import PAPER_COSTS
         from repro.experiments.table2 import render_table2
+        from repro.scenario import PAPER_COSTS
 
         print(render_table2(res, PAPER_COSTS.data_scale))
     else:

@@ -9,10 +9,8 @@ for the experiment index and EXPERIMENTS.md for recorded outcomes.
 from repro._lazy import namespace
 
 __all__, __getattr__, __dir__ = namespace(__name__, {
-    "common": (
-        "ExperimentWorkload", "build_workload", "make_store", "run_program",
-        "format_table",
-    ),
+    "common": ("ExperimentWorkload", "build_workload"),
+    "report": ("format_table",),
     "table1": ("run_table1", "paper_table1"),
     "table2": ("run_table2", "paper_table2"),
     "fig1a": ("run_fig1a", "paper_fig1a"),

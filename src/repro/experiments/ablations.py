@@ -18,15 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from repro.experiments.common import (
-    ExperimentWorkload,
-    format_table,
-    make_store,
-    run_program,
-)
-from repro.parallel import run_pioblast
-from repro.parallel.phases import PhaseBreakdown, breakdown_from_run
+from repro.experiments.report import format_table
+from repro.parallel.phases import PhaseBreakdown
 from repro.platforms import NCSU_BLADE, ORNL_ALTIX
+from repro.scenario import ExperimentWorkload, Scenario, run
 
 
 @dataclass(frozen=True)
@@ -46,12 +41,10 @@ def run_output_ablation(
         ("pio (collective output)", {}),
         ("pio (serialized output)", {"collective_output": False}),
     ):
-        b, _, _ = run_program(
-            "pioblast", nprocs, w, ORNL_ALTIX, config_overrides=overrides
-        )
-        rows.append(AblationRow(label, b))
-    mpi, _, _ = run_program("mpiblast", nprocs, w, ORNL_ALTIX)
-    rows.append(AblationRow("mpiBLAST (reference)", mpi))
+        r = run(Scenario("pioblast", nprocs, workload=w, options=overrides))
+        rows.append(AblationRow(label, r.outcome))
+    mpi = run(Scenario("mpiblast", nprocs, workload=w))
+    rows.append(AblationRow("mpiBLAST (reference)", mpi.outcome))
     return rows
 
 
@@ -64,10 +57,9 @@ def run_input_ablation(
         ("pio (range input)", {}),
         ("pio (whole-file input)", {"parallel_input": False}),
     ):
-        b, _, _ = run_program(
-            "pioblast", nprocs, w, NCSU_BLADE, config_overrides=overrides
-        )
-        rows.append(AblationRow(label, b))
+        r = run(Scenario("pioblast", nprocs, workload=w, platform=NCSU_BLADE,
+                         options=overrides))
+        rows.append(AblationRow(label, r.outcome))
     return rows
 
 
@@ -88,18 +80,16 @@ def run_pruning_ablation(
         ("pio (no pruning)", {}),
         ("pio (early score pruning)", {"early_score_pruning": True}),
     ):
-        store, cfg = make_store(w)
-        cfg = replace(cfg, **overrides)
-        res = run_pioblast(nprocs, store, cfg, ORNL_ALTIX)
+        r = run(Scenario("pioblast", nprocs, workload=w, options=overrides))
         rows.append(
             AblationRow(
                 label,
-                breakdown_from_run("pioblast", res),
-                messages=res.messages_sent,
-                bytes_sent=res.bytes_sent,
+                r.outcome,
+                messages=r.result.messages_sent,
+                bytes_sent=r.result.bytes_sent,
             )
         )
-        outputs.append(store.read_all(cfg.output_path))
+        outputs.append(r.output)
     return rows, outputs[0] == outputs[1]
 
 
@@ -137,10 +127,9 @@ def run_granularity_ablation(
             {"num_fragments": 4 * (nprocs - 1)},
         ),
     ):
-        b, _, _ = run_program(
-            "pioblast", nprocs, w, skewed, config_overrides=overrides
-        )
-        rows.append(AblationRow(label, b))
+        r = run(Scenario("pioblast", nprocs, workload=w, platform=skewed,
+                         options=overrides))
+        rows.append(AblationRow(label, r.outcome))
     return rows
 
 
@@ -149,10 +138,10 @@ def run_queryseg_comparison(
 ) -> list[AblationRow]:
     w = wl if wl is not None else ExperimentWorkload()
     rows = []
-    qs, _, _ = run_program("queryseg", nprocs, w, NCSU_BLADE)
-    rows.append(AblationRow("query segmentation", qs))
-    pio, _, _ = run_program("pioblast", nprocs, w, NCSU_BLADE)
-    rows.append(AblationRow("pioBLAST (db segmentation)", pio))
+    for label, program in (("query segmentation", "queryseg"),
+                           ("pioBLAST (db segmentation)", "pioblast")):
+        r = run(Scenario(program, nprocs, workload=w, platform=NCSU_BLADE))
+        rows.append(AblationRow(label, r.outcome))
     return rows
 
 

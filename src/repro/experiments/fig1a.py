@@ -16,13 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.experiments.common import (
-    ExperimentWorkload,
-    format_table,
-    run_program,
-)
+from repro.experiments.report import format_table
 from repro.parallel.phases import PhaseBreakdown
-from repro.platforms import ORNL_ALTIX
+from repro.scenario import ExperimentWorkload, Scenario, run
 
 PROCESS_COUNTS = (16, 32, 64)
 
@@ -60,8 +56,7 @@ def run_fig1a(
     )
     out: dict[int, PhaseBreakdown] = {}
     for p in process_counts:
-        b, _, _ = run_program("mpiblast", p, w, ORNL_ALTIX)
-        out[p] = b
+        out[p] = run(Scenario("mpiblast", p, workload=w)).outcome
     return Fig1aResult(breakdowns=out)
 
 

@@ -11,13 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.experiments.common import (
-    ExperimentWorkload,
-    format_table,
-    run_program,
-)
+from repro.experiments.report import format_table
 from repro.parallel.phases import PhaseBreakdown
-from repro.platforms import ORNL_ALTIX
+from repro.scenario import ExperimentWorkload, Scenario, run
 
 FRAGMENT_COUNTS = (31, 61, 96, 167)
 
@@ -40,7 +36,8 @@ def run_fig1b(
     w = wl if wl is not None else ExperimentWorkload()
     out: dict[int, PhaseBreakdown] = {}
     for f in fragment_counts:
-        b, _, _ = run_program("mpiblast", nprocs, w, ORNL_ALTIX, nfragments=f)
+        b = run(Scenario("mpiblast", nprocs, workload=w,
+                         options={"num_fragments": f})).outcome
         out[f] = b
     return Fig1bResult(breakdowns=out)
 

@@ -14,13 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.experiments.common import (
-    ExperimentWorkload,
-    format_table,
-    run_program,
-)
+from repro.experiments.report import format_table
 from repro.parallel.phases import PhaseBreakdown
-from repro.platforms import ORNL_ALTIX
+from repro.scenario import ExperimentWorkload, Scenario, run
 
 PROCESS_COUNTS = (4, 8, 16, 32, 62)
 
@@ -52,8 +48,8 @@ def run_fig3a(
     mpi: dict[int, PhaseBreakdown] = {}
     pio: dict[int, PhaseBreakdown] = {}
     for p in process_counts:
-        mpi[p], _, _ = run_program("mpiblast", p, w, ORNL_ALTIX)
-        pio[p], _, _ = run_program("pioblast", p, w, ORNL_ALTIX)
+        mpi[p] = run(Scenario("mpiblast", p, workload=w)).outcome
+        pio[p] = run(Scenario("pioblast", p, workload=w)).outcome
     return Fig3aResult(mpi=mpi, pio=pio)
 
 

@@ -11,14 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.experiments.common import (
-    ExperimentWorkload,
-    format_table,
-    run_program,
-)
+from repro.experiments.report import format_table
 from repro.experiments.table2 import QUERY_BYTES
 from repro.parallel.phases import PhaseBreakdown
-from repro.platforms import ORNL_ALTIX
+from repro.scenario import ExperimentWorkload, Scenario, run
 
 
 def paper_fig3b() -> dict[str, dict[int, float]]:
@@ -51,12 +47,12 @@ def run_fig3b(
     rows: list[Fig3bRow] = []
     for qb in query_bytes:
         w = base.with_query_bytes(qb)
-        mpi, store, cfg = run_program("mpiblast", nprocs, w, ORNL_ALTIX)
-        out_bytes = store.size(cfg.output_path)
-        pio, _, _ = run_program("pioblast", nprocs, w, ORNL_ALTIX)
+        mpi = run(Scenario("mpiblast", nprocs, workload=w))
+        pio = run(Scenario("pioblast", nprocs, workload=w))
         rows.append(
             Fig3bRow(
-                query_bytes=qb, output_bytes=out_bytes, mpi=mpi, pio=pio
+                query_bytes=qb, output_bytes=len(mpi.output),
+                mpi=mpi.outcome, pio=pio.outcome,
             )
         )
     return Fig3bResult(rows=rows)

@@ -11,13 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.experiments.common import (
-    ExperimentWorkload,
-    format_table,
-    run_program,
-)
+from repro.experiments.report import format_table
 from repro.parallel.phases import PhaseBreakdown
 from repro.platforms import NCSU_BLADE
+from repro.scenario import ExperimentWorkload, Scenario, run
 
 PROCESS_COUNTS = (4, 8, 16, 32)
 
@@ -45,8 +42,9 @@ def run_fig4(
     mpi: dict[int, PhaseBreakdown] = {}
     pio: dict[int, PhaseBreakdown] = {}
     for p in process_counts:
-        mpi[p], _, _ = run_program("mpiblast", p, w, NCSU_BLADE)
-        pio[p], _, _ = run_program("pioblast", p, w, NCSU_BLADE)
+        for program, out in (("mpiblast", mpi), ("pioblast", pio)):
+            out[p] = run(Scenario(program, p, workload=w,
+                                  platform=NCSU_BLADE)).outcome
     return Fig4Result(mpi=mpi, pio=pio)
 
 

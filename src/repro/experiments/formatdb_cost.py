@@ -16,8 +16,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from repro.experiments.common import ExperimentWorkload, build_workload, format_table
+from repro.experiments.report import format_table
 from repro.parallel import ParallelConfig, mpiformatdb, stage_inputs
+from repro.scenario import ExperimentWorkload, build_workload
 from repro.simmpi import FileStore
 
 

@@ -71,3 +71,28 @@ def missing_experiments(results_dir: str | pathlib.Path) -> list[str]:
     """Experiments from the paper index with no archived table yet."""
     results = collect_results(results_dir)
     return [name for name, _ in SECTION_ORDER if name not in results]
+
+
+def format_table(
+    title: str,
+    headers: list[str],
+    rows: list[list],
+    *,
+    note: str | None = None,
+) -> str:
+    """Fixed-width ascii table (the bench scripts' output format)."""
+    srows = [
+        [f"{c:.1f}" if isinstance(c, float) else str(c) for c in r]
+        for r in rows
+    ]
+    widths = [
+        max(len(h), *(len(r[i]) for r in srows)) if srows else len(h)
+        for i, h in enumerate(headers)
+    ]
+    lines = [title, "-" * len(title)]
+    lines.append("  ".join(h.rjust(widths[i]) for i, h in enumerate(headers)))
+    for r in srows:
+        lines.append("  ".join(c.rjust(widths[i]) for i, c in enumerate(r)))
+    if note:
+        lines.append(f"  note: {note}")
+    return "\n".join(lines)

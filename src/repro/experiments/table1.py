@@ -17,13 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.experiments.common import (
-    ExperimentWorkload,
-    format_table,
-    run_program,
-)
+from repro.experiments.report import format_table
 from repro.parallel.phases import PhaseBreakdown
-from repro.platforms import ORNL_ALTIX
+from repro.scenario import ExperimentWorkload, Scenario, run
 
 
 def paper_table1() -> dict[str, dict[str, float]]:
@@ -63,8 +59,8 @@ def run_table1(
     wl: ExperimentWorkload | None = None, nprocs: int = 32
 ) -> Table1Result:
     w = wl if wl is not None else ExperimentWorkload()
-    mpi, _, _ = run_program("mpiblast", nprocs, w, ORNL_ALTIX)
-    pio, _, _ = run_program("pioblast", nprocs, w, ORNL_ALTIX)
+    mpi = run(Scenario("mpiblast", nprocs, workload=w)).outcome
+    pio = run(Scenario("pioblast", nprocs, workload=w)).outcome
     return Table1Result(mpi=mpi, pio=pio)
 
 

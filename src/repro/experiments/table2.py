@@ -16,12 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.experiments.common import (
-    ExperimentWorkload,
-    format_table,
-    make_store,
-)
-from repro.parallel import run_serial_reference
+from repro.experiments.report import format_table
+from repro.scenario import ExperimentWorkload, Scenario, run
 
 #: Real query-set byte targets standing in for the paper's four sets
 #: (same 1 : 3 : 6 : 11 ratios as 26/77/159/289 KB).
@@ -57,14 +53,13 @@ def run_table2(
     rows: list[Table2Row] = []
     for qb in query_bytes:
         w = base.with_query_bytes(qb)
-        store, cfg = make_store(w)
-        report = run_serial_reference(store, cfg)
-        nq = store.read_all(cfg.query_path).count(b">")
+        r = run(Scenario("serial", 1, workload=w))
+        queries = r.store.read_all(r.config.query_path)
         rows.append(
             Table2Row(
-                query_bytes=store.size(cfg.query_path),
-                output_bytes=len(report),
-                num_queries=nq,
+                query_bytes=len(queries),
+                output_bytes=len(r.outcome),
+                num_queries=queries.count(b">"),
             )
         )
     return Table2Result(rows=rows)

@@ -8,9 +8,9 @@ over the same roles is :mod:`repro.hier.elastic`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from repro.parallel.config import FTParams, ParallelConfig
+from repro.parallel.config import ParallelConfig, ft_for_cost
 from repro.simmpi import FileStore, PlatformSpec, ProcContext, RunResult
 from repro.simmpi.faults import FaultPlan
 from repro.simmpi.launcher import run
@@ -74,12 +74,8 @@ def run_hier(
     """
     hier = hier if hier is not None else HierConfig()
     topo = build_topology(nprocs, hier.ngroups, hier.mode)
-    # The hierarchy is timeout-driven even in fault-free runs; stretch
-    # the default FT timeouts to the cost model exactly like the
-    # service does, so modelled compute/IO never outruns a liveness
-    # deadline.
-    if config.ft == FTParams():
-        config = replace(config, ft=FTParams.for_cost(config.cost))
+    # The hierarchy is timeout-driven even in fault-free runs.
+    config = ft_for_cost(config)
     if faults is not None:
         faults = faults.resolve_roles(topo.role_rank)
     result = run(

@@ -76,7 +76,7 @@ from repro.parallel.common import (
     write_output,
     writer_for,
 )
-from repro.parallel.config import FTParams, ParallelConfig
+from repro.parallel.config import ParallelConfig, ft_for_cost
 from repro.parallel.pullrpc import HIER, Heartbeat, LivenessTable, PullServer
 from repro.parallel.results import dedupe_candidates, select_metas
 from repro.parallel.warmdb import partition_database
@@ -1014,10 +1014,7 @@ def run_hier_service(
     join_times = {
         gid: t for gid, (_n, t) in zip(topo.latent, elastic.joins)
     }
-    cfg = config
-    if cfg.ft == FTParams():
-        from dataclasses import replace
-        cfg = replace(cfg, ft=FTParams.for_cost(cfg.cost))
+    cfg = ft_for_cost(config)
     if faults is not None:
         faults = faults.resolve_roles(topo.role_rank)
     ordered = tuple(sorted(jobs, key=lambda j: (j.arrival, j.qid)))

@@ -67,20 +67,12 @@ from repro.blast.engine import (
     SearchParams,
     SearchStats,
 )
-from repro.experiments.common import (
-    ExperimentWorkload,
-    run_hier_raw,
-    run_hier_service_raw,
-    run_program_raw,
-    run_service_raw,
-)
 from repro.experiments.fig3a import PROCESS_COUNTS
 from repro.hier import ElasticConfig
 from repro.obs.export import run_metrics
 from repro.obs.tracer import Tracer
-from repro.platforms import ORNL_ALTIX
+from repro.scenario import ExperimentWorkload, Scenario, run
 from repro.service import ServiceConfig
-from repro.simmpi import FaultPlan
 from repro.workloads import (
     SynthSpec,
     synthesize_dna_records,
@@ -229,20 +221,17 @@ def kernel_scenarios(
     return out
 
 
-def _timed_run(runs: dict, name: str, program: str, trace: bool, run):
-    """The time-run-record step every simulated scenario shares.
-
-    ``run(tracer)`` returns a ``RunResult`` or a driver result carrying
-    one as ``.result``; its :func:`run_metrics` plus the host seconds
-    land in ``runs[name]``.  Returns ``(run's return value, host_s)``.
-    """
+def _timed_run(runs: dict, name: str, scenario: Scenario, trace: bool):
+    """The time-run-record step every simulated scenario shares: the
+    run's :func:`run_metrics` plus its host seconds land in
+    ``runs[name]``.  Returns ``(Run, host_s)``."""
     tracer = Tracer() if trace else None
     t0 = time.perf_counter()
-    res = run(tracer)
+    r = run(scenario, tracer)
     host_s = time.perf_counter() - t0
-    runs[name] = run_metrics(getattr(res, "result", res), program=program)
+    runs[name] = run_metrics(r.result, program=scenario.driver)
     runs[name]["host_s"] = host_s
-    return res, host_s
+    return r, host_s
 
 
 def bench_document(
@@ -263,37 +252,33 @@ def bench_document(
     runs: dict[str, dict] = {}
     for program in ("mpiblast", "pioblast"):
         for nprocs in counts:
-            nfrag = None
+            options = {}
             if program == "mpiblast" and nprocs - 1 > MPIBLAST_FRAG_CAP:
-                nfrag = MPIBLAST_FRAG_CAP
+                options["num_fragments"] = MPIBLAST_FRAG_CAP
             name = f"{program}/np{nprocs}"
-            result, host_s = _timed_run(
-                runs, name, program, trace,
-                lambda tracer: run_program_raw(
-                    program, nprocs, wl, ORNL_ALTIX,
-                    nfragments=nfrag, tracer=tracer,
-                )[1],
+            r, host_s = _timed_run(
+                runs, name,
+                Scenario(program, nprocs, workload=wl, options=options),
+                trace,
             )
             if verbose:
                 print(
-                    f"{name}: makespan {result.makespan:.1f}s, "
+                    f"{name}: makespan {r.result.makespan:.1f}s, "
                     f"host {host_s:.2f}s, "
-                    f"{len(result.events or [])} events"
+                    f"{len(r.result.events or [])} events"
                 )
     hier_points = HIER_POINTS_QUICK if quick else HIER_POINTS
     for nprocs, ngroups in hier_points:
         name = f"hier/np{nprocs}"
-        hres, host_s = _timed_run(
-            runs, name, "hier", trace,
-            lambda tracer: run_hier_raw(
-                nprocs, wl, ORNL_ALTIX, ngroups=ngroups, mode=HIER_MODE,
-                tracer=tracer,
-            )[0],
+        r, host_s = _timed_run(
+            runs, name,
+            Scenario("hier", nprocs, HIER_MODE, ngroups, workload=wl),
+            trace,
         )
         if verbose:
             share = runs[name]["hier"]["group_coord_wait_share_max"]
             print(
-                f"{name}: makespan {hres.result.makespan:.1f}s, "
+                f"{name}: makespan {r.result.makespan:.1f}s, "
                 f"host {host_s:.2f}s, K={ngroups}, "
                 f"coord-wait share {share:.4f}"
             )
@@ -307,20 +292,20 @@ def bench_document(
     )
     for label, priority in (("prio", True), ("fifo", False)):
         name = f"service-{label}/np{service_np}"
-        sres, host_s = _timed_run(
-            runs, name, "service", trace,
-            lambda tracer: run_service_raw(
-                service_np, wl, ORNL_ALTIX,
-                rate=service_rate, arrival_seed=SERVICE_SEED,
+        r, host_s = _timed_run(
+            runs, name,
+            Scenario(
+                "service", service_np, workload=wl, rate=service_rate,
+                arrival_seed=SERVICE_SEED,
                 service=ServiceConfig(priority=priority, **admission),
-                tracer=tracer,
-            )[0],
+            ),
+            trace,
         )
         if verbose:
-            lat = sres.latency
+            lat = r.outcome.latency
             print(
                 f"{name}: {lat['all']['count']} queries in "
-                f"{sres.waves} waves, interactive p95 "
+                f"{r.outcome.waves} waves, interactive p95 "
                 f"{lat['lanes'].get('interactive', {}).get('p95_s', 0.0):.1f}s,"
                 f" throughput {lat['throughput_qps']:.3f} q/s, "
                 f"host {host_s:.2f}s"
@@ -331,29 +316,27 @@ def bench_document(
     for label, fault_spec in (("plain", None), ("groupkill",
                                                 HIER_SERVICE_KILL)):
         name = f"hier-service-{label}/np{hs_np}"
-        sres, host_s = _timed_run(
-            runs, name, "hier-service", trace,
-            lambda tracer: run_hier_service_raw(
-                hs_np, wl, ORNL_ALTIX,
-                ngroups=hs_groups, mode=HIER_MODE,
-                rate=service_rate, arrival_seed=SERVICE_SEED,
-                service=ServiceConfig(**admission),
+        r, host_s = _timed_run(
+            runs, name,
+            Scenario(
+                "hier-service", hs_np, HIER_MODE, hs_groups, workload=wl,
+                faults=fault_spec, rate=service_rate,
+                arrival_seed=SERVICE_SEED, service=ServiceConfig(**admission),
                 elastic=ElasticConfig(
                     redispatch_timeout=HIER_SERVICE_REDISPATCH
                 ),
-                faults=FaultPlan.parse(fault_spec) if fault_spec else None,
-                tracer=tracer,
-            )[0],
+            ),
+            trace,
         )
-        hs_latency[label] = sres.latency
+        hs_latency[label] = r.outcome.latency
         if verbose:
-            lat = sres.latency
+            lat = r.outcome.latency
             print(
                 f"{name}: {lat['all']['count']} queries in "
-                f"{sres.waves} waves, K={hs_groups}, p95 "
+                f"{r.outcome.waves} waves, K={hs_groups}, p95 "
                 f"{lat['all']['p95_s']:.1f}s, "
-                f"{sres.degraded_queries} degraded, "
-                f"{sres.regroups} regroups, host {host_s:.2f}s"
+                f"{r.outcome.degraded_queries} degraded, "
+                f"{r.outcome.regroups} regroups, host {host_s:.2f}s"
             )
     headline: dict[str, dict] = {}
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.blast.alphabet import PROTEIN, Alphabet
 from repro.blast.engine import SearchParams
@@ -139,6 +139,14 @@ class ParallelConfig:
 
     def fragments_for(self, nworkers: int) -> int:
         return self.num_fragments if self.num_fragments > 0 else nworkers
+
+
+def ft_for_cost(config: ParallelConfig) -> ParallelConfig:
+    """``config``, its untouched (lab-sized) FT defaults stretched to its
+    costs so that healthy-but-slow ranks are not declared dead."""
+    if config.ft != FTParams():
+        return config
+    return replace(config, ft=FTParams.for_cost(config.cost))
 
 
 def stage_inputs(

@@ -42,7 +42,7 @@ re-partitioned mid-run fails the next wave fast with a clear
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any
 
 from repro.blast.engine import BlastSearch
@@ -54,7 +54,7 @@ from repro.parallel.common import (
     parse_index,
     writer_for,
 )
-from repro.parallel.config import FTParams, ParallelConfig
+from repro.parallel.config import ParallelConfig, ft_for_cost
 from repro.parallel.pullrpc import TAG_TABLE
 from repro.parallel.results import select_metas
 from repro.parallel.warmdb import (
@@ -512,12 +512,8 @@ def run_service(
     qids = [j.qid for j in jobs]
     if len(set(qids)) != len(qids):
         raise ValueError("duplicate qid in the job stream")
-    cfg = config
-    if cfg.ft == FTParams():
-        # The service always runs death detection; untouched lab-sized
-        # timeouts must be stretched to the cost model so healthy-but-
-        # slow workers are not declared dead (cf. run_program_raw).
-        cfg = replace(cfg, ft=FTParams.for_cost(cfg.cost))
+    # The service always runs death detection.
+    cfg = ft_for_cost(config)
     scfg = service if service is not None else ServiceConfig()
     ordered = tuple(sorted(jobs, key=lambda j: (j.arrival, j.qid)))
     result = run(

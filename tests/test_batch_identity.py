@@ -17,7 +17,6 @@ run against the fast paths only.
 """
 
 import dataclasses
-import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -36,6 +35,7 @@ from repro.blast.extend import ungapped_extend, ungapped_extend_batch
 from repro.blast.fasta import SeqRecord
 from repro.blast.matrices import blosum62
 from repro.blast.output import DbStats, HitSummary, ReportWriter
+from repro.scenario import Run, Scenario, run
 from repro.simmpi.engine import Engine, SimError
 from repro.workloads import (
     SynthSpec,
@@ -576,141 +576,66 @@ class TestUngappedBatchProperty:
 # that still had the closure-per-wake reference scheduler
 # ----------------------------------------------------------------------
 
-
-def _replay_workload():
-    from repro.experiments.common import ExperimentWorkload
-
-    return ExperimentWorkload(
-        db_spec=SynthSpec(num_sequences=90, mean_length=130,
-                          family_fraction=0.6, family_size=4,
-                          seed=2025),
-        query_bytes=2_500,
-    )
-
-
-def _dense(result, store):
-    files = {p: store.read_all(p) for p in store.listdir()}
-    return {
-        "makespan": result.makespan,
-        "phase_times": result.phase_times,
-        "messages_sent": result.messages_sent,
-        "bytes_sent": result.bytes_sent,
-        "fs_ops": (result.fs_read_ops, result.fs_write_ops),
-        "dead_ranks": result.dead_ranks,
-        "promotions": result.promotions,
-        "files": files,
-    }
-
-
-def run_fingerprint(program, nprocs, *, faults=None):
-    """Full-driver run; dense fingerprint."""
-    from repro.experiments.common import run_program_raw
-
-    _b, result, store, _cfg = run_program_raw(
-        program, nprocs, _replay_workload(), faults=faults
-    )
-    return _dense(result, store)
-
-
-def run_hier_fingerprint(faults, *, service=False):
-    """Hierarchical run (np=13, or the np=17 elastic service) in three
-    groups under a role-targeted fault plan; the dense fingerprint
-    plus the exact ``FaultReport`` event list."""
-    from repro.experiments.common import run_hier_raw, run_hier_service_raw
-    from repro.simmpi.faults import FaultPlan
-
-    plan = FaultPlan.parse(faults)
-    if service:
-        hres, store, _cfg = run_hier_service_raw(
-            17, _replay_workload(), ngroups=3, faults=plan
-        )
-    else:
-        hres, store, _cfg = run_hier_raw(
-            13, _replay_workload(), ngroups=3, faults=plan
-        )
-    fp = _dense(hres.result, store)
-    fp["events"] = [
-        (e.time, e.kind, e.detail)
-        for e in hres.result.fault_report.events
-    ]
-    return fp
-
-
-def _canon(x) -> str:
-    """Canonical text of a fingerprint: floats exact, files by digest."""
-    if isinstance(x, dict):
-        return "{" + ",".join(
-            f"{_canon(k)}:{_canon(v)}"
-            for k, v in sorted(x.items(), key=lambda kv: repr(kv[0]))
-        ) + "}"
-    if isinstance(x, (list, tuple)):
-        return "[" + ",".join(_canon(v) for v in x) + "]"
-    if isinstance(x, (bytes, bytearray)):
-        return "b:" + hashlib.sha256(bytes(x)).hexdigest()
-    if isinstance(x, float):
-        return x.hex()
-    return repr(x)
-
-
-def fingerprint_digest(fp) -> str:
-    return hashlib.sha256(_canon(fp).encode()).hexdigest()
-
-
-#: sha256 of ``run_fingerprint`` taken at commit 421f6c1, where the
-#: drain scheduler and the legacy one (``fast_wakes=False``, since
-#: deleted) both produced exactly these.  The FT chaos run re-captured
-#: with ``GOLDEN_HIER_REPLAY``: its master heartbeats once per
-#: ``failover_silence / 4`` now.
+#: ``Run.digest()`` of each flat replay scenario.  The drain scheduler
+#: and the legacy one (``fast_wakes=False``, since deleted) both produced
+#: the runs these pin.  The FT chaos run was re-captured with
+#: ``GOLDEN_HIER_REPLAY`` (its master heartbeats once per
+#: ``failover_silence / 4``).  All six replay digests were re-computed
+#: when the fingerprint gained the ``FaultReport`` (one shape for every
+#: golden), by the parent commit's code, so no run moved.
+CHAOS = ("pioblast nprocs=8 workload=replay "
+         "faults=seed=11,kill=2@0.05,straggler=3x2.5@0")
 GOLDEN_REPLAY = {
-    "mpiblast-np6":
-        "a0005422b5e3c1bdf8030ae06e61ee161443eb163da4c4a16ae8b9819f5af8a7",
-    "pioblast-np6":
-        "4436377e5196dfbf676737d4ce919ea0231436ae98c6bd279647cc577a1ca19c",
-    "pioblast-np8-chaos":
-        "347b21b5f0ce70221e3288a3a0b67fc2c690f47287944ee69e32097b1b45757d",
+    "mpiblast nprocs=6 workload=replay":
+        "11b8f3c497b42f3d76509bf3a0f189c036b6569f54c8ed581b22ca38570cfcc5",
+    "pioblast nprocs=6 workload=replay":
+        "10ca5cb23179a2fb4300254a2dcaa70479468c4ff2f5b821fdbf143270895892",
+    CHAOS:
+        "81b4bc9709d1dca907bb74f90ede8e011aa434395f6c239733eedecec3aa7c2b",
 }
 
 
 #: The same, for the roles ``GOLDEN_REPLAY`` misses — sub-master,
 #: coordinator, elastic coordinator — each through a failover, as
-#: ``faults -> (the FaultReport kinds it exists to record, sha256)``.
-#: Re-captured (twice, equal) by the change whose parent is e2d8bad,
-#: which paced heartbeats by ``failover_silence / 4``, made the batch
-#: coordinator hold idle polls and made a guessed candidate's first
-#: announcement trigger a resend.  The group kill lands at 28 s, while
-#: g1 serves wave 3 (23.5 - 33.1 s fault-free): at 40 s it holds none.
+#: ``scenario -> (the FaultReport kinds it exists to record, sha256)``.
+#: The runs were re-captured (twice, equal) by the change whose parent
+#: is e2d8bad, which paced heartbeats by ``failover_silence / 4``, made
+#: the batch coordinator hold idle polls and made a guessed candidate's
+#: first announcement trigger a resend.  The group kill lands at 28 s,
+#: while g1 serves wave 3 (23.5 - 33.1 s fault-free): at 40 s it holds
+#: none.
 GOLDEN_HIER_REPLAY = {
-    "crash=submaster:g1@20": (
+    "hier nprocs=13 groups=3 workload=replay faults=crash=submaster:g1@20": (
         ("detect:master-dead", "recover:promote-submaster"),
-        "62f07e32d653f0b18f6a95285f42f38c57d69ab540b662241dd7281cae37a765",
+        "55d446c626cea57834e8aa0481981fc09d566bed2d7cdd683798e86833a62f46",
     ),
-    "crash=coordinator@20": (
+    "hier nprocs=13 groups=3 workload=replay faults=crash=coordinator@20": (
         (
             "detect:master-dead",
             "recover:promote-coordinator",
             "recover:promote-submaster",
         ),
-        "da6123b6fe0f77006f8ec6f70d63c26ea8b079a64ad1dd8a70fe540bad071c0b",
+        "cb089b4533a4a054030b36d74243611b533b13c0bc57c6294b355888d5245eb4",
     ),
-    "crash=group:g1@28": (
+    "hier-service nprocs=17 groups=3 workload=replay "
+    "faults=crash=group:g1@28": (
         ("detect:group-dead",),
-        "db7ea5dac72f24d84e6f070f789f3253a33fa884626633ac360c93cefc11f960",
+        "b25346b15ef2fd9da5d9857070136665400cfb98f4e35a8f71f3327a0dc2384f",
     ),
 }
 
 
-#: The fault-scenario corpus (ROADMAP item 1): every FT driver — flat
-#: pio / mpi, hier replicate / shard, the elastic service — under crash,
-#: drop, ``ioerr`` and slow-disk plans, ``name -> (driver, nprocs,
-#: faults, options, kinds, sha256)``.  ``kinds`` are the FaultReport
-#: kinds the entry exists to record; a re-timed protocol that stops
-#: reaching them fails ``test_fault_corpus_records_its_kinds``.  The
-#: ``ioerr`` plans are timed so that ``recover:io-retry`` is recorded
-#: through every ``reliable_read`` / ``reliable_write`` /
-#: ``write_output`` call site of the protocol modules.  ``lab=True``
-#: runs under the laboratory cost model, whose FT timeouts are seconds
-#: rather than thousands of seconds, so a crash costs a fraction of a
-#: host second to sit out; other options are ``ParallelConfig`` fields.
+#: The fault-scenario corpus: every FT driver — flat pio / mpi, hier
+#: replicate / shard, the elastic service — under crash, drop, ``ioerr``
+#: and slow-disk plans, ``name -> (scenario, kinds, sha256)``.  ``kinds``
+#: are the FaultReport kinds the entry exists to record; a re-timed
+#: protocol that stops reaching them fails
+#: ``test_fault_corpus_records_its_kinds``.  The ``ioerr`` plans are
+#: timed so that ``recover:io-retry`` is recorded through every
+#: ``reliable_read`` / ``reliable_write`` / ``write_output`` call site of
+#: the protocol modules.  ``cost=lab`` runs under the laboratory cost
+#: model, whose FT timeouts are seconds rather than thousands of seconds,
+#: so a crash costs a fraction of a host second to sit out.
 #: Kill instants are read off the fault-free trace, at a moment the
 #: target holds an obligation: member 6 searches its first fragment
 #: from 0.001 to 0.012 s, g2's sub-master writes batch 1 from 0.700 to
@@ -726,51 +651,39 @@ GOLDEN_HIER_REPLAY = {
 #: fragment to re-search.
 FAULT_CORPUS = {
     "pio/ioerr-queries": (
-        "pioblast", 6,
-        "ioerr=queries@0n2",
-        dict(),
+        "pioblast nprocs=6 workload=replay faults=ioerr=queries@0n2",
         ("recover:io-retry",),
         "0f49356c6b2f9eb5661008dbeb57ee80c3fc056a2afc593eee189fc00f9cea58",
     ),
     "pio/ioerr-index": (
-        "pioblast", 6,
-        "ioerr=nr.xin@0n2",
-        dict(),
+        "pioblast nprocs=6 workload=replay faults=ioerr=nr.xin@0n2",
         ("recover:io-retry",),
         "f7d8c9a2b55f166eff7903e54e4191832b9192e8bbe3494b69715b39af80b0cf",
     ),
     "pio/ioerr-output": (
-        "pioblast", 6,
-        "ioerr=results@0n3",
-        dict(),
+        "pioblast nprocs=6 workload=replay faults=ioerr=results@0n3",
         ("recover:io-retry",),
         "38e6928d749e6f26e41f410b6c8b50fee78c83f6fe10fa5f37805cb56c9a0580",
     ),
     "pio/slowdisk": (
-        "pioblast", 6,
-        "slowdisk=4x20@0",
-        dict(),
+        "pioblast nprocs=6 workload=replay faults=slowdisk=4x20@0",
         ("inject:slowdisk-begin", "inject:slowdisk-end"),
         "e4de89f32cd3cad067ea79dc7438118158c87a9721c3603ea11cf42c1c79aeac",
     ),
     "pio/drop-request": (
-        "pioblast", 6,
-        "drop=*>0:40n3",
-        dict(),
+        "pioblast nprocs=6 workload=replay faults=drop=*>0:40n3",
         ("inject:drop",),
         "5a990b11fcae55aba70c9064ca01199dbf6e191494a6633601287226bac78707",
     ),
     "pio/kill-worker": (
-        "pioblast", 6,
-        "kill=2@0.02",
-        dict(lab=True),
+        "pioblast nprocs=6 workload=replay cost=lab faults=kill=2@0.02",
         ("detect:worker-dead", "recover:requeue"),
         "a4390c00a55e2ecfcaba24c72302c4cffa19566006a1406d6c899e72157809a1",
     ),
     "pio/kill-master-ioerr-output": (
-        "pioblast", 6,
-        "kill=0@0.03,ioerr=results@0n3,ioerr=results@2.095n2",
-        dict(lab=True, checkpoint_interval=0.01),
+        "pioblast nprocs=6 workload=replay cost=lab "
+        "faults=kill=0@0.03,ioerr=results@0n3,ioerr=results@2.095n2 "
+        "checkpoint_interval=0.01",
         (
             "detect:master-dead",
             "recover:promote-master",
@@ -780,16 +693,13 @@ FAULT_CORPUS = {
         "b603121f56f66be9de5b167f75e3b17d1ae3e350743ab445dafab29797b7fc52",
     ),
     "pio/kill-writer": (
-        "pioblast", 6,
-        "kill=2@0.065",
-        dict(lab=True),
+        "pioblast nprocs=6 workload=replay cost=lab faults=kill=2@0.065",
         ("recover:rehome-write", "recover:research", "recover:dup-result"),
         "d83db2edeb6625b2ef404a9a7bb1f0f215d1bd176027adc30ea9828584c712e4",
     ),
     "pio/mixed": (
-        "pioblast", 8,
-        "seed=3,kill=3@0.02,drop=0>*:41n2,ioerr=@0.01n2",
-        dict(lab=True),
+        "pioblast nprocs=8 workload=replay cost=lab "
+        "faults=seed=3,kill=3@0.02,drop=0>*:41n2,ioerr=@0.01n2",
         (
             "detect:worker-dead",
             "recover:requeue",
@@ -799,58 +709,45 @@ FAULT_CORPUS = {
         "e0e2e3ab4ae9ab21007305a83697058f8e040fc8a67cb317ca7eb326933322cb",
     ),
     "mpi/drop-request": (
-        "mpiblast", 6,
-        "drop=*>0:16n3",
-        dict(),
+        "mpiblast nprocs=6 workload=replay faults=drop=*>0:16n3",
         ("inject:drop",),
         "73c0f22f595626256bc84bc96a3391f741e80860e516d8f95ea14b8a163e195e",
     ),
     "mpi/ioerr-setup": (
-        "mpiblast", 6,
-        "ioerr=queries@0n2,ioerr=nr.xin@0n1",
-        dict(),
+        "mpiblast nprocs=6 workload=replay "
+        "faults=ioerr=queries@0n2,ioerr=nr.xin@0n1",
         ("recover:io-retry",),
         "4f25a039de6704315afee2bcbdea286a9fb92e7e490ea34698be1af73fc33d05",
     ),
     "mpi/ioerr-copy-read": (
-        "mpiblast", 6,
-        "ioerr=nr.frag@0n4",
-        dict(),
+        "mpiblast nprocs=6 workload=replay faults=ioerr=nr.frag@0n4",
         ("recover:io-retry",),
         "8882e5a3da7301c11562abe7d395b1e5e9b590106952b7caf98fc52d88c1f82e",
     ),
     "mpi/ioerr-scratch": (
-        "mpiblast", 6,
-        "ioerr=scratch/@0n3,ioerr=scratch/@9.7n4",
-        dict(),
+        "mpiblast nprocs=6 workload=replay "
+        "faults=ioerr=scratch/@0n3,ioerr=scratch/@9.7n4",
         ("recover:io-retry",),
         "41aeeb32c9158eada9dc277e044d0d8b408234a7239718f17861839095fda3ed",
     ),
     "mpi/ioerr-output": (
-        "mpiblast", 6,
-        "ioerr=results@0n3",
-        dict(),
+        "mpiblast nprocs=6 workload=replay faults=ioerr=results@0n3",
         ("recover:io-retry",),
         "927378bbc1865748bb6f4f4e3716406cf7e03f2802e922b1c81a0ff7fa66be50",
     ),
     "mpi/slowdisk": (
-        "mpiblast", 6,
-        "slowdisk=4x30@0",
-        dict(),
+        "mpiblast nprocs=6 workload=replay faults=slowdisk=4x30@0",
         ("inject:slowdisk-begin", "inject:slowdisk-end"),
         "0a18282361274ac9c6d2fdd04e611f87e5ecbaa1f2708f5f08ad846d5486388a",
     ),
     "mpi/kill-worker": (
-        "mpiblast", 6,
-        "kill=2@0.02",
-        dict(lab=True),
+        "mpiblast nprocs=6 workload=replay cost=lab faults=kill=2@0.02",
         ("detect:worker-dead", "recover:requeue"),
         "5812841edd7a1a0a96c63782a9c6303de56930f28da57ac994d9de093a2b6694",
     ),
     "mpi/kill-master": (
-        "mpiblast", 6,
-        "kill=0@0.06",
-        dict(lab=True, checkpoint_interval=0.01),
+        "mpiblast nprocs=6 workload=replay cost=lab faults=kill=0@0.06 "
+        "checkpoint_interval=0.01",
         (
             "detect:master-dead",
             "recover:promote-master",
@@ -859,93 +756,77 @@ FAULT_CORPUS = {
         "d92dab61392e5cfedcf7e320432023cfcb1eedc459c1142685e871268138e1c7",
     ),
     "mpi/kill-owner-revive": (
-        "mpiblast", 6,
-        "kill=3@0.15",
-        dict(lab=True),
+        "mpiblast nprocs=6 workload=replay cost=lab faults=kill=3@0.15",
         ("recover:restart-output", "recover:revive"),
         "71cc3f18de6b1451f561ddbaf0f854cdc94dc06e29155a73efb3b654df9830cb",
     ),
     "mpi/kill-owner-mid-output": (
-        "mpiblast", 6,
-        "kill=2@0.1",
-        dict(lab=True),
+        "mpiblast nprocs=6 workload=replay cost=lab faults=kill=2@0.1",
         ("detect:worker-dead", "recover:research", "recover:restart-output"),
         "aa6b661af56b557810375b3a08e23c8b07a327b4b34b95782241a923a74ac1d9",
     ),
     "hier-replicate/drop-request": (
-        "hier-replicate", 13,
-        "drop=*>0:80n3",
-        dict(),
+        "hier nprocs=13 groups=3 workload=replay faults=drop=*>0:80n3",
         ("inject:drop",),
         "70284e4cdf8f883cb27982f5d4c07fc086e2627fe2580a8699f3bd45cf9fb977",
     ),
     "hier-replicate/ioerr-queries": (
-        "hier-replicate", 13,
-        "ioerr=queries@0n2",
-        dict(),
+        "hier nprocs=13 groups=3 workload=replay "
+        "faults=ioerr=queries@0n2",
         ("recover:io-retry",),
         "484ab6522c6bd5578427c0d8807e2c27c8110e75dacee451df286b3f03ca1b92",
     ),
     "hier-replicate/ioerr-index": (
-        "hier-replicate", 13,
-        "ioerr=nr.xin@0n2",
-        dict(),
+        "hier nprocs=13 groups=3 workload=replay "
+        "faults=ioerr=nr.xin@0n2",
         ("recover:io-retry",),
         "38211f088dfc759c59786caa9c4d27d6e2ac0173cf16cfd0b77927c18a3687a0",
     ),
     "hier-replicate/ioerr-output": (
-        "hier-replicate", 13,
-        "ioerr=results@0n4,ioerr=results@61.2n3",
-        dict(),
+        "hier nprocs=13 groups=3 workload=replay "
+        "faults=ioerr=results@0n4,ioerr=results@61.2n3",
         ("recover:io-retry",),
         "122262fbcb6c9ab38789c2be167057fae90972133cc3bcb524c04875ae00cd02",
     ),
     "hier-replicate/ioerr-marker": (
-        "hier-replicate", 13,
-        "ioerr=_ckpt/hier.done@0n2",
-        dict(),
+        "hier nprocs=13 groups=3 workload=replay "
+        "faults=ioerr=_ckpt/hier.done@0n2",
         ("recover:io-retry",),
         "374f76349d23c59f5387b24760babb015946efd0bbdbd3040c824ee618f2ad99",
     ),
     "hier-replicate/crash-submaster": (
-        "hier-replicate", 13,
-        "crash=submaster:g1@0.3",
-        dict(lab=True),
+        "hier nprocs=13 groups=3 workload=replay cost=lab "
+        "faults=crash=submaster:g1@0.3",
         ("detect:master-dead", "recover:promote-submaster"),
         "8dfb504821bfda82814d4640ad4ae3d5e36ab5c4daf88ea9b0fa121026a820ab",
     ),
     "hier-replicate/kill-member": (
-        "hier-replicate", 13,
-        "kill=6@0.005",
-        dict(lab=True),
+        "hier nprocs=13 groups=3 workload=replay cost=lab "
+        "faults=kill=6@0.005",
         ("detect:worker-dead", "recover:adopt-fragment"),
         "3255aad4181df8bc2a766e5a2078895c7fa2c6bda4f96d6e9e2e2e1659803f42",
     ),
     "hier-shard/ioerr-output": (
-        "hier-shard", 13,
-        "ioerr=results@0n5",
-        dict(),
+        "hier nprocs=13 mode=shard groups=3 workload=replay "
+        "faults=ioerr=results@0n5",
         ("recover:io-retry",),
         "bbc02aafd84997ebb1764a79c83118aabd20e4279029e36c2f419a72431cbceb",
     ),
     "hier-shard/slowdisk": (
-        "hier-shard", 13,
-        "slowdisk=3x40@10",
-        dict(),
+        "hier nprocs=13 mode=shard groups=3 workload=replay "
+        "faults=slowdisk=3x40@10",
         ("inject:slowdisk-begin", "inject:slowdisk-end"),
         "3e2a2ad126f7011e1908362781ef679203b4b909b6b1490a537f1023e7f4fa54",
     ),
     "hier-shard/drop-group-request": (
-        "hier-shard", 13,
-        "drop=*>*:90n4",
-        dict(),
+        "hier nprocs=13 mode=shard groups=3 workload=replay "
+        "faults=drop=*>*:90n4",
         ("inject:drop",),
         "4c0522bd0776b53d0653dff7b8e99a57cb9d6e3a326644e3723464f9edbcf8bb",
     ),
     "hier-shard/crash-coordinator": (
-        "hier-shard", 13,
-        "crash=coordinator@1.0",
-        dict(lab=True),
+        "hier nprocs=13 mode=shard groups=3 workload=replay cost=lab "
+        "faults=crash=coordinator@1.0",
         (
             "detect:master-dead",
             "recover:promote-coordinator",
@@ -954,9 +835,8 @@ FAULT_CORPUS = {
         "404c0fb73f12243bba17e6709a9373e7f47bc0d40879b89ad11919b97e9dd7ca",
     ),
     "hier-shard/crash-submaster-ioerr-output": (
-        "hier-shard", 13,
-        "crash=submaster:g2@0.705,ioerr=results@0n3",
-        dict(lab=True),
+        "hier nprocs=13 mode=shard groups=3 workload=replay cost=lab "
+        "faults=crash=submaster:g2@0.705,ioerr=results@0n3",
         (
             "detect:master-dead",
             "recover:promote-submaster",
@@ -965,16 +845,14 @@ FAULT_CORPUS = {
         "7904387aaa914fbaad559a92605eaef7f09ce660538b1e41f4b6d2da9ef6a346",
     ),
     "elastic-replicate/group-kill-ioerr-output": (
-        "elastic-replicate", 17,
-        "crash=group:g1@3,ioerr=results@0n2",
-        dict(lab=True),
+        "hier-service nprocs=17 groups=3 workload=replay cost=lab "
+        "faults=crash=group:g1@3,ioerr=results@0n2 rate=2.0",
         ("inject:crash", "recover:io-retry"),
         "09d00aec46b844a68c69a4bd0ebbc5ad4c12cf7539195e32cb7cc1b0964be064",
     ),
     "elastic-replicate/crash-coordinator": (
-        "elastic-replicate", 17,
-        "crash=coordinator@3",
-        dict(lab=True),
+        "hier-service nprocs=17 groups=3 workload=replay cost=lab "
+        "faults=crash=coordinator@3 rate=2.0",
         (
             "detect:master-dead",
             "recover:promote-coordinator",
@@ -983,23 +861,20 @@ FAULT_CORPUS = {
         "038a96c12b4129eba4e853f1934ccd212efc8d60cdc9068d27f92760f87f5c31",
     ),
     "elastic-replicate/ioerr-marker": (
-        "elastic-replicate", 17,
-        "ioerr=_ckpt/hier.done@0n2",
-        dict(lab=True),
+        "hier-service nprocs=17 groups=3 workload=replay cost=lab "
+        "faults=ioerr=_ckpt/hier.done@0n2 rate=2.0",
         ("recover:io-retry",),
         "0d86d1df1190a69c158d4cae3dbbc477c477272c88aa95afc152dca972487165",
     ),
     "elastic-replicate/drop-request": (
-        "elastic-replicate", 17,
-        "drop=*>0:80n3",
-        dict(lab=True),
+        "hier-service nprocs=17 groups=3 workload=replay cost=lab "
+        "faults=drop=*>0:80n3 rate=2.0",
         ("inject:drop",),
         "9640ebd38479d85c52485bc03d6370d0eec7ea64df80699a0546a2a0ab575ef8",
     ),
     "elastic-shard/group-kill-ioerr-probe": (
-        "elastic-shard", 17,
-        "crash=group:g1@3,ioerr=nr.x@3.5n2",
-        dict(lab=True),
+        "hier-service nprocs=17 mode=shard groups=3 workload=replay "
+        "cost=lab faults=crash=group:g1@3,ioerr=nr.x@3.5n2 rate=2.0",
         (
             "detect:group-dead",
             "recover:rereplicate-start",
@@ -1010,9 +885,8 @@ FAULT_CORPUS = {
         "9b4b72e8f2550e0118a23867778e554292a280d9dba2c42adcbf99a4afb42386",
     ),
     "elastic-shard/kill-submaster-slowdisk": (
-        "elastic-shard", 17,
-        "kill=7@2,slowdisk=2x5@1",
-        dict(lab=True),
+        "hier-service nprocs=17 mode=shard groups=3 workload=replay "
+        "cost=lab faults=kill=7@2,slowdisk=2x5@1 rate=2.0",
         (
             "detect:master-dead",
             "recover:promote-submaster",
@@ -1023,124 +897,92 @@ FAULT_CORPUS = {
 }
 
 
-def run_corpus_fingerprint(driver, nprocs, faults, *, lab=False, **overrides):
-    """One corpus scenario: the dense fingerprint (makespan, per-rank
-    phase seconds, every file's bytes) plus ``FaultReport.as_tuple()``."""
-    from repro.costmodel import CostModel
-    from repro.experiments.common import (
-        run_hier_raw,
-        run_hier_service_raw,
-        run_program_raw,
-    )
-    from repro.simmpi.faults import FaultPlan
+_RUNS: dict[str, Run] = {}
 
-    wl = _replay_workload()
-    if lab:
-        wl = replace(wl, cost=CostModel())
-    common = dict(faults=FaultPlan.parse(faults),
-                  config_overrides=overrides or None)
-    kind, _, mode = driver.partition("-")
-    if kind == "hier":
-        hres, store, _cfg = run_hier_raw(
-            nprocs, wl, ngroups=3, mode=mode, **common
-        )
-        result = hres.result
-    elif kind == "elastic":
-        hres, store, _cfg = run_hier_service_raw(
-            nprocs, wl, ngroups=3, mode=mode, rate=2.0, **common
-        )
-        result = hres.result
+
+def replay(text: str) -> Run:
+    """The run of a scenario, once per test run (its digest, its kinds
+    and its report are separate tests)."""
+    if text not in _RUNS:
+        _RUNS[text] = run(Scenario.parse(text))
+    return _RUNS[text]
+
+
+def corpus_run(name: str) -> Run:
+    return replay(FAULT_CORPUS[name][0])
+
+
+def serial_report(cost: str) -> bytes:
+    """The serial oracle's report of the replay workload."""
+    return replay(f"serial nprocs=1 workload=replay cost={cost}").output
+
+
+def assert_serial_report(r: Run) -> None:
+    """The run wrote the serial oracle's report, or its FaultReport says
+    it is degraded and names every fragment it lost."""
+    report = r.result.fault_report
+    if report.degraded:
+        assert report.missing_fragments, "degraded, but nothing is missing"
     else:
-        _b, result, store, _cfg = run_program_raw(
-            driver, nprocs, wl, **common
-        )
-    fp = _dense(result, store)
-    fp["fault_report"] = result.fault_report.as_tuple()
-    return fp
+        assert r.output == serial_report(r.scenario.cost)
 
 
-_FINGERPRINTS: dict[str, dict] = {}
+def _faults(text: str) -> str:
+    return Scenario.parse(text).faults
 
 
-def replay_fingerprint(faults: str) -> dict:
-    """``run_hier_fingerprint`` of a ``GOLDEN_HIER_REPLAY`` key, run
-    once per test run (its digest and its kinds are two tests)."""
-    if faults not in _FINGERPRINTS:
-        _FINGERPRINTS[faults] = run_hier_fingerprint(
-            faults, service=faults.startswith("crash=group:")
-        )
-    return _FINGERPRINTS[faults]
-
-
-def corpus_fingerprint(name: str) -> dict:
-    """``run_corpus_fingerprint`` of a ``FAULT_CORPUS`` entry, run once
-    per test run."""
-    if name not in _FINGERPRINTS:
-        driver, nprocs, faults, options, _kinds, _sha = FAULT_CORPUS[name]
-        _FINGERPRINTS[name] = run_corpus_fingerprint(
-            driver, nprocs, faults, **options
-        )
-    return _FINGERPRINTS[name]
+HIER_REPLAYS = [t for t in GOLDEN_HIER_REPLAY if t.startswith("hier ")]
+GROUP_KILL = next(t for t in GOLDEN_HIER_REPLAY if t not in HIER_REPLAYS)
 
 
 class TestSchedulerReplayIdentity:
     @pytest.mark.parametrize("program", ["mpiblast", "pioblast"])
     def test_driver_replays_bit_for_bit(self, program):
-        fp = run_fingerprint(program, 6)
-        assert fingerprint_digest(fp) == GOLDEN_REPLAY[f"{program}-np6"]
+        text = f"{program} nprocs=6 workload=replay"
+        assert replay(text).digest() == GOLDEN_REPLAY[text]
 
-    @pytest.mark.parametrize(
-        "faults", ["crash=submaster:g1@20", "crash=coordinator@20"]
-    )
-    def test_hier_failover_replays_bit_for_bit(self, faults):
-        fp = replay_fingerprint(faults)
-        assert fingerprint_digest(fp) == GOLDEN_HIER_REPLAY[faults][1]
+    @pytest.mark.parametrize("text", HIER_REPLAYS, ids=_faults)
+    def test_hier_failover_replays_bit_for_bit(self, text):
+        assert replay(text).digest() == GOLDEN_HIER_REPLAY[text][1]
 
     def test_hier_service_group_kill_replays_bit_for_bit(self):
-        fp = replay_fingerprint("crash=group:g1@28")
-        assert fingerprint_digest(fp) == GOLDEN_HIER_REPLAY[
-            "crash=group:g1@28"][1]
+        assert replay(GROUP_KILL).digest() == GOLDEN_HIER_REPLAY[GROUP_KILL][1]
 
-    @pytest.mark.parametrize("faults", sorted(GOLDEN_HIER_REPLAY))
-    def test_hier_replay_records_its_kinds(self, faults):
-        kinds = {kind for _t, kind, _d in replay_fingerprint(faults)["events"]}
-        declared = GOLDEN_HIER_REPLAY[faults][0]
+    @pytest.mark.parametrize("text", sorted(GOLDEN_HIER_REPLAY), ids=_faults)
+    def test_hier_replay_records_its_kinds(self, text):
+        kinds = set(replay(text).result.fault_report.kinds())
+        declared = GOLDEN_HIER_REPLAY[text][0]
         assert [k for k in declared if k not in kinds] == []
 
     def test_chaos_replay(self):
-        from repro.simmpi.faults import CrashFault, FaultPlan, StragglerFault
+        assert replay(CHAOS).digest() == GOLDEN_REPLAY[CHAOS]
 
-        plan = FaultPlan(
-            seed=11,
-            events=(CrashFault(rank=2, time=0.05),
-                    StragglerFault(rank=3, factor=2.5)),
-        )
-        fp = run_fingerprint("pioblast", 8, faults=plan)
-        assert fingerprint_digest(fp) == GOLDEN_REPLAY["pioblast-np8-chaos"]
+    @pytest.mark.parametrize(
+        "text", sorted(GOLDEN_REPLAY) + sorted(GOLDEN_HIER_REPLAY)
+    )
+    def test_replay_writes_the_serial_report(self, text):
+        assert_serial_report(replay(text))
 
     @pytest.mark.parametrize("name", sorted(FAULT_CORPUS))
     def test_fault_corpus_replays_bit_for_bit(self, name):
-        fp = corpus_fingerprint(name)
-        assert fp["fault_report"][0], "the plan injected nothing"
-        assert fingerprint_digest(fp) == FAULT_CORPUS[name][-1]
+        r = corpus_run(name)
+        assert r.result.fault_report.events, "the plan injected nothing"
+        assert r.digest() == FAULT_CORPUS[name][-1]
+
+    @pytest.mark.parametrize("name", sorted(FAULT_CORPUS))
+    def test_fault_corpus_writes_the_serial_report(self, name):
+        assert_serial_report(corpus_run(name))
 
     def test_owner_lost_mid_output_recovers_the_serial_report(self):
         """A poll from a rank declared dead gets no fragment, so the
         re-search reaches a live worker and the run ends."""
-        from repro.experiments.common import make_store
-        from repro.parallel.serial import run_serial_reference
-
-        fp = corpus_fingerprint("mpi/kill-owner-mid-output")
-        store, cfg = make_store(_replay_workload())
-        assert fp["files"][cfg.output_path] == run_serial_reference(
-            store, cfg
-        )
+        r = corpus_run("mpi/kill-owner-mid-output")
+        assert r.output == serial_report("paper")
 
     @pytest.mark.parametrize("name", sorted(FAULT_CORPUS))
     def test_fault_corpus_records_its_kinds(self, name):
-        events = corpus_fingerprint(name)["fault_report"][0]
-        kinds = {kind for _t, kind, _d in events}
-        declared = FAULT_CORPUS[name][-2]
+        kinds = set(corpus_run(name).result.fault_report.kinds())
+        declared = FAULT_CORPUS[name][1]
         assert declared, "every entry names what it exists for"
         assert [k for k in declared if k not in kinds] == []
 

@@ -65,5 +65,13 @@ def test_only_the_dangling_ones_fail():
     ]
 
 
+def test_roadmap_item_numbers_are_rejected_even_when_wrapped():
+    text = ("the fix is a refit (ROADMAP\nitem 12), see ROADMAP 4(a) and\n"
+            "ROADMAP 8a; ROADMAP.md and the ROADMAP's items are fine.")
+    assert list(docs_check.roadmap_items(text)) == [
+        (1, "ROADMAP item 12"), (2, "ROADMAP 4(a)"), (3, "ROADMAP 8a"),
+    ]
+
+
 def test_the_real_docs_are_clean():
     assert docs_check.main() == 0

@@ -7,7 +7,8 @@ calibrated workload and print paper-vs-measured tables.
 
 import pytest
 
-from repro.experiments.common import ExperimentWorkload, format_table
+from repro.experiments.report import format_table
+from repro.scenario import ExperimentWorkload
 from repro.workloads import SynthSpec
 
 SMALL = ExperimentWorkload(

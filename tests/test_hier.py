@@ -10,19 +10,10 @@ the scale the hierarchy exists for (see DESIGN.md).
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.costmodel import CostModel
-from repro.experiments.common import (
-    PAPER_COSTS,
-    ExperimentWorkload,
-    run_hier_raw,
-    run_hier_service_raw,
-)
 from repro.hier import HierConfig, build_topology, run_hier
 from repro.hier.coordinator import (
     TAG_HIER_REPLY,
@@ -34,16 +25,9 @@ from repro.obs import Tracer
 from repro.obs.events import EV_SEND
 from repro.obs.export import run_metrics
 from repro.parallel.config import FTParams
+from repro.scenario import PAPER_COSTS, Scenario
+from repro.scenario import run as run_scenario
 from repro.simmpi import FaultPlan, run
-from repro.workloads import SynthSpec
-
-#: 90 sequences and 2.5 kB of queries: the replay goldens' workload.
-SMALL = ExperimentWorkload(
-    db_spec=SynthSpec(num_sequences=90, mean_length=130,
-                      family_fraction=0.6, family_size=4, seed=2025),
-    query_bytes=2_500,
-)
-COSTS = {"lab": CostModel(), "paper": PAPER_COSTS}
 
 
 def _run(staged, nprocs=13, ngroups=3, mode="replicate", faults=None,
@@ -219,7 +203,8 @@ class TestOracleIdentity:
         exists for it — for most of a fault-free run — and those
         seconds are idle time, not coordinator wait: the headline share
         stays under the 0.001 the README claims."""
-        hres, _store, _cfg = run_hier_raw(13, SMALL, ngroups=3)
+        hres = run_scenario(
+            Scenario.parse("hier nprocs=13 groups=3 workload=replay")).outcome
         metrics = hres.result.metrics["global"]
         held = [
             metrics["counters"].get(f"hier.group.g{g.gid}.held_s", 0.0)
@@ -228,20 +213,18 @@ class TestOracleIdentity:
         assert max(held) > 0.1 * hres.result.makespan
         assert metrics["gauges"]["hier.group_coord_wait_share_max"] < 0.001
 
-    @pytest.mark.parametrize("costs", sorted(COSTS))
+    @pytest.mark.parametrize("costs", ["lab", "paper"])
     @pytest.mark.parametrize("driver", ["replicate", "shard", "elastic"])
     def test_fault_free_runs_suspect_nobody(self, driver, costs):
         """Heartbeats go out once per ``failover_silence / 4`` and idle
         polls are held at both levels; nobody healthy looks dead, under
         the laboratory costs and under the paper's (where the silence
         is 1 900 s and a hold lasts ``req_timeout / 2`` = 118.75 s)."""
-        wl = replace(SMALL, cost=COSTS[costs])
-        if driver == "elastic":
-            hres, _store, _cfg = run_hier_service_raw(
-                17, wl, ngroups=3, rate=2.0
-            )
-        else:
-            hres, _store, _cfg = run_hier_raw(13, wl, ngroups=3, mode=driver)
+        shape = {"replicate": "hier nprocs=13",
+                 "shard": "hier nprocs=13 mode=shard",
+                 "elastic": "hier-service nprocs=17 rate=2.0"}[driver]
+        hres = run_scenario(Scenario.parse(
+            f"{shape} groups=3 workload=replay cost={costs}")).outcome
         suspected = {
             "detect:master-dead", "detect:worker-dead", "detect:group-dead",
         }
@@ -284,10 +267,9 @@ class TestFailover:
         announces itself, both send their request again at once — not
         at their resend deadline, ``req_timeout`` (237.5 s) later."""
         tracer = Tracer()
-        hres, _store, _cfg = run_hier_raw(
-            13, SMALL, ngroups=3,
-            faults=FaultPlan.parse("crash=submaster:g1@20"), tracer=tracer,
-        )
+        hres = run_scenario(Scenario.parse(
+            "hier nprocs=13 groups=3 workload=replay "
+            "faults=crash=submaster:g1@20"), tracer).outcome
         events = hres.result.fault_report.events
         (promo,) = [e for e in events if e.kind == "recover:promote-submaster"]
         _gid, successor = promo.detail

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.common import ExperimentWorkload, run_program_raw
 from repro.obs import Tracer
 from repro.obs.critical_path import (
     CLASSES,
@@ -17,6 +16,7 @@ from repro.obs.critical_path import (
     render_bottleneck_table,
 )
 from repro.parallel import bottleneck_table
+from repro.scenario import ExperimentWorkload, Scenario, run
 from repro.workloads import SynthSpec
 
 SMALL = ExperimentWorkload(
@@ -34,10 +34,8 @@ SMALL = ExperimentWorkload(
 @pytest.fixture(scope="module", params=["pioblast", "mpiblast"])
 def traced_run(request):
     t = Tracer()
-    b, result, _store, _cfg = run_program_raw(
-        request.param, 32, SMALL, tracer=t
-    )
-    return request.param, b, result
+    r = run(Scenario(request.param, 32, workload=SMALL), t)
+    return request.param, r.outcome, r.result
 
 
 class TestClassify:
@@ -143,13 +141,11 @@ class TestBottleneckTable:
         assert "crit-path" in text
 
     def test_wrapper_requires_events(self):
-        _b, result, _store, _cfg = run_program_raw("pioblast", 4, SMALL)
+        result = run(Scenario("pioblast", 4, workload=SMALL)).result
         with pytest.raises(ValueError, match="traced run"):
             bottleneck_table(result)
 
     def test_wrapper_renders_traced(self):
         t = Tracer()
-        _b, result, _store, _cfg = run_program_raw(
-            "pioblast", 4, SMALL, tracer=t
-        )
+        result = run(Scenario("pioblast", 4, workload=SMALL), t).result
         assert "Bottleneck attribution" in bottleneck_table(result)

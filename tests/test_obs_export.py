@@ -6,7 +6,6 @@ import json
 
 import pytest
 
-from repro.experiments.common import ExperimentWorkload, run_program_raw
 from repro.obs import (
     Tracer,
     chrome_trace,
@@ -15,6 +14,7 @@ from repro.obs import (
     write_run_metrics,
 )
 from repro.obs.compare import Delta, compare_bench, load_bench, main
+from repro.scenario import ExperimentWorkload, Scenario, run
 from repro.workloads import SynthSpec
 
 SMALL = ExperimentWorkload(
@@ -32,10 +32,7 @@ SMALL = ExperimentWorkload(
 @pytest.fixture(scope="module")
 def traced_run():
     t = Tracer()
-    _b, result, _store, _cfg = run_program_raw(
-        "pioblast", 4, SMALL, tracer=t
-    )
-    return result
+    return run(Scenario("pioblast", 4, workload=SMALL), t).result
 
 
 class TestChromeTrace:
@@ -95,7 +92,7 @@ class TestRunMetrics:
         )
 
     def test_untraced_has_no_attribution(self):
-        _b, result, _store, _cfg = run_program_raw("pioblast", 4, SMALL)
+        result = run(Scenario("pioblast", 4, workload=SMALL)).result
         m = run_metrics(result, program="pioblast")
         assert "critical_path" not in m
         assert m["counters"]["msgs_sent"] > 0

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.common import ExperimentWorkload, run_program_raw
 from repro.obs import (
     EV_FAULT,
     EV_PHASE,
@@ -15,7 +14,7 @@ from repro.obs import (
     Event,
     Tracer,
 )
-from repro.simmpi import FaultPlan
+from repro.scenario import ExperimentWorkload, Scenario, run
 from repro.workloads import SynthSpec
 
 SMALL = ExperimentWorkload(
@@ -28,6 +27,7 @@ SMALL = ExperimentWorkload(
     ),
     query_bytes=1800,
 )
+PIO4 = Scenario("pioblast", 4, workload=SMALL)
 
 
 class TestTracerUnit:
@@ -58,21 +58,18 @@ class TestDisabledTracing:
     """Tracing off must change nothing and cost (almost) nothing."""
 
     def test_untraced_run_has_no_events_but_metrics(self):
-        _b, result, _store, _cfg = run_program_raw("pioblast", 4, SMALL)
+        result = run(PIO4).result
         assert result.events is None
         assert result.metrics is not None
         assert result.metrics["totals"]["msgs_sent"] > 0
 
     def test_traced_and_untraced_runs_identical(self):
-        _b1, r1, s1, cfg = run_program_raw("pioblast", 4, SMALL)
-        _b2, r2, s2, _ = run_program_raw(
-            "pioblast", 4, SMALL, tracer=Tracer()
-        )
-        assert r1.makespan == r2.makespan
-        assert r1.phase_times == r2.phase_times
+        plain, traced = run(PIO4), run(PIO4, Tracer())
+        assert plain.result.makespan == traced.result.makespan
+        assert plain.result.phase_times == traced.result.phase_times
         # Byte-identical report output.
-        assert s1.read_all(cfg.output_path) == s2.read_all(cfg.output_path)
-        assert r2.events, "traced run must produce events"
+        assert plain.output == traced.output
+        assert traced.result.events, "traced run must produce events"
 
 
 class TestDeterminism:
@@ -80,16 +77,17 @@ class TestDeterminism:
         streams = []
         for _ in range(2):
             t = Tracer()
-            run_program_raw("pioblast", 4, SMALL, tracer=t)
+            run(PIO4, t)
             streams.append(t.as_tuples())
         assert streams[0] == streams[1]
 
     def test_same_fault_plan_same_event_stream(self):
-        plan = FaultPlan.parse("seed=3,kill=2@0.05,slowdisk=0.3x0.5@0.1")
+        faulty = Scenario("pioblast", 4, workload=SMALL,
+                          faults="seed=3,kill=2@0.05,slowdisk=0.3x0.5@0.1")
         streams = []
         for _ in range(2):
             t = Tracer()
-            run_program_raw("pioblast", 4, SMALL, tracer=t, faults=plan)
+            run(faulty, t)
             streams.append(t.as_tuples())
         assert streams[0] == streams[1]
         kinds = {s[3] for s in streams[0]}
@@ -100,10 +98,7 @@ class TestEventStream:
     @pytest.fixture(scope="class")
     def traced(self):
         t = Tracer()
-        _b, result, _store, _cfg = run_program_raw(
-            "pioblast", 4, SMALL, tracer=t
-        )
-        return t, result
+        return t, run(PIO4, t).result
 
     def test_expected_kinds_present(self, traced):
         t, _ = traced

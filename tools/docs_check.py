@@ -15,6 +15,10 @@ backticks — inline spans and fenced blocks:
 * a ``make <target>``;
 * a ``python -m repro <subcommand>`` or ``python -m repro.<module>``.
 
+It also rejects, anywhere in the text, a ROADMAP item number ("ROADMAP
+item 4(a)", "ROADMAP 8a", wrapped over a line break or not): the items
+are renumbered at every re-anchor, so a doc names the mechanism instead.
+
 Prints ``FILE:LINE: what`` per dangling citation and exits 1 if any.
 """
 
@@ -36,6 +40,7 @@ GENERATED = ("bench/out/",)
 _CODE = re.compile(r"```.*?```|`(?:[^`\n]|\n(?!\n))+`", re.S)
 _TOKEN = re.compile(r"[\w.*/-]+")
 _PATHLIKE = re.compile(r".*(/|\.(py|md|json|yml|toml|txt))$")
+_ROADMAP_ITEM = re.compile(r"\bROADMAP\s+(?:items?\s+)?\d\w*(?:\(\w\))?")
 
 
 def citations(text: str):
@@ -61,6 +66,12 @@ def citations(text: str):
                     yield line + off, "path", tok
                 elif "/" in tok.rstrip("/") and _PATHLIKE.match(tok):
                     yield line + off, "path", tok
+
+
+def roadmap_items(text: str):
+    """``(line, citation)`` for each ROADMAP item number ``text`` cites."""
+    for m in _ROADMAP_ITEM.finditer(text):
+        yield text.count("\n", 0, m.start()) + 1, " ".join(m.group().split())
 
 
 def make_targets() -> set[str]:
@@ -101,10 +112,15 @@ def main() -> int:
     targets, commands = make_targets(), subcommands()
     dangling = 0
     for doc in DOCS:
-        for line, kind, name in citations((ROOT / doc).read_text()):
+        text = (ROOT / doc).read_text()
+        for line, kind, name in citations(text):
             if not exists(kind, name, targets, commands):
                 print(f"{doc}:{line}: {kind} `{name}` does not exist")
                 dangling += 1
+        for line, cite in roadmap_items(text):
+            print(f"{doc}:{line}: `{cite}` cites a ROADMAP item number; "
+                  "name the mechanism")
+            dangling += 1
     if dangling:
         print(f"{dangling} dangling citation(s)")
     return 1 if dangling else 0
